@@ -1,10 +1,12 @@
 """Closed-form work, heat and efficiency for every cycle variant.
 
 These expressions are evaluated directly from the drive and measurement
-parameters, sharing no code path with the density-matrix simulator in
-:mod:`qotto.engine`; the test suite checks the two routes against each
-other.  Works and heats are in units of the reference energy, entropies
-in bits, and the erasure cost carries an explicit ln 2.
+parameters.  They share only the ledger arithmetic of
+:meth:`CycleRecord.from_energies` with the density-matrix simulator in
+:mod:`qotto.engine`, so the stroke energies come from independent
+routes; the test suite checks the two against each other.  Works and
+heats are in units of the reference energy, entropies in bits, and the
+erasure cost carries an explicit ln 2.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .engine import ENGINE_TOL, CycleRecord, DriveSpec, EngineParams, MeasurementBasis
-
-LN2 = math.log(2.0)
-
-# An AnalyticRecord carries the same ledger fields as a simulated one.
-AnalyticRecord = CycleRecord
+from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis
 
 
 @dataclass(frozen=True)
@@ -30,11 +27,8 @@ class NonAdiabaticIntermediates:
 
     a = 2p - 1 and b = 2 sqrt(p(1-p)) encode the drive, mu the overlap
     between the drive image of the ground state and the measurement axis;
-    big_a/big_b/big_q are the squared overlaps entering the stroke
-    energies (big_q = big_a for the reversed stroke-IV drive), and d is
-    the discriminant sqrt((omega_x - omega_z)^2 + 4 omega_x omega_z (1-p)).
-    s and s_prime select the maximizing branch of the optimality
-    conditions.
+    big_a/big_b are the squared overlaps entering the stroke energies (the
+    reversed stroke-IV drive sees big_a again).
     """
 
     a: float
@@ -42,10 +36,6 @@ class NonAdiabaticIntermediates:
     mu: float
     big_a: float
     big_b: float
-    big_q: float
-    d: float
-    s: int = 1
-    s_prime: int = -1
 
 
 def discriminant(params: EngineParams, p: float) -> float:
@@ -66,25 +56,10 @@ def intermediates(
         mu=mu,
         big_a=0.5 * (1.0 + mu),
         big_b=0.5 * (1.0 + cos_t),
-        big_q=0.5 * (1.0 + mu),
-        d=discriminant(params, drive.p),
     )
 
 
-def _record_from_energies(e0, e1, e2, e3, **aux) -> AnalyticRecord:
-    w1 = e1 - e0
-    w2 = e3 - e2
-    w_total = -(w1 + w2)
-    q_h = e2 - e1
-    q_c = e0 - e3
-    eta = w_total / q_h if (q_h > ENGINE_TOL and w_total > ENGINE_TOL) else None
-    return AnalyticRecord(
-        e0=e0, e1=e1, e2=e2, e3=e3, w1=w1, w2=w2, w_total=w_total,
-        q_c=q_c, q_h=q_h, eta=eta, **aux,
-    )
-
-
-def conventional_record(params: EngineParams, p: float) -> AnalyticRecord:
+def conventional_record(params: EngineParams, p: float) -> CycleRecord:
     """Two-bath cycle ledger for transition probability p (reversed stroke-IV drive)."""
     if params.beta_h is None:
         raise ValueError("the conventional cycle requires beta_h")
@@ -96,10 +71,10 @@ def conventional_record(params: EngineParams, p: float) -> AnalyticRecord:
     e1 = 0.5 * wx * tz * (1.0 - 2.0 * p)
     e2 = -0.5 * wx * tx
     e3 = 0.5 * wz * tx * (1.0 - 2.0 * p)
-    return _record_from_energies(e0, e1, e2, e3)
+    return CycleRecord.from_energies(e0, e1, e2, e3)
 
 
-def pvm_adiabatic_record(params: EngineParams, theta_x: float) -> AnalyticRecord:
+def pvm_adiabatic_record(params: EngineParams, theta_x: float) -> CycleRecord:
     """Projective-measurement cycle at p = 1; work is (tz/2)(wx - wz) sin^2(theta)."""
     tz = params.tau_z
     wz, wx = params.omega_z, params.omega_x
@@ -108,12 +83,12 @@ def pvm_adiabatic_record(params: EngineParams, theta_x: float) -> AnalyticRecord
     e1 = -0.5 * wx * tz
     e2 = -0.5 * wx * tz * cos2
     e3 = -0.5 * wz * tz * cos2
-    return _record_from_energies(e0, e1, e2, e3)
+    return CycleRecord.from_energies(e0, e1, e2, e3)
 
 
 def pvm_nonadiabatic_record(
     params: EngineParams, drive: DriveSpec, basis: MeasurementBasis
-) -> AnalyticRecord:
+) -> CycleRecord:
     """Projective-measurement cycle ledger at arbitrary drive."""
     tz = params.tau_z
     wz, wx = params.omega_z, params.omega_x
@@ -122,7 +97,7 @@ def pvm_nonadiabatic_record(
     e1 = 0.5 * wx * tz * (1.0 - 2.0 * drive.p)
     e2 = -0.5 * wx * tz * mid.mu * math.cos(basis.theta_x)
     e3 = -0.5 * wz * tz * mid.mu**2
-    return _record_from_energies(e0, e1, e2, e3)
+    return CycleRecord.from_energies(e0, e1, e2, e3)
 
 
 def pvm_nonadiabatic_work(

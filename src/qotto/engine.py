@@ -7,6 +7,12 @@ projective measurement, or a non-selective generalized measurement
 realized by a joint unitary with a qubit auxiliary followed by a
 projective measurement on the auxiliary.
 
+Every cycle and optimizer objective runs through one unchecked kernel:
+:func:`strokes_i_ii`, then :func:`_measure` or :func:`_dilation` for
+stroke III, then :class:`Strokes` energies and the one record builder.
+Inputs are checked when a spec type is built or a raw array enters a
+public function.
+
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
 when the cycle delivers work.  Efficiency is w_total / q_h and is left
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,11 @@ TWO_PI = 2.0 * math.pi
 ENGINE_TOL = 1e-12
 
 
+def _check_finite_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class EngineParams:
     """Physical setup: level splittings and bath inverse temperatures.
@@ -39,7 +51,8 @@ class EngineParams:
     ``omega_z`` and ``omega_x`` are the spectral gaps of the two stroke
     Hamiltonians (units of the reference frequency); the engine condition
     requires omega_x > omega_z > 0.  ``beta_h`` is only meaningful for the
-    conventional two-bath cycle and may be omitted otherwise.
+    conventional two-bath cycle and may be omitted otherwise.  All values
+    must be finite.
     """
 
     omega_z: float
@@ -48,6 +61,10 @@ class EngineParams:
     beta_h: float | None = None
 
     def __post_init__(self):
+        for name in ("omega_z", "omega_x", "beta_c", "beta_h"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.omega_x > self.omega_z > 0.0):
             raise ValueError(
                 f"engine condition omega_x > omega_z > 0 violated: "
@@ -99,6 +116,20 @@ class DriveSpec:
             raise ValueError(f"alpha must lie in [0, 2*pi), got {self.alpha}")
 
 
+def _basis_kets(theta: float, phi) -> np.ndarray:
+    # Kets of the bases at (theta, phi), one row per outcome; phi may be an array.
+    c = math.cos(0.5 * theta)
+    s = math.sin(0.5 * theta)
+    phase = np.exp(1.0j * np.asarray(phi))[..., None]
+    return np.stack([c * KET_PLUS + phase * s * KET_MINUS, s * KET_PLUS - phase * c * KET_MINUS], axis=-2)
+
+
+def basis_projectors(theta: float, phi) -> np.ndarray:
+    """Outcome projectors of the bases at (theta, phi), shape ``phi.shape + (2, 2, 2)``."""
+    k = _basis_kets(theta, phi)
+    return k[..., :, None] * k.conj()[..., None, :]
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Orthonormal qubit basis on the Bloch sphere whose poles are |+> and |->.
@@ -116,29 +147,46 @@ class MeasurementBasis:
         if not (0.0 <= self.phi_x < TWO_PI):
             raise ValueError(f"phi_x must lie in [0, 2*pi), got {self.phi_x}")
 
-    def kets(self) -> tuple[np.ndarray, np.ndarray]:
-        c = math.cos(0.5 * self.theta_x)
-        s = math.sin(0.5 * self.theta_x)
-        phase = np.exp(1.0j * self.phi_x)
-        return c * KET_PLUS + phase * s * KET_MINUS, s * KET_PLUS - phase * c * KET_MINUS
+    @classmethod
+    def wrapped(cls, theta: float, phi: float) -> MeasurementBasis:
+        """The basis at any finite (theta, phi), continuing the chart periodically.
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        kp, km = self.kets()
-        return np.outer(kp, kp.conj()), np.outer(km, km.conj())
+        Reflecting theta about pi while shifting phi by pi reproduces the
+        same projector pair, so every angle pair maps onto the chart.
+        """
+        th = theta % TWO_PI
+        ph = phi
+        if th > math.pi:
+            th = TWO_PI - th
+            ph += math.pi
+        th = min(max(th, 0.0), math.pi)
+        ph %= TWO_PI
+        if ph >= TWO_PI:
+            ph = 0.0
+        return cls(theta_x=th, phi_x=ph)
+
+    def kets(self) -> np.ndarray:
+        """The two basis kets, one per row."""
+        return _basis_kets(self.theta_x, self.phi_x)
+
+    def projectors(self) -> np.ndarray:
+        """The two outcome projectors, stacked along the first axis."""
+        return basis_projectors(self.theta_x, self.phi_x)
 
 
 def _plus_projector() -> np.ndarray:
     return np.outer(KET_PLUS, KET_PLUS.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmSpec:
     """Two-outcome generalized measurement given as a dilation.
 
     The auxiliary starts in ``aux_state`` (pure |+><+| by default), the
     joint unitary acts on (system x auxiliary), and the outcome projectors
     act on the auxiliary in ``aux_basis``.  The induced Kraus operators
-    must resolve the identity within UNITARY_TOL.
+    must resolve the identity within UNITARY_TOL.  Specs compare by
+    identity.
     """
 
     joint_unitary: np.ndarray
@@ -205,6 +253,22 @@ class CycleRecord:
     aux_entropy: float = 0.0
     aux_reset_cost: float = 0.0
 
+    @classmethod
+    def from_energies(cls, e0, e1, e2, e3, aux_entropy=0.0, aux_reset_cost=0.0) -> CycleRecord:
+        """The ledger of a cycle whose strokes leave energies e0..e3."""
+        e0, e1, e2, e3 = float(e0), float(e1), float(e2), float(e3)
+        w1 = e1 - e0
+        w2 = e3 - e2
+        w_total = -(w1 + w2)
+        q_h = e2 - e1
+        q_c = e0 - e3
+        eta = w_total / q_h if (q_h > ENGINE_TOL and w_total > ENGINE_TOL) else None
+        return cls(
+            e0=e0, e1=e1, e2=e2, e3=e3, w1=w1, w2=w2, w_total=w_total,
+            q_c=q_c, q_h=q_h, eta=eta,
+            aux_entropy=aux_entropy, aux_reset_cost=aux_reset_cost,
+        )
+
     @property
     def net_work(self) -> float:
         """Delivered work after paying the auxiliary reset cost."""
@@ -227,9 +291,13 @@ def hamiltonian_h2(params: EngineParams) -> np.ndarray:
 
 def thermal_state(h, beta: float) -> np.ndarray:
     """Gibbs state exp(-beta h) / Z, computed in the eigenbasis of h."""
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    vals, vecs = qmat.hermitian_eig(h)
+    _check_finite_nonnegative("beta", beta)
+    return _gibbs(qmat.validate_hermitian(h, name="h"), beta)
+
+
+def _gibbs(h: np.ndarray, beta: float) -> np.ndarray:
+    # thermal_state without input checks.
+    vals, vecs = qmat._hermitian_eig(h)
     weights = np.exp(-beta * (vals - vals.min()))  # shift guards overflow at large beta
     weights /= weights.sum()
     return (vecs * weights) @ vecs.conj().T
@@ -247,24 +315,76 @@ def drive_unitary(drive: DriveSpec) -> np.ndarray:
     return u
 
 
+def _expect(h: np.ndarray, rho: np.ndarray):
+    # Tr(h rho) of one state or of each state in a stack.
+    return (h @ rho).trace(axis1=-2, axis2=-1).real
+
+
+class Strokes(NamedTuple):
+    """Driven state rho1 and energies e0, e1 after strokes I-II.
+
+    Stroke IV maps rho2 to u^dag rho2 u, so e3 = Tr(uh1u rho2) with the
+    stroke-IV energy operator uh1u = u h1 u^dag.
+    """
+
+    rho1: np.ndarray
+    e0: float
+    e1: float
+    h2: np.ndarray
+    uh1u: np.ndarray
+
+    def energies(self, rho2):
+        """(e2, e3) of a stroke-III output, or arrays of them for a stack."""
+        return _expect(self.h2, rho2), _expect(self.uh1u, rho2)
+
+    def work(self, rho2):
+        """Total work w_total of the cycle through rho2 (elementwise on a stack)."""
+        e2, e3 = self.energies(rho2)
+        return -(self.e1 - self.e0) - (e3 - e2)
+
+
+def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
+    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II)."""
+    h1 = hamiltonian_h1(params)
+    h2 = hamiltonian_h2(params)
+    rho0 = _gibbs(h1, params.beta_c)
+    u = drive_unitary(drive)
+    rho1 = u @ rho0 @ u.conj().T
+    return Strokes(
+        rho1=rho1,
+        e0=float(_expect(h1, rho0)),
+        e1=float(_expect(h2, rho1)),
+        h2=h2,
+        uh1u=u @ h1 @ u.conj().T,
+    )
+
+
+def _measure(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    # Non-selective projective measurement sum_i P_i rho P_i over the outcome
+    # axis (-3) of a projector stack; leading axes of the stack broadcast.
+    x = projectors @ rho @ projectors
+    return x[..., 0, :, :] + x[..., 1, :, :]
+
+
+def _dilation(rho_sa: np.ndarray, v: np.ndarray, joint_projectors: np.ndarray | None):
+    # Rotate the dilated state by v, measure the auxiliary with the joint
+    # projectors I (x) P_i, return the (system, auxiliary) marginals.  With
+    # joint_projectors=None the auxiliary stays unmeasured, which leaves the
+    # system marginal unchanged, and only that marginal is returned.
+    x = v @ rho_sa @ v.conj().T
+    if joint_projectors is None:
+        return qmat._marginals(x, aux=False)
+    return qmat._marginals(_measure(x, joint_projectors))
+
+
+def _povm_stroke(rho: np.ndarray, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
+    joint_projectors = np.kron(ID2, povm.aux_basis.projectors())
+    return _dilation(np.kron(rho, povm.aux_state), povm.joint_unitary, joint_projectors)
+
+
 def pvm_stroke(rho, basis: MeasurementBasis) -> np.ndarray:
     """Non-selective projective measurement: rho -> sum_i P_i rho P_i."""
-    r = qmat.validate_density_matrix(rho)
-    pp, pm = basis.projectors()
-    return pp @ r @ pp + pm @ r @ pm
-
-
-def _povm_stroke_raw(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
-    # Dilate, rotate, dephase the auxiliary, return both marginals. No input checks.
-    joint = np.kron(rho, povm.aux_state)
-    v = povm.joint_unitary
-    rotated = v @ joint @ v.conj().T
-    pp, pm = povm.aux_basis.projectors()
-    jp = np.kron(ID2, pp)
-    jm = np.kron(ID2, pm)
-    dephased = jp @ rotated @ jp + jm @ rotated @ jm
-    reshaped = dephased.reshape(2, 2, 2, 2)
-    return reshaped.trace(axis1=1, axis2=3), reshaped.trace(axis1=0, axis2=2)
+    return _measure(qmat.validate_density_matrix(rho), basis.projectors())
 
 
 def povm_stroke(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -275,35 +395,9 @@ def povm_stroke(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
     marginal equals sum_i K_i rho K_i^dag for the induced Kraus family.
     """
     r = qmat.validate_density_matrix(rho)
-    povm.validate_kraus()
-    return _povm_stroke_raw(r, povm)
-
-
-def _expect(h: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.trace(h @ rho).real)
-
-
-def _make_record(e0, e1, e2, e3, aux_entropy=0.0, aux_reset_cost=0.0) -> CycleRecord:
-    w1 = e1 - e0
-    w2 = e3 - e2
-    w_total = -(w1 + w2)
-    q_h = e2 - e1
-    q_c = e0 - e3
-    eta = w_total / q_h if (q_h > ENGINE_TOL and w_total > ENGINE_TOL) else None
-    return CycleRecord(
-        e0=e0, e1=e1, e2=e2, e3=e3, w1=w1, w2=w2, w_total=w_total,
-        q_c=q_c, q_h=q_h, eta=eta,
-        aux_entropy=aux_entropy, aux_reset_cost=aux_reset_cost,
-    )
-
-
-def _strokes_i_ii(params: EngineParams, drive: DriveSpec):
-    h1 = hamiltonian_h1(params)
-    h2 = hamiltonian_h2(params)
-    rho0 = thermal_state(h1, params.beta_c)
-    u = drive_unitary(drive)
-    rho1 = u @ rho0 @ u.conj().T
-    return h1, h2, rho0, rho1, u
+    if r.shape != (2, 2):
+        raise ValueError(f"rho must be 2x2, got {r.shape}")
+    return _povm_stroke(r, povm)
 
 
 def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecord:
@@ -314,22 +408,16 @@ def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecor
     """
     if params.beta_h is None:
         raise ValueError("the conventional cycle requires beta_h")
-    h1, h2, rho0, rho1, u = _strokes_i_ii(params, drive)
-    rho2 = thermal_state(h2, params.beta_h)
-    rho3 = u.conj().T @ rho2 @ u
-    return _make_record(
-        _expect(h1, rho0), _expect(h2, rho1), _expect(h2, rho2), _expect(h1, rho3)
-    )
+    s = strokes_i_ii(params, drive)
+    rho2 = _gibbs(s.h2, params.beta_h)
+    return CycleRecord.from_energies(s.e0, s.e1, *s.energies(rho2))
 
 
 def run_pvm_cycle(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:
     """Measurement-fueled cycle: stroke III is a non-selective projective measurement."""
-    h1, h2, rho0, rho1, u = _strokes_i_ii(params, drive)
-    rho2 = pvm_stroke(rho1, basis)
-    rho3 = u.conj().T @ rho2 @ u
-    return _make_record(
-        _expect(h1, rho0), _expect(h2, rho1), _expect(h2, rho2), _expect(h1, rho3)
-    )
+    s = strokes_i_ii(params, drive)
+    rho2 = _measure(s.rho1, basis.projectors())
+    return CycleRecord.from_energies(s.e0, s.e1, *s.energies(rho2))
 
 
 def run_povm_cycle(
@@ -344,18 +432,16 @@ def run_povm_cycle(
     no energy during the stroke itself; the only auxiliary cost is the
     erasure work T * S * ln 2 (S in bits) needed to reinitialize it, paid
     against the bath at ``reset_temperature`` (the cold-bath temperature
-    1/beta_c unless overridden).
+    1/beta_c unless overridden; it must be finite and nonnegative).
     """
     if reset_temperature is None:
         reset_temperature = 1.0 / params.beta_c
-    if reset_temperature < 0.0:
-        raise ValueError(f"reset_temperature must be nonnegative, got {reset_temperature}")
-    h1, h2, rho0, rho1, u = _strokes_i_ii(params, drive)
-    rho2, aux_post = povm_stroke(rho1, povm)
-    rho3 = u.conj().T @ rho2 @ u
-    aux_entropy = qmat.von_neumann_entropy(aux_post)
-    return _make_record(
-        _expect(h1, rho0), _expect(h2, rho1), _expect(h2, rho2), _expect(h1, rho3),
+    _check_finite_nonnegative("reset_temperature", reset_temperature)
+    s = strokes_i_ii(params, drive)
+    rho2, aux_post = _povm_stroke(s.rho1, povm)
+    aux_entropy = qmat._entropy_bits(aux_post)
+    return CycleRecord.from_energies(
+        s.e0, s.e1, *s.energies(rho2),
         aux_entropy=aux_entropy,
         aux_reset_cost=reset_temperature * LN2 * aux_entropy,
     )

@@ -1,6 +1,9 @@
 """Numerical work maximization over measurement bases and dilation unitaries.
 
-The measurement-basis search is a coarse grid followed by simplex
+Both searches evaluate cycles through the engine's kernel
+(:func:`qotto.engine.strokes_i_ii` and the stroke-III functions).  The
+measurement-basis search scans a grid one theta-row of stacked
+projectors at a time, then polishes the best grid point by simplex
 refinement.  The dilation-unitary search runs seeded annealing restarts
 in the 15-dimensional generator-coefficient space, each polished by a
 derivative-free simplex descent; restarts are independent, own private
@@ -18,9 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import engine, qmat
-from .engine import LN2, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
-
-TWO_PI = 2.0 * math.pi
+from .engine import LN2, TWO_PI, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 
 _PAULIS = {"x": qmat.SIGMA_X, "y": qmat.SIGMA_Y, "z": qmat.SIGMA_Z}
 
@@ -39,12 +40,13 @@ _GENERATOR_STACK = np.stack(
     + [np.kron(qmat.ID2, _PAULIS[i]) for i in "xyz"]
 )
 
-SU4_GENERATORS = tuple(_GENERATOR_STACK)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Su4Point:
-    """Coefficients of the 15 generators; the unitary is exp(i sum k_j g_j)."""
+    """Coefficients of the 15 generators; the unitary is exp(i sum k_j g_j).
+
+    Points compare by identity.
+    """
 
     k: np.ndarray
 
@@ -89,23 +91,12 @@ class OptResult:
 
 def su4_from_point(pt: Su4Point) -> np.ndarray:
     """Exponentiate the generator combination into a 4x4 unitary."""
-    generator = np.tensordot(pt.k, _GENERATOR_STACK, axes=1)
-    return qmat.exp_i_hermitian(generator)
+    return _su4(pt.k)
 
 
-def _wrap_basis(theta: float, phi: float) -> MeasurementBasis:
-    # Continue the (theta, phi) chart periodically: reflecting theta about pi
-    # while shifting phi by pi reproduces the same projector pair.
-    th = theta % TWO_PI
-    ph = phi
-    if th > math.pi:
-        th = TWO_PI - th
-        ph += math.pi
-    th = min(max(th, 0.0), math.pi)
-    ph %= TWO_PI
-    if ph >= TWO_PI:
-        ph = 0.0
-    return MeasurementBasis(theta_x=th, phi_x=ph)
+def _su4(k: np.ndarray) -> np.ndarray:
+    # The generator combination is Hermitian by construction, so it is not re-checked.
+    return qmat._exp_i(np.tensordot(k, _GENERATOR_STACK, axes=1))
 
 
 def optimize_pvm_basis(
@@ -116,41 +107,32 @@ def optimize_pvm_basis(
 ) -> OptResult:
     """Maximize simulated projective-cycle work over the measurement basis.
 
-    A grid_size x grid_size scan of (theta_x, phi_x) seeds a simplex
-    refinement; the reported value is the full cycle re-simulated at the
-    winning basis.
+    A grid_size x grid_size scan of (theta_x, phi_x), one theta-row at a
+    time, seeds a simplex refinement; the reported value is the full cycle
+    re-simulated at the winning basis.
     """
     cfg = cfg or OptimizerConfig()
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
 
-    h1 = engine.hamiltonian_h1(params)
-    h2 = engine.hamiltonian_h2(params)
-    rho0 = engine.thermal_state(h1, params.beta_c)
-    u = engine.drive_unitary(drive)
-    rho1 = u @ rho0 @ u.conj().T
-    e0 = float(np.trace(h1 @ rho0).real)
-    e1 = float(np.trace(h2 @ rho1).real)
-    uh1u = u @ h1 @ u.conj().T
+    strokes = engine.strokes_i_ii(params, drive)
     evaluations = 0
 
     def work(theta: float, phi: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        pp, pm = _wrap_basis(theta, phi).projectors()
-        rho2 = pp @ rho1 @ pp + pm @ rho1 @ pm
-        e2 = float(np.trace(h2 @ rho2).real)
-        e3 = float(np.trace(uh1u @ rho2).real)
-        return -(e1 - e0) - (e3 - e2)
+        projectors = MeasurementBasis.wrapped(theta, phi).projectors()
+        return float(strokes.work(engine._measure(strokes.rho1, projectors)))
 
     thetas = np.linspace(0.0, math.pi, grid_size)
     phis = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
     best_f, best_x = -math.inf, (0.0, 0.0)
-    for th in thetas:
-        for ph in phis:
-            f = work(th, ph)
-            if f > best_f:
-                best_f, best_x = f, (th, ph)
+    for th in thetas:  # grid points lie on the chart, so they need no wrapping
+        row = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(th, phis)))
+        j = int(np.argmax(row))
+        if row[j] > best_f:
+            best_f, best_x = float(row[j]), (th, phis[j])
+    evaluations += grid_size * grid_size
 
     res = minimize(
         lambda x: -work(x[0], x[1]),
@@ -165,7 +147,7 @@ def optimize_pvm_basis(
     if -res.fun > best_f:
         best_f, best_x = -res.fun, tuple(res.x)
 
-    basis = _wrap_basis(*best_x)
+    basis = MeasurementBasis.wrapped(*best_x)
     best_value = engine.run_pvm_cycle(params, drive, basis).w_total
     return OptResult(
         best_value=best_value,
@@ -176,12 +158,6 @@ def optimize_pvm_basis(
 
 
 _AUX_BASIS = MeasurementBasis(0.0, 0.0)
-
-
-def _entropy_bits_2x2(rho: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(rho)
-    vals = vals[vals > 0.0]
-    return float(max(-(vals * np.log2(vals)).sum(), 0.0))
 
 
 def _anneal(objective, rng: np.random.Generator, cfg: OptimizerConfig):
@@ -213,36 +189,18 @@ def _optimize_dilation(
         raise ValueError("dilation optimization fixes the drive phase alpha = 0")
 
     aux_state = qmat.projector(qmat.KET_PLUS)
-    h1 = engine.hamiltonian_h1(params)
-    h2 = engine.hamiltonian_h2(params)
-    rho0 = engine.thermal_state(h1, params.beta_c)
-    u = engine.drive_unitary(drive)
-    rho1 = u @ rho0 @ u.conj().T
-    e0 = float(np.trace(h1 @ rho0).real)
-    e1 = float(np.trace(h2 @ rho1).real)
-    uh1u = u @ h1 @ u.conj().T
-    rho_sa = np.kron(rho1, aux_state)
-    pp, pm = _AUX_BASIS.projectors()
-    jp = np.kron(qmat.ID2, pp)
-    jm = np.kron(qmat.ID2, pm)
+    strokes = engine.strokes_i_ii(params, drive)
+    rho_sa = np.kron(strokes.rho1, aux_state)
+    # The auxiliary measurement never moves the system marginal, so the
+    # gross work skips it.
+    joint_projectors = np.kron(qmat.ID2, _AUX_BASIS.projectors()) if net else None
 
     def objective(k: np.ndarray) -> float:
-        generator = np.tensordot(k, _GENERATOR_STACK, axes=1)
-        vals, vecs = np.linalg.eigh(generator)
-        v = (vecs * np.exp(1.0j * vals)) @ vecs.conj().T
-        x = v @ rho_sa @ v.conj().T
-        # The auxiliary measurement never moves the system marginal, so the
-        # gross work can skip the dephasing step.
+        rho2, aux_post = engine._dilation(rho_sa, _su4(k), joint_projectors)
+        w = strokes.work(rho2)
         if net:
-            x = jp @ x @ jp + jm @ x @ jm
-        r = x.reshape(2, 2, 2, 2)
-        rho2 = r.trace(axis1=1, axis2=3)
-        e2 = float(np.trace(h2 @ rho2).real)
-        e3 = float(np.trace(uh1u @ rho2).real)
-        w = -(e1 - e0) - (e3 - e2)
-        if net:
-            w -= t_c * LN2 * _entropy_bits_2x2(r.trace(axis1=0, axis2=2))
-        return w
+            w -= t_c * LN2 * qmat._entropy_bits(aux_post)
+        return float(w)
 
     best_k, best_f, best_ok = None, -math.inf, False
     evaluations = 0
@@ -297,9 +255,8 @@ def optimize_povm_net_work(
     t_c: float | None = None,
     cfg: OptimizerConfig | None = None,
 ) -> OptResult:
-    """Maximize work net of the auxiliary reset cost at temperature t_c."""
+    """Maximize work net of the auxiliary reset cost at temperature t_c (finite, >= 0)."""
     if t_c is None:
         t_c = 1.0 / params.beta_c
-    if t_c < 0.0:
-        raise ValueError(f"t_c must be nonnegative, got {t_c}")
+    engine._check_finite_nonnegative("t_c", t_c)
     return _optimize_dilation(params, drive, t_c=t_c, net=True, cfg=cfg or OptimizerConfig())

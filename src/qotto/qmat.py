@@ -5,6 +5,8 @@ Everything here works on plain complex numpy arrays in natural units
 operators use row-major Kronecker ordering, system factor first, so a
 4x4 matrix indexes as (system, auxiliary) x (system, auxiliary).
 All functions are pure; validation failures raise ``ValueError``.
+The underscore helpers skip validation; the engine and the optimizers
+call them on matrices they built themselves.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-KET_0 = np.array([1.0, 0.0], dtype=complex)
-KET_1 = np.array([0.0, 1.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -74,29 +74,11 @@ def validate_unitary(u, tol: float = UNITARY_TOL, name: str = "u") -> np.ndarray
     return a
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, system factor first."""
-    ma = as_matrix(a, "a")
-    mb = as_matrix(b, "b")
-    if ma.shape != (2, 2) or mb.shape != (2, 2):
-        raise ValueError(f"tensor_product expects 2x2 factors, got {ma.shape} and {mb.shape}")
-    return np.kron(ma, mb)
-
-
-def partial_trace_aux(rho_sa) -> np.ndarray:
-    """System marginal of a 4x4 joint density matrix (traces out the second factor)."""
-    a = validate_density_matrix(rho_sa, name="rho_sa")
-    if a.shape != (4, 4):
-        raise ValueError(f"partial_trace_aux expects a 4x4 matrix, got {a.shape}")
-    return a.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-
-
-def partial_trace_sys(rho_sa) -> np.ndarray:
-    """Auxiliary marginal of a 4x4 joint density matrix (traces out the first factor)."""
-    a = validate_density_matrix(rho_sa, name="rho_sa")
-    if a.shape != (4, 4):
-        raise ValueError(f"partial_trace_sys expects a 4x4 matrix, got {a.shape}")
-    return a.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+def _marginals(rho_sa: np.ndarray, aux: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    # (system, auxiliary) marginals of a 4x4 joint operator; the auxiliary
+    # one is None unless asked for. No input checks.
+    r = rho_sa.reshape(2, 2, 2, 2)
+    return r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2) if aux else None
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -120,7 +102,11 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     cluster are ordered lexicographically by (Re, Im) of their components,
     so repeated runs (and downstream regressions) see identical output.
     """
-    a = validate_hermitian(h, name="h")
+    return _hermitian_eig(validate_hermitian(h, name="h"))
+
+
+def _hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # hermitian_eig without the Hermiticity check.
     vals, vecs = np.linalg.eigh(a)
     vecs = _phase_fix(vecs)
     n = vals.size
@@ -146,7 +132,11 @@ def exp_i_hermitian(g) -> np.ndarray:
     For the 2x2 and 4x4 generators used here this is accurate to machine
     precision, so no series or scaling-and-squaring is needed.
     """
-    a = validate_hermitian(g, name="g")
+    return _exp_i(validate_hermitian(g, name="g"))
+
+
+def _exp_i(a: np.ndarray) -> np.ndarray:
+    # exp_i_hermitian without the Hermiticity check.
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(1.0j * vals)) @ vecs.conj().T
 
@@ -154,11 +144,14 @@ def exp_i_hermitian(g) -> np.ndarray:
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(p log2 p) in bits, with the 0 log 0 = 0 convention.
 
-    Eigenvalues in [-DENSITY_TOL, 0) are clamped to zero first so
-    floating-point noise cannot poison the logarithm.
+    Eigenvalues below zero (floating-point noise within DENSITY_TOL) are
+    dropped with the zeros, so they cannot poison the logarithm.
     """
-    a = validate_density_matrix(rho, name="rho")
-    vals = np.linalg.eigvalsh(a)
-    vals = np.clip(vals, 0.0, None)
+    return _entropy_bits(validate_density_matrix(rho, name="rho"))
+
+
+def _entropy_bits(rho: np.ndarray) -> float:
+    # von_neumann_entropy without the density-matrix check.
+    vals = np.linalg.eigvalsh(rho)
     vals = vals[vals > 0.0]
     return float(max(-(vals * np.log2(vals)).sum(), 0.0))

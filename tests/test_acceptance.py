@@ -19,18 +19,6 @@ P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
 PARAM_SETS = (P32, P52)
 
 
-def wrap_basis(theta, phi):
-    th = theta % (2.0 * math.pi)
-    if th > math.pi:
-        th = 2.0 * math.pi - th
-        phi = phi + math.pi
-    th = min(max(th, 0.0), math.pi)
-    ph = phi % (2.0 * math.pi)
-    if ph >= 2.0 * math.pi:
-        ph = 0.0
-    return MeasurementBasis(theta_x=th, phi_x=ph)
-
-
 def random_su4(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return qmat.exp_i_hermitian(0.5 * (m + m.conj().T))
@@ -121,7 +109,7 @@ def test_criterion_04_pvm_nonadiabatic_optimum():
         drive = DriveSpec(p=p)
 
         def work(th, ph):
-            return analytic.pvm_nonadiabatic_work(P32, drive, wrap_basis(th, ph))
+            return analytic.pvm_nonadiabatic_work(P32, drive, MeasurementBasis.wrapped(th, ph))
 
         h = 1e-5
         th0, ph0 = opt.basis.theta_x, opt.basis.phi_x
@@ -235,7 +223,7 @@ def test_criterion_10_cost_advantage_crossing():
 def test_criterion_11_mixed_auxiliary_ceiling():
     """Mixed auxiliaries in the non-inverted regime cap the stroke energy at (wx/2) tz."""
     rng = np.random.default_rng(111)
-    h_joint = qmat.tensor_product(engine.hamiltonian_h2(P32), qmat.ID2)
+    h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
     rho0 = engine.thermal_state(engine.hamiltonian_h1(P32), 1.0)
     u = engine.drive_unitary(DriveSpec(p=1.0))
     rho1 = u @ rho0 @ u.conj().T

@@ -27,19 +27,6 @@ P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
 TANH1 = math.tanh(1.0)
 
 
-def wrap_basis(theta, phi):
-    """Periodic continuation of the basis chart, for finite differences."""
-    th = theta % (2.0 * math.pi)
-    if th > math.pi:
-        th = 2.0 * math.pi - th
-        phi = phi + math.pi
-    th = min(max(th, 0.0), math.pi)
-    ph = phi % (2.0 * math.pi)
-    if ph >= 2.0 * math.pi:
-        ph = 0.0
-    return MeasurementBasis(theta_x=th, phi_x=ph)
-
-
 def records_close(a, b, tol=1e-10):
     for name in ("e0", "e1", "e2", "e3", "w1", "w2", "w_total", "q_c", "q_h"):
         assert getattr(a, name) == pytest.approx(getattr(b, name), abs=tol), name
@@ -105,12 +92,14 @@ class TestPvmRecords:
             drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0, 2 * math.pi))
             basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             mid = intermediates(P32, drive, basis)
-            assert mid.big_q == mid.big_a
             assert 2.0 * mid.big_b - 1.0 == pytest.approx(math.cos(basis.theta_x), abs=1e-12)
             assert 2.0 * mid.big_a - 1.0 == pytest.approx(mid.mu, abs=1e-12)
-            for val in (mid.big_a, mid.big_b, mid.big_q):
+            for val in (mid.big_a, mid.big_b):
                 assert -1e-12 <= val <= 1.0 + 1e-12
-            assert (mid.s, mid.s_prime) == (1, -1)
+            # the reversed stroke-IV drive sees the overlap big_a again:
+            # the simulated e3 is -(wz/2) tz (2 big_a - 1)^2
+            e3 = engine.run_pvm_cycle(P32, drive, basis).e3
+            assert e3 == pytest.approx(-TANH1 * (2.0 * mid.big_a - 1.0) ** 2, abs=1e-10)
 
 
 class TestSimulatorEquivalence:
@@ -203,7 +192,7 @@ class TestPvmOptimal:
             drive = DriveSpec(p=p)
 
             def work(th, ph):
-                return pvm_nonadiabatic_work(P32, drive, wrap_basis(th, ph))
+                return pvm_nonadiabatic_work(P32, drive, MeasurementBasis.wrapped(th, ph))
 
             h = 1e-5
             th0, ph0 = opt.basis.theta_x, opt.basis.phi_x
@@ -219,7 +208,7 @@ class TestPvmOptimal:
             drive = DriveSpec(p=p)
 
             def work(th, ph):
-                return pvm_nonadiabatic_work(P32, drive, wrap_basis(th, ph))
+                return pvm_nonadiabatic_work(P32, drive, MeasurementBasis.wrapped(th, ph))
 
             h = 1e-5
             th0, ph0 = opt.basis.theta_x, opt.basis.phi_x
@@ -293,7 +282,7 @@ class TestPovmOptimal:
         u = engine.drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         joint = np.kron(rho1, qmat.projector(qmat.KET_PLUS))
-        h_joint = qmat.tensor_product(engine.hamiltonian_h2(P32), qmat.ID2)
+        h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
         assert rearrangement_energy_bound(h_joint, joint) == pytest.approx(1.5, abs=1e-12)
 
 
@@ -318,7 +307,7 @@ class TestWorkCeiling:
             u = engine.drive_unitary(drive)
             rho1 = u @ rho0 @ u.conj().T
             joint = np.kron(rho1, qmat.projector(qmat.KET_PLUS))
-            effective = qmat.tensor_product(h2 - u @ h1 @ u.conj().T, qmat.ID2)
+            effective = np.kron(h2 - u @ h1 @ u.conj().T, qmat.ID2)
             w1 = np.trace(h2 @ rho1).real - np.trace(h1 @ rho0).real
             bound = rearrangement_energy_bound(effective, joint) - w1
             assert povm_work_ceiling(params, drive) == pytest.approx(bound, abs=1e-10)
@@ -349,7 +338,7 @@ class TestRearrangementBound:
         # q |psi><psi| + (1-q)|perp><perp| with (1-q) e^{v_z} > q e^{-v_z}:
         # the reachable measurement-stroke energy tops out at (wx/2) tanh(v_z)
         rng = np.random.default_rng(34)
-        h_joint = qmat.tensor_product(engine.hamiltonian_h2(P32), qmat.ID2)
+        h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
         rho0 = engine.thermal_state(engine.hamiltonian_h1(P32), 1.0)
         u = engine.drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T

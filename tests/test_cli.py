@@ -47,7 +47,7 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("t_c", 0.0, 1.0, 5)
         with pytest.raises(ValueError):
-            SweepSpec("p", 0.5, 1.0, 3, engines=("warp",))
+            SweepSpec("beta_c", 0.5, 1.0, 3)  # only p and t_c are swept
 
     def test_values(self):
         np.testing.assert_allclose(SweepSpec("p", 0.5, 1.0, 3).values(), [0.5, 0.75, 1.0])
@@ -110,6 +110,15 @@ class TestCycleCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "error" in err.lower()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_values(self, capsys, value):
+        base = ("cycle", "--engine", "povm", "--v0", "--omega-x", "5", "--omega-z", "2")
+        for argv in (base + ("--t-c", value), base + ("--beta-c", value)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "must be finite" in err
+            assert out == ""
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -180,6 +189,13 @@ class TestFig3Command:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_rejects_bad_reset_temperature(self, capsys, value):
+        code, out, err = run_cli(capsys, "fig3", "--grid-points", "2", "--t-c", value)
+        assert code == 2
+        assert "t_c must be finite and nonnegative" in err
+        assert out == ""
 
     def test_strict_flags_nonconvergence(self, capsys):
         code, out, _ = run_cli(

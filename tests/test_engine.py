@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qotto import analytic, engine, qmat
+from qotto.optimize import optimize_pvm_basis
 from qotto.engine import (
     DriveSpec,
     EngineParams,
@@ -57,6 +58,14 @@ class TestParams:
         with pytest.raises(ValueError):
             _ = P32.v_x
 
+    @pytest.mark.parametrize("field", ["omega_z", "omega_x", "beta_c", "beta_h"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(omega_z=2.0, omega_x=3.0, beta_c=1.0, beta_h=0.2)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EngineParams(**kwargs)
+
 
 class TestDriveAndBasis:
     def test_drive_validation(self):
@@ -70,6 +79,20 @@ class TestDriveAndBasis:
             MeasurementBasis(theta_x=-0.1)
         with pytest.raises(ValueError):
             MeasurementBasis(theta_x=1.0, phi_x=2.0 * math.pi)
+
+    def test_wrapped_continues_the_chart(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            theta = rng.uniform(-3.0 * math.pi, 3.0 * math.pi)
+            phi = rng.uniform(-3.0 * math.pi, 3.0 * math.pi)
+            b = MeasurementBasis.wrapped(theta, phi)
+            # same Bloch vector (poles |+> and |->), hence the same projectors
+            n = np.array([math.cos(theta), math.sin(theta) * math.cos(phi),
+                          math.sin(theta) * math.sin(phi)])
+            m = np.array([math.cos(b.theta_x), math.sin(b.theta_x) * math.cos(b.phi_x),
+                          math.sin(b.theta_x) * math.sin(b.phi_x)])
+            np.testing.assert_allclose(m, n, atol=1e-12)
+        assert MeasurementBasis.wrapped(1.0, 0.5) == MeasurementBasis(1.0, 0.5)
 
     def test_basis_completeness(self):
         rng = np.random.default_rng(2)
@@ -115,8 +138,9 @@ class TestThermalState:
         np.testing.assert_allclose(rho, ground, atol=1e-10)
 
     def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            thermal_state(hamiltonian_h1(P32), -0.5)
+        for beta in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                thermal_state(hamiltonian_h1(P32), beta)
 
 
 class TestDriveUnitary:
@@ -207,6 +231,13 @@ class TestPovmSpec:
     def test_rejects_bad_aux_state(self):
         with pytest.raises(ValueError):
             PovmSpec(joint_unitary=ID4, aux_state=np.diag([0.9, 0.3]))
+
+    def test_compares_by_identity(self):
+        a = PovmSpec(joint_unitary=ID4)
+        b = PovmSpec(joint_unitary=ID4)
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
 
 
 class TestPovmStroke:
@@ -348,6 +379,12 @@ class TestPovmCycle:
         assert rec.q_h == pytest.approx(0.0, abs=1e-12)
         assert rec.w_total == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_reset_temperature(self, t):
+        povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
+        with pytest.raises(ValueError, match="reset_temperature must be finite and nonnegative"):
+            run_povm_cycle(P32, DriveSpec(p=1.0), povm, reset_temperature=t)
+
     def test_reset_temperature_scales_cost(self):
         povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
         rec1 = run_povm_cycle(P32, DriveSpec(p=1.0), povm, reset_temperature=1.0)
@@ -396,3 +433,36 @@ class TestFirstLawAndUniversality:
             for rec in (conv, pvm, povm):
                 assert rec.q_h > 0.0
                 assert rec.eta == pytest.approx(eta0, abs=1e-10)
+
+
+class TestKernel:
+    def test_checks_run_only_at_construction(self, monkeypatch):
+        params = EngineParams(2.0, 3.0, 1.0, beta_h=0.2)
+        drive = DriveSpec(p=0.8, alpha=0.4)
+        basis = MeasurementBasis(1.1, 0.3)
+        povm = PovmSpec(
+            joint_unitary=analytic.optimal_dilation_unitary(), aux_state=np.diag([0.9, 0.1])
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("input check on the cycle path")
+
+        for name in ("as_matrix", "validate_hermitian", "validate_density_matrix", "validate_unitary"):
+            monkeypatch.setattr(qmat, name, forbidden)
+        monkeypatch.setattr(PovmSpec, "validate_kraus", forbidden)
+        run_conventional_cycle(params, drive)
+        run_pvm_cycle(params, drive, basis)
+        run_povm_cycle(params, drive, povm)
+        optimize_pvm_basis(params, drive, grid_size=8)
+
+    def test_stacked_projectors_match_single_bases(self):
+        # a theta-row of stacked projectors gives bitwise the per-basis cycle work
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0.0, 2.0 * math.pi))
+            strokes = engine.strokes_i_ii(P52, drive)
+            theta = rng.uniform(0.0, math.pi)
+            phis = rng.uniform(0.0, 2.0 * math.pi, size=16)
+            row = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(theta, phis)))
+            single = [run_pvm_cycle(P52, drive, MeasurementBasis(theta, ph)).w_total for ph in phis]
+            np.testing.assert_array_equal(row, single)

@@ -7,7 +7,6 @@ from qotto import analytic, engine, qmat
 from qotto.engine import DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 from qotto.optimize import (
     SU4_GENERATOR_LABELS,
-    SU4_GENERATORS,
     OptimizerConfig,
     Su4Point,
     optimize_povm_net_work,
@@ -30,11 +29,16 @@ class TestGenerators:
             "xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz",
             "xI", "yI", "zI", "Ix", "Iy", "Iz",
         )
-        np.testing.assert_array_equal(SU4_GENERATORS[0], np.kron(qmat.SIGMA_X, qmat.SIGMA_X))
-        np.testing.assert_array_equal(SU4_GENERATORS[5], np.kron(qmat.SIGMA_Y, qmat.SIGMA_Z))
-        np.testing.assert_array_equal(SU4_GENERATORS[8], np.kron(qmat.SIGMA_Z, qmat.SIGMA_Z))
-        np.testing.assert_array_equal(SU4_GENERATORS[9], np.kron(qmat.SIGMA_X, qmat.ID2))
-        np.testing.assert_array_equal(SU4_GENERATORS[12], np.kron(qmat.ID2, qmat.SIGMA_X))
+        # exp(i (pi/2) G_j) = i G_j for every Pauli product G_j, so the unit
+        # point along coefficient j exposes the generator behind label j
+        factor = {"x": qmat.SIGMA_X, "y": qmat.SIGMA_Y, "z": qmat.SIGMA_Z, "I": qmat.ID2}
+        for j, label in enumerate(SU4_GENERATOR_LABELS):
+            k = np.zeros(15)
+            k[j] = 0.5 * math.pi
+            generator = np.kron(factor[label[0]], factor[label[1]])
+            np.testing.assert_allclose(
+                su4_from_point(Su4Point(k)), 1j * generator, atol=1e-12, err_msg=label
+            )
 
     def test_zero_point_is_identity(self):
         np.testing.assert_allclose(su4_from_point(Su4Point(np.zeros(15))), qmat.ID4, atol=1e-14)
@@ -57,6 +61,13 @@ class TestGenerators:
             Su4Point(np.zeros(14))
         with pytest.raises(ValueError):
             Su4Point(np.full(15, np.nan))
+
+    def test_points_compare_by_identity(self):
+        a = Su4Point(np.zeros(15))
+        b = Su4Point(np.zeros(15))
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
 
 
 class TestPvmBasisOptimizer:
@@ -151,3 +162,8 @@ class TestPovmNetOptimizer:
     def test_rejects_negative_temperature(self):
         with pytest.raises(ValueError):
             optimize_povm_net_work(P32, DriveSpec(p=1.0), t_c=-1.0)
+
+    @pytest.mark.parametrize("t_c", [math.nan, math.inf])
+    def test_rejects_non_finite_temperature(self, t_c):
+        with pytest.raises(ValueError, match="t_c must be finite and nonnegative"):
+            optimize_povm_net_work(P32, DriveSpec(p=1.0), t_c=t_c)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qotto import qmat
+from qotto.engine import PovmSpec, povm_stroke
 from qotto.qmat import (
     HADAMARD,
     ID2,
@@ -14,9 +15,6 @@ from qotto.qmat import (
     SIGMA_Z,
     exp_i_hermitian,
     hermitian_eig,
-    partial_trace_aux,
-    partial_trace_sys,
-    tensor_product,
     von_neumann_entropy,
 )
 
@@ -33,19 +31,20 @@ def random_density(rng, dim):
 
 
 class TestTensorProduct:
+    # Joint operators are plain np.kron products, system factor first.
     def test_identity(self):
-        np.testing.assert_allclose(tensor_product(ID2, ID2), ID4)
+        np.testing.assert_allclose(np.kron(ID2, ID2), ID4)
 
     def test_sigma_z_pair_is_diagonal(self):
         # direct 4x4 expansion by hand
         expected = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-        np.testing.assert_allclose(tensor_product(SIGMA_Z, SIGMA_Z), expected, atol=1e-15)
+        np.testing.assert_allclose(np.kron(SIGMA_Z, SIGMA_Z), expected, atol=1e-15)
 
     def test_sigma_x_hamiltonian_with_identity(self):
         # (wx/2) sigma_x (x) I: two +wx/2 levels spanned by |++>, |+->,
         # two -wx/2 levels spanned by |-+>, |-->
         wx = 3.0
-        joint = tensor_product(0.5 * wx * SIGMA_X, ID2)
+        joint = np.kron(0.5 * wx * SIGMA_X, ID2)
         vals, vecs = hermitian_eig(joint)
         np.testing.assert_allclose(vals, [-1.5, -1.5, 1.5, 1.5], atol=1e-12)
         top = vecs[:, 2:]
@@ -60,31 +59,37 @@ class TestTensorProduct:
         for _ in range(20):
             a = random_hermitian(rng, 2)
             b = random_hermitian(rng, 2)
-            lhs = np.trace(tensor_product(a, b))
+            lhs = np.trace(np.kron(a, b))
             np.testing.assert_allclose(lhs, np.trace(a) * np.trace(b), atol=1e-12)
 
     def test_dimension_mismatch(self):
+        # operators are 2x2 or 4x4; a joint unitary must be 4x4
         with pytest.raises(ValueError):
-            tensor_product(ID2, ID4)
+            qmat.as_matrix(np.ones((3, 3)))
         with pytest.raises(ValueError):
-            tensor_product(np.ones((3, 3)), ID2)
+            qmat.as_matrix(np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            PovmSpec(joint_unitary=ID2)
 
 
 class TestPartialTrace:
+    # qmat._marginals is the kernel's unchecked (system, auxiliary) partial trace.
     def test_product_state_factors(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             rho_s = random_density(rng, 2)
             rho_a = random_density(rng, 2)
             joint = np.kron(rho_s, rho_a)
-            np.testing.assert_allclose(partial_trace_aux(joint), rho_s, atol=1e-12)
-            np.testing.assert_allclose(partial_trace_sys(joint), rho_a, atol=1e-12)
+            system, aux = qmat._marginals(joint)
+            np.testing.assert_allclose(system, rho_s, atol=1e-12)
+            np.testing.assert_allclose(aux, rho_a, atol=1e-12)
 
     def test_bell_state_marginal_is_maximally_mixed(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
         rho = np.outer(bell, bell.conj())
-        np.testing.assert_allclose(partial_trace_aux(rho), ID2 / 2.0, atol=1e-12)
+        for marginal in qmat._marginals(rho):
+            np.testing.assert_allclose(marginal, ID2 / 2.0, atol=1e-12)
 
     def test_optimal_dilation_marginal_is_plus(self):
         # Joint state after the swap-type dilation applied to the driven
@@ -97,18 +102,21 @@ class TestPartialTrace:
         v0 = t @ perm @ t
         joint = v0 @ np.kron(rho1, np.outer(KET_PLUS, KET_PLUS.conj())) @ v0.conj().T
         plus = np.outer(KET_PLUS, KET_PLUS.conj())
-        np.testing.assert_allclose(partial_trace_aux(joint), plus, atol=1e-12)
+        np.testing.assert_allclose(qmat._marginals(joint)[0], plus, atol=1e-12)
 
     def test_preserves_trace(self):
         rng = np.random.default_rng(5)
         rho = random_density(rng, 4)
-        np.testing.assert_allclose(np.trace(partial_trace_aux(rho)), 1.0, atol=1e-12)
+        for marginal in qmat._marginals(rho):
+            np.testing.assert_allclose(np.trace(marginal), 1.0, atol=1e-12)
 
     def test_rejects_invalid_input(self):
+        # raw states enter the marginals through povm_stroke, which checks them
+        povm = PovmSpec(joint_unitary=ID4)
         with pytest.raises(ValueError):
-            partial_trace_aux(np.eye(4))  # trace 4
+            povm_stroke(np.eye(2), povm)  # trace 2
         with pytest.raises(ValueError):
-            partial_trace_aux(random_density(np.random.default_rng(0), 2))
+            povm_stroke(random_density(np.random.default_rng(0), 4), povm)
 
 
 class TestHermitianEig:
@@ -149,7 +157,7 @@ class TestHermitianEig:
                 assert abs(lead.imag) < 1e-12 and lead.real > 0.0
 
     def test_deterministic_on_degenerate_input(self):
-        joint = tensor_product(SIGMA_X, ID2)
+        joint = np.kron(SIGMA_X, ID2)
         first = hermitian_eig(joint)
         second = hermitian_eig(joint)
         np.testing.assert_array_equal(first[0], second[0])
