@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis
+from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis, _check_finite_nonnegative
 
 
 @dataclass(frozen=True)
@@ -215,6 +215,27 @@ def povm_work_ceiling(params: EngineParams, drive: DriveSpec) -> float:
     return 0.5 * tz * (a * params.omega_x - params.omega_z) + 0.5 * discriminant(params, drive.p)
 
 
+def povm_net_work_optimum(params: EngineParams, drive: DriveSpec, t_c: float | None = None) -> float:
+    """Maximum work net of the reset cost at temperature t_c (default 1/beta_c) over all joint unitaries.
+
+    The binary entropy is the minimum of its tangent lines, so the net work
+    is the maximum over tangents of objectives linear in the dilated state,
+    each maximized by a rearrangement.  Two candidates remain: the
+    gross-optimal unitary, whose auxiliary keeps the entropy
+    H2((1 + tz)/2), and the zero-entropy one that only rotates the system:
+    (tz/2)(a wx - wz) + max(D/2 - t_c ln2 H2((1 + tz)/2), tz D/2).
+    """
+    if t_c is None:
+        t_c = 1.0 / params.beta_c
+    _check_finite_nonnegative("t_c", t_c)
+    tz = params.tau_z
+    d = discriminant(params, drive.p)
+    cost = t_c * LN2 * binary_entropy_bits(0.5 * (1.0 + tz))
+    return 0.5 * tz * ((2.0 * drive.p - 1.0) * params.omega_x - params.omega_z) + max(
+        0.5 * d - cost, 0.5 * tz * d
+    )
+
+
 def rearrangement_energy_bound(h, rho) -> float:
     """max over unitaries U of Tr(h U rho U^dag) = sum of ascending-sorted eigenvalue products."""
     hm = qmat.validate_hermitian(h, name="h")
@@ -258,8 +279,8 @@ def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRe
     """
     if t_c is None:
         t_c = 1.0 / params.beta_c
-    if not t_c > 0.0:
-        raise ValueError(f"t_c must be positive, got {t_c}")
+    if not 0.0 < t_c < math.inf:
+        raise ValueError(f"t_c must be finite and positive, got {t_c}")
     wz, wx = params.omega_z, params.omega_x
     tz = math.tanh(0.5 * wz / t_c)
     min_cost = t_c * LN2 * binary_entropy_bits(0.5 * (1.0 + tz))

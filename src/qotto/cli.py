@@ -1,10 +1,10 @@
 """Command-line front end: single cycles, sweeps, comparison table, optimizer runs.
 
 Every report starts with '#'-prefixed metadata (units banner, tool
-version, parameters, seed where relevant, and a timestamp unless
+version, parameters, and a timestamp unless
 --deterministic is given), followed by a documented header row and data
 rows with '.'-decimal numbers at 12 significant digits.  Exit codes:
-0 success, 2 bad flags, 3 optimizer non-convergence under --strict.
+0 success, 2 bad flags.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"start and stop must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ValueError(f"start must be below stop, got [{self.start}, {self.stop}]")
         if self.points < 2:
@@ -220,32 +222,21 @@ def cmd_fig2(args) -> int:
     return 0
 
 
-def _optimizer_config(args) -> optimize.OptimizerConfig:
-    if args.budget is None:
-        return optimize.OptimizerConfig(seed=args.seed)
-    return optimize.OptimizerConfig(
-        seed=args.seed, global_iterations=args.budget, local_max_evals=2 * args.budget
-    )
-
-
 def cmd_fig3(args) -> int:
     omega_x, omega_z = _PANELS[args.panel]
     spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
     params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c)
     t_c = args.t_c if args.t_c is not None else 1.0 / args.beta_c
-    engine._check_finite_nonnegative("t_c", t_c)  # before any search runs
-    cfg = _optimizer_config(args)
+    engine._check_finite_nonnegative("t_c", t_c)  # before any row runs
     rows = []
-    all_converged = True
     for p in spec.values():
         drive = DriveSpec(p=float(p))
-        gross = optimize.optimize_povm_work(params, drive, cfg)
-        net = optimize.optimize_povm_net_work(params, drive, t_c=t_c, cfg=cfg)
+        gross = optimize.optimize_povm_work(params, drive)
+        net = optimize.optimize_povm_net_work(params, drive, t_c=t_c)
         w_pvm = analytic.pvm_optimal(params, float(p)).work
         povm = PovmSpec(joint_unitary=optimize.su4_from_point(gross.best_point))
         residual = engine.run_povm_cycle(params, drive, povm, reset_temperature=t_c).first_law_residual
         converged = gross.converged and net.converged
-        all_converged = all_converged and converged
         rows.append(
             (
                 float(p), gross.best_value, gross.best_value - t_c * LN2,
@@ -253,8 +244,7 @@ def cmd_fig3(args) -> int:
             )
         )
     meta = _base_meta(
-        args, panel=args.panel, omega_x=omega_x, omega_z=omega_z,
-        beta_c=args.beta_c, t_c=t_c, seed=args.seed,
+        args, panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c, t_c=t_c
     )
     report = RunReport(
         meta=meta,
@@ -265,8 +255,6 @@ def cmd_fig3(args) -> int:
         rows=rows,
     )
     _emit(render_report(report, args.format), args.out)
-    if args.strict and not all_converged:
-        return 3
     return 0
 
 
@@ -329,15 +317,14 @@ def cmd_table1(args) -> int:
 def cmd_optimize_povm(args) -> int:
     params = EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c)
     drive = DriveSpec(p=args.p, alpha=0.0)
-    cfg = _optimizer_config(args)
     if args.net:
         t_c = args.t_c if args.t_c is not None else 1.0 / args.beta_c
-        result = optimize.optimize_povm_net_work(params, drive, t_c=t_c, cfg=cfg)
+        result = optimize.optimize_povm_net_work(params, drive, t_c=t_c)
     else:
-        result = optimize.optimize_povm_work(params, drive, cfg)
+        result = optimize.optimize_povm_work(params, drive)
     meta = _base_meta(
         args, omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
-        p=args.p, objective="net" if args.net else "gross", seed=args.seed,
+        p=args.p, objective="net" if args.net else "gross",
     )
     columns = ("best_value", "evaluations", "converged") + tuple(
         f"k_{label}" for label in optimize.SU4_GENERATOR_LABELS
@@ -351,8 +338,6 @@ def cmd_optimize_povm(args) -> int:
         with open(args.su4_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("# generator coefficients, order: " + " ".join(optimize.SU4_GENERATOR_LABELS) + "\n")
             fh.write(" ".join(f"{v:.17g}" for v in result.best_point.k) + "\n")
-    if args.strict and not result.converged:
-        return 3
     return 0
 
 
@@ -408,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig3.add_argument("--beta-c", type=float, default=1.0)
     fig3.add_argument("--t-c", type=float, default=None, help="reset temperature (default 1/beta_c)")
     fig3.add_argument("--grid-points", type=int, default=11)
-    fig3.add_argument("--seed", type=int, default=42)
-    fig3.add_argument("--budget", type=int, default=None, help="annealing iterations per restart")
-    fig3.add_argument("--strict", action="store_true", help="exit 3 if any optimization fails to converge")
     _add_output_flags(fig3, "csv")
     fig3.set_defaults(func=cmd_fig3)
 
@@ -433,10 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--p", type=float, default=1.0)
     opt.add_argument("--net", action="store_true", help="maximize work net of the reset cost")
     opt.add_argument("--t-c", type=float, default=None, help="reset temperature (default 1/beta_c)")
-    opt.add_argument("--seed", type=int, default=42)
-    opt.add_argument("--budget", type=int, default=None, help="annealing iterations per restart")
     opt.add_argument("--su4-out", help="write the optimal coefficients to this file")
-    opt.add_argument("--strict", action="store_true", help="exit 3 on non-convergence")
     _add_output_flags(opt, "text")
     opt.set_defaults(func=cmd_optimize_povm)
 

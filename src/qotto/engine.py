@@ -8,7 +8,7 @@ realized by a joint unitary with a qubit auxiliary followed by a
 projective measurement on the auxiliary.
 
 Every cycle and optimizer objective runs through one unchecked kernel:
-:func:`strokes_i_ii`, then :func:`_measure` or :func:`_dilation` for
+:func:`strokes_i_ii`, then :func:`_measure` or :func:`_povm_stroke` for
 stroke III, then :class:`Strokes` energies and the one record builder.
 Inputs are checked when a spec type is built or a raw array enters a
 public function.
@@ -366,20 +366,13 @@ def _measure(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     return x[..., 0, :, :] + x[..., 1, :, :]
 
 
-def _dilation(rho_sa: np.ndarray, v: np.ndarray, joint_projectors: np.ndarray | None):
-    # Rotate the dilated state by v, measure the auxiliary with the joint
-    # projectors I (x) P_i, return the (system, auxiliary) marginals.  With
-    # joint_projectors=None the auxiliary stays unmeasured, which leaves the
-    # system marginal unchanged, and only that marginal is returned.
-    x = v @ rho_sa @ v.conj().T
-    if joint_projectors is None:
-        return qmat._marginals(x, aux=False)
-    return qmat._marginals(_measure(x, joint_projectors))
-
-
 def _povm_stroke(rho: np.ndarray, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
-    joint_projectors = np.kron(ID2, povm.aux_basis.projectors())
-    return _dilation(np.kron(rho, povm.aux_state), povm.joint_unitary, joint_projectors)
+    # Rotate the dilated state by the joint unitary, measure the auxiliary
+    # with the joint projectors I (x) P_i, return the (system, auxiliary)
+    # marginals.
+    v = povm.joint_unitary
+    x = v @ np.kron(rho, povm.aux_state) @ v.conj().T
+    return qmat._marginals(_measure(x, np.kron(ID2, povm.aux_basis.projectors())))
 
 
 def pvm_stroke(rho, basis: MeasurementBasis) -> np.ndarray:

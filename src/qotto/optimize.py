@@ -1,15 +1,17 @@
-"""Numerical work maximization over measurement bases and dilation unitaries.
+"""Work maximization over measurement bases and dilation unitaries.
 
-Both searches evaluate cycles through the engine's kernel
+Both evaluate cycles through the engine's kernel
 (:func:`qotto.engine.strokes_i_ii` and the stroke-III functions).  The
 measurement-basis search scans a grid one theta-row of stacked
 projectors at a time, then polishes the best grid point by simplex
-refinement.  The dilation-unitary search runs seeded annealing restarts
-in the 15-dimensional generator-coefficient space, each polished by a
-derivative-free simplex descent; restarts are independent, own private
-RNG streams derived from (seed, restart index), and are merged in
-restart order, so results are reproducible bit for bit and unaffected by
-any concurrent scheduling of the restarts.
+refinement.  The dilation optima need no search: the gross work is
+linear in the dilated state, so a passive-state rearrangement of the
+eigenvectors of the driven state onto those of h2 - u h1 u^dag maximizes
+it (Allahverdyan, Balian & Nieuwenhuizen, EPL 67, 565 (2004)), and the
+net work is maximized by that unitary or by the zero-entropy one that
+only rotates the system.  Each optimum is built explicitly, stored as
+generator coefficients through its Hermitian logarithm, and valued by
+simulating the cycle, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import engine, qmat
-from .engine import LN2, TWO_PI, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
+from .engine import TWO_PI, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 
 _PAULIS = {"x": qmat.SIGMA_X, "y": qmat.SIGMA_Y, "z": qmat.SIGMA_Z}
 
@@ -62,23 +64,22 @@ class Su4Point:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search budget and determinism knobs; identical configs give identical results."""
+    """Budget of the measurement-basis simplex polish; identical configs give identical results.
+
+    ``seed`` has no effect: no search draws random numbers.  It stays only
+    because existing callers, the benchmark in ``perfbench/`` among them,
+    construct ``OptimizerConfig(seed=...)``.
+    """
 
     seed: int = 42
-    global_iterations: int = 2000
-    restarts: int = 8
-    initial_step: float = 0.5
-    cooling_rate: float = 0.999
     local_tolerance: float = 1e-10
     local_max_evals: int = 4000
 
     def __post_init__(self):
-        if self.global_iterations < 1 or self.restarts < 1 or self.local_max_evals < 1:
-            raise ValueError("iteration budgets must be positive")
-        if not (0.0 < self.cooling_rate < 1.0):
-            raise ValueError(f"cooling_rate must lie in (0, 1), got {self.cooling_rate}")
-        if self.initial_step <= 0.0 or self.local_tolerance <= 0.0:
-            raise ValueError("initial_step and local_tolerance must be positive")
+        if self.local_max_evals < 1:
+            raise ValueError(f"local_max_evals must be positive, got {self.local_max_evals}")
+        if not self.local_tolerance > 0.0:
+            raise ValueError(f"local_tolerance must be positive, got {self.local_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,8 @@ class OptResult:
 
 def su4_from_point(pt: Su4Point) -> np.ndarray:
     """Exponentiate the generator combination into a 4x4 unitary."""
-    return _su4(pt.k)
-
-
-def _su4(k: np.ndarray) -> np.ndarray:
     # The generator combination is Hermitian by construction, so it is not re-checked.
-    return qmat._exp_i(np.tensordot(k, _GENERATOR_STACK, axes=1))
+    return qmat._exp_i(np.tensordot(pt.k, _GENERATOR_STACK, axes=1))
 
 
 def optimize_pvm_basis(
@@ -157,81 +154,41 @@ def optimize_pvm_basis(
     )
 
 
-_AUX_BASIS = MeasurementBasis(0.0, 0.0)
+def _optimal_dilations(strokes: engine.Strokes) -> tuple[np.ndarray, np.ndarray]:
+    # The gross-optimal and the zero-entropy joint unitary for an auxiliary
+    # starting in |+>.  r1, r2 are the eigenvectors of rho1, larger weight
+    # first; h+, h- the top and bottom ones of h_eff = h2 - u h1 u^dag.  The
+    # gross one maps r1|+> -> h+|+>, r2|+> -> h+|->, r1|-> -> h-|+> and
+    # r2|-> -> h-|->; the zero-entropy one rotates only the system, r1 -> h+
+    # and r2 -> h-.
+    r = qmat._hermitian_eig(strokes.rho1)[1][:, ::-1]
+    h = qmat._hermitian_eig(strokes.h2 - strokes.uh1u)[1][:, ::-1]
+    gross = np.kron(h, qmat.HADAMARD)[:, [0, 2, 1, 3]] @ np.kron(r, qmat.HADAMARD).conj().T
+    return gross, np.kron(h @ r.conj().T, qmat.ID2)
 
 
-def _anneal(objective, rng: np.random.Generator, cfg: OptimizerConfig):
-    # Gaussian proposals of geometrically decaying scale with Metropolis
-    # acceptance at a temperature tied to the current scale.
-    x = rng.uniform(-math.pi, math.pi, size=15)
-    fx = objective(x)
-    best_x, best_f = x.copy(), fx
-    scale = cfg.initial_step
-    for _ in range(cfg.global_iterations):
-        cand = x + rng.normal(0.0, scale, size=15)
-        fc = objective(cand)
-        if fc > best_f:
-            best_x, best_f = cand.copy(), fc
-        if fc >= fx or rng.random() < math.exp((fc - fx) / (0.2 * scale)):
-            x, fx = cand, fc
-        scale *= cfg.cooling_rate
-    return best_x, best_f, cfg.global_iterations + 1
+def _su4_point(v: np.ndarray) -> Su4Point:
+    # The generators are traceless with Tr(g_i g_j) = 4 delta_ij, so projecting
+    # the Hermitian logarithm of v onto them drops its trace, a global phase:
+    # su4_from_point gives back v normalized to det 1.
+    h = qmat._unitary_log(v)
+    return Su4Point(np.einsum("jab,ba->j", _GENERATOR_STACK, h).real / 4.0)
 
 
-def _optimize_dilation(
-    params: EngineParams,
-    drive: DriveSpec,
-    t_c: float,
-    net: bool,
-    cfg: OptimizerConfig,
-) -> OptResult:
+def _optimize_dilation(params: EngineParams, drive: DriveSpec, t_c: float, net: bool) -> OptResult:
     if drive.alpha != 0.0:
         raise ValueError("dilation optimization fixes the drive phase alpha = 0")
-
-    aux_state = qmat.projector(qmat.KET_PLUS)
-    strokes = engine.strokes_i_ii(params, drive)
-    rho_sa = np.kron(strokes.rho1, aux_state)
-    # The auxiliary measurement never moves the system marginal, so the
-    # gross work skips it.
-    joint_projectors = np.kron(qmat.ID2, _AUX_BASIS.projectors()) if net else None
-
-    def objective(k: np.ndarray) -> float:
-        rho2, aux_post = engine._dilation(rho_sa, _su4(k), joint_projectors)
-        w = strokes.work(rho2)
-        if net:
-            w -= t_c * LN2 * qmat._entropy_bits(aux_post)
-        return float(w)
-
-    best_k, best_f, best_ok = None, -math.inf, False
-    evaluations = 0
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        x0, f0, n_evals = _anneal(objective, rng, cfg)
-        evaluations += n_evals
-        res = minimize(
-            lambda k: -objective(k),
-            x0=x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": cfg.local_max_evals,
-                "fatol": cfg.local_tolerance,
-                "xatol": 1e-8,
-            },
-        )
-        evaluations += res.nfev
-        cand_k, cand_f = (res.x, -res.fun) if -res.fun > f0 else (x0, f0)
-        if cand_f > best_f:
-            best_k, best_f, best_ok = np.array(cand_k), cand_f, bool(res.success)
-
-    point = Su4Point(best_k)
-    povm = PovmSpec(joint_unitary=su4_from_point(point), aux_state=aux_state, aux_basis=_AUX_BASIS)
-    record = engine.run_povm_cycle(params, drive, povm, reset_temperature=t_c)
-    best_value = record.net_work if net else record.w_total
+    candidates = _optimal_dilations(engine.strokes_i_ii(params, drive))[: 2 if net else 1]
+    best_value, best_point = -math.inf, None
+    for v in candidates:  # strict comparison: a tie keeps the gross-optimal one
+        point = _su4_point(v)
+        povm = PovmSpec(joint_unitary=su4_from_point(point))
+        record = engine.run_povm_cycle(params, drive, povm, reset_temperature=t_c)
+        value = record.net_work if net else record.w_total
+        if value > best_value:
+            best_value, best_point = value, point
     return OptResult(
-        best_value=best_value,
-        best_point=point,
-        evaluations=evaluations + 1,
-        converged=best_ok,
+        best_value=best_value, best_point=best_point, evaluations=len(candidates), converged=True
     )
 
 
@@ -242,11 +199,14 @@ def optimize_povm_work(
 
     The auxiliary starts pure in |+> and is measured in its pole basis;
     the unitary alone already spans every two-outcome generalized
-    measurement, so nothing else is searched.
+    measurement.  The work is linear in the dilated state, so the unitary
+    that rearranges the eigenvectors of the driven state onto the top
+    eigenvector of h2 - u h1 u^dag attains the maximum,
+    :func:`qotto.analytic.povm_work_ceiling`; the value is the simulated
+    cycle at the returned point (one evaluation).  ``cfg`` has no effect and
+    is kept for existing callers.
     """
-    return _optimize_dilation(
-        params, drive, t_c=1.0 / params.beta_c, net=False, cfg=cfg or OptimizerConfig()
-    )
+    return _optimize_dilation(params, drive, t_c=1.0 / params.beta_c, net=False)
 
 
 def optimize_povm_net_work(
@@ -255,8 +215,18 @@ def optimize_povm_net_work(
     t_c: float | None = None,
     cfg: OptimizerConfig | None = None,
 ) -> OptResult:
-    """Maximize work net of the auxiliary reset cost at temperature t_c (finite, >= 0)."""
+    """Maximize work net of the auxiliary reset cost at temperature t_c (finite, >= 0).
+
+    The binary entropy is the minimum of its tangent lines, so the net work
+    is the maximum, over those tangents, of objectives linear in the dilated
+    state.  Maximizing each by a rearrangement leaves two candidates: the
+    gross-optimal dilation and the zero-entropy one that only rotates the
+    system.  Both are simulated (two evaluations) and the larger net work
+    wins, the gross-optimal one on a tie; the value equals
+    :func:`qotto.analytic.povm_net_work_optimum`.  ``cfg`` has no effect and
+    is kept for existing callers.
+    """
     if t_c is None:
         t_c = 1.0 / params.beta_c
     engine._check_finite_nonnegative("t_c", t_c)
-    return _optimize_dilation(params, drive, t_c=t_c, net=True, cfg=cfg or OptimizerConfig())
+    return _optimize_dilation(params, drive, t_c=t_c, net=True)

@@ -74,11 +74,10 @@ def validate_unitary(u, tol: float = UNITARY_TOL, name: str = "u") -> np.ndarray
     return a
 
 
-def _marginals(rho_sa: np.ndarray, aux: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    # (system, auxiliary) marginals of a 4x4 joint operator; the auxiliary
-    # one is None unless asked for. No input checks.
+def _marginals(rho_sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (system, auxiliary) marginals of a 4x4 joint operator. No input checks.
     r = rho_sa.reshape(2, 2, 2, 2)
-    return r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2) if aux else None
+    return r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -139,6 +138,23 @@ def _exp_i(a: np.ndarray) -> np.ndarray:
     # exp_i_hermitian without the Hermiticity check.
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(1.0j * vals)) @ vecs.conj().T
+
+
+def _unitary_log(v: np.ndarray) -> np.ndarray:
+    # Hermitian h with exp(ih) = v for a unitary v, no input checks.  The
+    # Cayley transform i(1 - w)(1 + w)^-1 of w = e^{it} v is Hermitian with
+    # eigenvalues tan(phase/2) and v's eigenvectors, which eigh keeps
+    # orthonormal through degenerate eigenphases; t turns the widest gap
+    # between v's eigenphases onto -1, where the transform is singular.
+    phases = np.sort(np.angle(np.linalg.eigvals(v)))
+    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    j = int(np.argmax(gaps))
+    t = np.pi - phases[j] - 0.5 * gaps[j]
+    w = np.exp(1.0j * t) * v
+    eye = np.eye(v.shape[0])
+    c = 1.0j * np.linalg.solve(eye + w, eye - w)
+    vals, vecs = np.linalg.eigh(0.5 * (c + c.conj().T))
+    return (vecs * (2.0 * np.arctan(vals) - t)) @ vecs.conj().T
 
 
 def von_neumann_entropy(rho) -> float:

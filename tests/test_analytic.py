@@ -11,6 +11,7 @@ from qotto.analytic import (
     intermediates,
     optimal_dilation_unitary,
     povm_adiabatic_optimal,
+    povm_net_work_optimum,
     povm_work_ceiling,
     pvm_adiabatic_record,
     pvm_best_p,
@@ -395,6 +396,41 @@ class TestAuxCost:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             aux_cost_record(P32, 0.0)
+
+    @pytest.mark.parametrize("t_c", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_finite_or_nonpositive_temperature(self, t_c):
+        with pytest.raises(ValueError, match="t_c must be finite and positive"):
+            aux_cost_record(P32, t_c)
+
+
+class TestNetWorkOptimum:
+    def test_free_reset_is_the_ceiling(self):
+        for p in (0.5, 0.8, 1.0):
+            drive = DriveSpec(p=p)
+            assert povm_net_work_optimum(P52, drive, 0.0) == povm_work_ceiling(P52, drive)
+
+    def test_defaults_to_cold_bath(self):
+        drive = DriveSpec(p=0.7)
+        assert povm_net_work_optimum(P32, drive) == povm_net_work_optimum(P32, drive, 1.0)
+
+    def test_hot_reset_keeps_the_auxiliary_pure(self):
+        # at a hot enough reset the zero-entropy rotation wins: tz D / 2 above
+        # the drive-stroke work, twice the projective optimum
+        for p in (0.5, 0.75, 1.0):
+            assert povm_net_work_optimum(P52, DriveSpec(p=p), 50.0) == pytest.approx(
+                2.0 * pvm_optimal(P52, p).work, abs=1e-12
+            )
+
+    def test_adiabatic_gross_branch_matches_v0_ledger(self):
+        rec = aux_cost_record(P52, 1.0)
+        assert povm_net_work_optimum(P52, DriveSpec(p=1.0), 1.0) == pytest.approx(
+            max(rec.net_work_v0, 2.0 * pvm_optimal(P52, 1.0).work), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("t_c", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_temperature(self, t_c):
+        with pytest.raises(ValueError, match="t_c must be finite and nonnegative"):
+            povm_net_work_optimum(P32, DriveSpec(p=1.0), t_c)
 
 
 class TestCrossingTemperature:

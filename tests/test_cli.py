@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,9 @@ class TestSweepSpec:
             SweepSpec("t_c", 0.0, 1.0, 5)
         with pytest.raises(ValueError):
             SweepSpec("beta_c", 0.5, 1.0, 3)  # only p and t_c are swept
+        for start, stop in ((0.5, math.inf), (math.nan, 1.0), (0.5, math.nan), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                SweepSpec("t_c", start, stop, 5)
 
     def test_values(self):
         np.testing.assert_allclose(SweepSpec("p", 0.5, 1.0, 3).values(), [0.5, 0.75, 1.0])
@@ -157,8 +161,7 @@ class TestFig2Command:
 class TestFig3Command:
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(
-            capsys, "fig3", "--panel", "b", "--grid-points", "2", "--budget", "250",
-            "--deterministic",
+            capsys, "fig3", "--panel", "b", "--grid-points", "2", "--deterministic",
         )
         assert code == 0
         header, rows = parse_csv(out)
@@ -173,19 +176,18 @@ class TestFig3Command:
             assert resid <= 1e-10
 
     def test_default_budget_hits_adiabatic_value(self, capsys):
-        # with the default search budget the p = 1 row reaches the closed form
+        # the p = 1 row reaches the closed form to the printed digits
         code, out, _ = run_cli(
             capsys, "fig3", "--panel", "b", "--grid-points", "2", "--deterministic"
         )
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[-1][0] == 1.0
-        assert rows[-1][1] == pytest.approx(1.5 * (1.0 + TANH1), abs=1e-4)
+        assert rows[-1][1] == pytest.approx(1.5 * (1.0 + TANH1), abs=1e-10)
         assert all(row[-1] == 1 for row in rows)  # converged
 
     def test_byte_determinism(self, capsys):
-        argv = ("fig3", "--panel", "a", "--grid-points", "2", "--budget", "150",
-                "--deterministic")
+        argv = ("fig3", "--panel", "a", "--grid-points", "2", "--deterministic")
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
@@ -197,14 +199,16 @@ class TestFig3Command:
         assert "t_c must be finite and nonnegative" in err
         assert out == ""
 
-    def test_strict_flags_nonconvergence(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "fig3", "--panel", "a", "--grid-points", "2", "--budget", "10",
-            "--strict", "--deterministic",
-        )
-        assert code == 3
+    def test_removed_search_flags(self, capsys):
+        # nothing is left to budget, seed or fail to converge
+        for flag in (("--budget", "10"), ("--strict",), ("--seed", "1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["fig3", "--grid-points", "2", *flag])
+            assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "fig3", "--grid-points", "3", "--deterministic")
+        assert code == 0
         _, rows = parse_csv(out)
-        assert any(row[-1] == 0 for row in rows)
+        assert [row[-1] for row in rows] == [1, 1, 1]
 
 
 class TestFig4Command:
@@ -220,6 +224,15 @@ class TestFig4Command:
         crossing = [l for l in out.splitlines() if l.startswith("# crossing_temperature")]
         assert len(crossing) == 1
         assert float(crossing[0].split(":")[1]) == pytest.approx(2.436872905700407, abs=1e-8)
+
+    @pytest.mark.parametrize("flag", ["--t-c-stop", "--t-c-start"])
+    def test_rejects_non_finite_range(self, capsys, flag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "fig4", flag, "inf", "--deterministic")
+        assert code == 2
+        assert "must be finite" in err
+        assert out == ""
 
 
 class TestTable1Command:
@@ -254,7 +267,7 @@ class TestOptimizeCommand:
     def test_roundtrip_through_su4_file(self, capsys, tmp_path):
         su4_path = tmp_path / "k.txt"
         code, out, _ = run_cli(
-            capsys, "optimize-povm", "--p", "0.9", "--budget", "300",
+            capsys, "optimize-povm", "--p", "0.9",
             "--su4-out", str(su4_path), "--deterministic",
         )
         assert code == 0
@@ -268,7 +281,7 @@ class TestOptimizeCommand:
 
     def test_net_objective(self, capsys):
         code, out, _ = run_cli(
-            capsys, "optimize-povm", "--net", "--p", "1", "--budget", "300",
+            capsys, "optimize-povm", "--net", "--p", "1",
             "--deterministic", "--format", "json",
         )
         assert code == 0
@@ -276,12 +289,14 @@ class TestOptimizeCommand:
         idx = payload["columns"].index("best_value")
         assert payload["rows"][0][idx] <= 0.5 * (1.0 + TANH1)
 
-    def test_strict_nonconvergence(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "optimize-povm", "--p", "1", "--budget", "10", "--strict",
-            "--deterministic",
-        )
-        assert code == 3
+    def test_removed_search_flags(self, capsys):
+        for flag in (("--budget", "10"), ("--strict",), ("--seed", "1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["optimize-povm", "--p", "1", *flag])
+            assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "optimize-povm", "--p", "1", "--deterministic")
+        assert code == 0
+        assert parse_kv(out)["converged"] == 1
 
 
 class TestOutputPlumbing:

@@ -203,6 +203,31 @@ class TestExpIHermitian:
             exp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestUnitaryLog:
+    # qmat._unitary_log is the unchecked Hermitian logarithm behind the
+    # dilation optima's generator coefficients.
+    def check(self, v):
+        h = qmat._unitary_log(v)
+        np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
+        np.testing.assert_allclose(exp_i_hermitian(h), v, atol=1e-12)
+
+    def test_random_unitaries(self):
+        rng = np.random.default_rng(37)
+        for dim in (2, 4):
+            for _ in range(20):
+                self.check(exp_i_hermitian(random_hermitian(rng, dim, scale=5.0)))
+
+    def test_degenerate_and_antipodal_eigenphases(self):
+        rng = np.random.default_rng(41)
+        swap_middle = np.eye(4)[[0, 2, 1, 3]].astype(complex)  # eigenvalues 1, 1, 1, -1
+        self.check(swap_middle)
+        self.check(-ID4)
+        self.check(np.diag([-1.0, -1.0, 1.0j, 1.0j]).astype(complex))
+        for _ in range(10):
+            u = exp_i_hermitian(random_hermitian(rng, 2, scale=5.0))
+            self.check(np.kron(u, ID2))  # each eigenphase twice
+
+
 class TestVonNeumannEntropy:
     def test_pure_state(self):
         assert von_neumann_entropy(qmat.projector(KET_PLUS)) == pytest.approx(0.0, abs=1e-12)
