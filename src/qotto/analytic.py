@@ -26,16 +26,14 @@ class NonAdiabaticIntermediates:
     """Scalar intermediates of the driven-cycle work algebra.
 
     a = 2p - 1 and b = 2 sqrt(p(1-p)) encode the drive, mu the overlap
-    between the drive image of the ground state and the measurement axis;
-    big_a/big_b are the squared overlaps entering the stroke energies (the
-    reversed stroke-IV drive sees big_a again).
+    between the drive image of the ground state and the measurement axis.
+    The stroke energies need only mu: e2 = -(wx/2) tz mu cos(theta), and
+    the reversed stroke-IV drive sees mu again, e3 = -(wz/2) tz mu^2.
     """
 
     a: float
     b: float
     mu: float
-    big_a: float
-    big_b: float
 
 
 def discriminant(params: EngineParams, p: float) -> float:
@@ -48,15 +46,8 @@ def intermediates(
 ) -> NonAdiabaticIntermediates:
     a = 2.0 * drive.p - 1.0
     b = 2.0 * math.sqrt(drive.p * (1.0 - drive.p))
-    cos_t = math.cos(basis.theta_x)
-    mu = a * cos_t + b * math.sin(basis.theta_x) * math.cos(drive.alpha - basis.phi_x)
-    return NonAdiabaticIntermediates(
-        a=a,
-        b=b,
-        mu=mu,
-        big_a=0.5 * (1.0 + mu),
-        big_b=0.5 * (1.0 + cos_t),
-    )
+    mu = a * math.cos(basis.theta_x) + b * math.sin(basis.theta_x) * math.cos(drive.alpha - basis.phi_x)
+    return NonAdiabaticIntermediates(a=a, b=b, mu=mu)
 
 
 def conventional_record(params: EngineParams, p: float) -> CycleRecord:
@@ -134,11 +125,11 @@ def pvm_optimal(params: EngineParams, p: float, alpha: float = 0.0) -> PvmOptimu
     wz, wx = params.omega_z, params.omega_x
     a = 2.0 * p - 1.0
     b = 2.0 * math.sqrt(p * (1.0 - p))
-    big_a = wz * (b * b - a * a) + a * wx
-    big_b = b * (wx - 2.0 * a * wz)
+    coef_a = wz * (b * b - a * a) + a * wx
+    coef_b = b * (wx - 2.0 * a * wz)
     d = discriminant(params, p)
     work = 0.25 * tz * (d - wz + a * wx)
-    x = math.atan2(-big_b, -big_a)
+    x = math.atan2(-coef_b, -coef_a)
     if x < 0.0:
         x += 2.0 * math.pi
     basis = MeasurementBasis(theta_x=0.5 * x, phi_x=alpha % (2.0 * math.pi))

@@ -317,6 +317,8 @@ def cmd_table1(args) -> int:
 def cmd_optimize_povm(args) -> int:
     params = EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c)
     drive = DriveSpec(p=args.p, alpha=0.0)
+    if args.t_c is not None and not args.net:
+        raise ValueError("--t-c requires --net")
     if args.net:
         t_c = args.t_c if args.t_c is not None else 1.0 / args.beta_c
         result = optimize.optimize_povm_net_work(params, drive, t_c=t_c)

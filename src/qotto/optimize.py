@@ -62,24 +62,23 @@ class Su4Point:
         object.__setattr__(self, "k", arr)
 
 
+# Stopping rule of the measurement-basis simplex polish: function tolerance
+# and evaluation budget.
+POLISH_TOLERANCE = 1e-10
+POLISH_MAX_EVALS = 4000
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Budget of the measurement-basis simplex polish; identical configs give identical results.
+    """Optimizer settings kept for existing callers; none affects a result.
 
-    ``seed`` has no effect: no search draws random numbers.  It stays only
-    because existing callers, the benchmark in ``perfbench/`` among them,
-    construct ``OptimizerConfig(seed=...)``.
+    No search draws random numbers, and the basis polish stops by the fixed
+    POLISH_TOLERANCE and POLISH_MAX_EVALS.  ``seed`` stays only because
+    existing callers, the benchmark in ``perfbench/`` among them, construct
+    ``OptimizerConfig(seed=...)``.
     """
 
     seed: int = 42
-    local_tolerance: float = 1e-10
-    local_max_evals: int = 4000
-
-    def __post_init__(self):
-        if self.local_max_evals < 1:
-            raise ValueError(f"local_max_evals must be positive, got {self.local_max_evals}")
-        if not self.local_tolerance > 0.0:
-            raise ValueError(f"local_tolerance must be positive, got {self.local_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,9 @@ def optimize_pvm_basis(
 
     A grid_size x grid_size scan of (theta_x, phi_x), one theta-row at a
     time, seeds a simplex refinement; the reported value is the full cycle
-    re-simulated at the winning basis.
+    re-simulated at the winning basis.  ``cfg`` has no effect and is kept
+    for existing callers.
     """
-    cfg = cfg or OptimizerConfig()
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
 
@@ -136,8 +135,8 @@ def optimize_pvm_basis(
         x0=np.array(best_x),
         method="Nelder-Mead",
         options={
-            "maxfev": cfg.local_max_evals,
-            "fatol": cfg.local_tolerance,
+            "maxfev": POLISH_MAX_EVALS,
+            "fatol": POLISH_TOLERANCE,
             "xatol": 1e-8,
         },
     )

@@ -5,8 +5,9 @@ Everything here works on plain complex numpy arrays in natural units
 operators use row-major Kronecker ordering, system factor first, so a
 4x4 matrix indexes as (system, auxiliary) x (system, auxiliary).
 All functions are pure; validation failures raise ``ValueError``.
-The underscore helpers skip validation; the engine and the optimizers
-call them on matrices they built themselves.
+Eigendecompositions come with phases fixed; repeated calls on one input
+are identical.  The underscore helpers skip validation; the engine and
+the optimizers call them on matrices they built themselves.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 DENSITY_TOL = 1e-12
 UNITARY_TOL = 1e-10
-DEGENERACY_TOL = 1e-9
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -93,13 +93,12 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with a deterministic layout.
+    """Eigendecomposition of a Hermitian matrix with phases fixed.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors in the columns.  Column phases are fixed so the first
-    nonzero component is real positive, and columns inside a degenerate
-    cluster are ordered lexicographically by (Re, Im) of their components,
-    so repeated runs (and downstream regressions) see identical output.
+    nonzero component is real positive; repeated calls on one input are
+    identical.
     """
     return _hermitian_eig(validate_hermitian(h, name="h"))
 
@@ -107,22 +106,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 def _hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # hermitian_eig without the Hermiticity check.
     vals, vecs = np.linalg.eigh(a)
-    vecs = _phase_fix(vecs)
-    n = vals.size
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[j - 1] <= DEGENERACY_TOL * max(1.0, abs(vals[j])):
-            j += 1
-        if j - i > 1:
-            order = sorted(
-                range(i, j),
-                key=lambda k: tuple(np.stack([vecs[:, k].real, vecs[:, k].imag], 1).ravel()),
-            )
-            vals[i:j] = vals[order]
-            vecs[:, i:j] = vecs[:, order]
-        i = j
-    return vals, vecs
+    return vals, _phase_fix(vecs)
 
 
 def exp_i_hermitian(g) -> np.ndarray:

@@ -204,8 +204,9 @@ def test_criterion_09_landauer_accounting():
             P32, drive, PovmSpec(joint_unitary=v0, aux_basis=basis)
         )
         assert rec.aux_reset_cost <= cap + 1e-12
-    print("criterion 9 PASS: reset cost matches the closed form and respects the "
-          "1-bit ceiling over random auxiliary bases")
+    print("criterion 9 PASS: reset cost T ln2 max(S_post - S_init, 0), with S_init = 0 for the "
+          "pure auxiliary, matches the closed form and respects the 1-bit ceiling over random "
+          "auxiliary bases")
 
 
 def test_criterion_10_cost_advantage_crossing():

@@ -93,14 +93,13 @@ class TestPvmRecords:
             drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0, 2 * math.pi))
             basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             mid = intermediates(P32, drive, basis)
-            assert 2.0 * mid.big_b - 1.0 == pytest.approx(math.cos(basis.theta_x), abs=1e-12)
-            assert 2.0 * mid.big_a - 1.0 == pytest.approx(mid.mu, abs=1e-12)
-            for val in (mid.big_a, mid.big_b):
-                assert -1e-12 <= val <= 1.0 + 1e-12
-            # the reversed stroke-IV drive sees the overlap big_a again:
-            # the simulated e3 is -(wz/2) tz (2 big_a - 1)^2
+            assert mid.a == pytest.approx(2.0 * drive.p - 1.0, abs=1e-15)
+            assert mid.a**2 + mid.b**2 == pytest.approx(1.0, abs=1e-12)
+            assert -1.0 - 1e-12 <= mid.mu <= 1.0 + 1e-12
+            # the reversed stroke-IV drive sees the overlap mu again:
+            # the simulated e3 is -(wz/2) tz mu^2
             e3 = engine.run_pvm_cycle(P32, drive, basis).e3
-            assert e3 == pytest.approx(-TANH1 * (2.0 * mid.big_a - 1.0) ** 2, abs=1e-10)
+            assert e3 == pytest.approx(-TANH1 * mid.mu**2, abs=1e-10)
 
 
 class TestSimulatorEquivalence:

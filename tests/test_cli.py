@@ -289,6 +289,20 @@ class TestOptimizeCommand:
         idx = payload["columns"].index("best_value")
         assert payload["rows"][0][idx] <= 0.5 * (1.0 + TANH1)
 
+    @pytest.mark.parametrize("t_c", ["0.5", "nan"])
+    def test_t_c_requires_net(self, capsys, t_c):
+        code, out, err = run_cli(capsys, "optimize-povm", "--p", "0.8", "--t-c", t_c, "--deterministic")
+        assert code == 2
+        assert out == ""
+        assert "--t-c requires --net" in err
+
+    def test_t_c_with_net(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "optimize-povm", "--net", "--t-c", "0.5", "--p", "0.8", "--deterministic"
+        )
+        assert code == 0
+        assert "objective: net" in out
+
     def test_removed_search_flags(self, capsys):
         for flag in (("--budget", "10"), ("--strict",), ("--seed", "1")):
             with pytest.raises(SystemExit) as exc:
