@@ -10,6 +10,7 @@ rows with '.'-decimal numbers at 12 significant digits.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,6 +25,7 @@ from .engine import LN2, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 UNITS_BANNER = "energies in hbar*Omega_0; temperatures in hbar*Omega_0/k_B"
 
 SWEEP_VARIABLES = ("p", "t_c")
+GRID_SLICE = 4096  # grid points per stacked pass, which bounds the ledgers held at once
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,11 @@ class SweepSpec:
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
+
+    def slices(self) -> list[list[float]]:
+        """values() as floats, in consecutive slices of at most GRID_SLICE points."""
+        v = self.values().tolist()
+        return [v[i:i + GRID_SLICE] for i in range(0, len(v), GRID_SLICE)]
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,7 @@ def cmd_cycle(args) -> int:
         omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c, beta_h=args.beta_h
     )
     drive = DriveSpec(p=args.p, alpha=args.alpha)
+    phi = 0.0 if args.phi is None else args.phi
     meta = _base_meta(
         args, engine=args.engine, omega_z=args.omega_z, omega_x=args.omega_x,
         beta_c=args.beta_c, p=args.p, alpha=args.alpha,
@@ -156,7 +164,7 @@ def cmd_cycle(args) -> int:
     if args.engine == "conventional":
         if args.beta_h is None:
             raise ValueError("--engine conventional requires --beta-h")
-        if args.theta is not None or args.v0 or args.su4_file or args.t_c is not None:
+        if args.v0 or args.su4_file or any(x is not None for x in (args.theta, args.phi, args.t_c)):
             raise ValueError("--theta/--phi/--v0/--su4-file/--t-c do not apply to the conventional engine")
         meta["beta_h"] = args.beta_h
         record = engine.run_conventional_cycle(params, drive)
@@ -167,8 +175,8 @@ def cmd_cycle(args) -> int:
             raise ValueError("--v0/--su4-file/--t-c do not apply to --engine pvm")
         if args.theta is None:
             raise ValueError("--engine pvm requires --theta")
-        basis = MeasurementBasis(theta_x=args.theta, phi_x=args.phi)
-        meta["theta_x"], meta["phi_x"] = args.theta, args.phi
+        basis = MeasurementBasis(theta_x=args.theta, phi_x=phi)
+        meta["theta_x"], meta["phi_x"] = args.theta, phi
         record = engine.run_pvm_cycle(params, drive, basis)
     else:  # povm
         if args.beta_h is not None:
@@ -181,7 +189,7 @@ def cmd_cycle(args) -> int:
         else:
             joint = optimize.su4_from_point(_load_su4_file(args.su4_file))
             meta["dilation"] = args.su4_file
-        aux_basis = MeasurementBasis(theta_x=args.theta or 0.0, phi_x=args.phi)
+        aux_basis = MeasurementBasis(theta_x=args.theta or 0.0, phi_x=phi)
         povm = PovmSpec(joint_unitary=joint, aux_basis=aux_basis)
         meta["aux_theta_x"], meta["aux_phi_x"] = aux_basis.theta_x, aux_basis.phi_x
         record = engine.run_povm_cycle(params, drive, povm, reset_temperature=args.t_c)
@@ -202,14 +210,15 @@ def cmd_fig2(args) -> int:
     params_h02 = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c, beta_h=0.2)
     params_h0 = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c, beta_h=0.0)
     rows = []
-    for p in spec.values():
-        drive = DriveSpec(p=float(p))
-        rec02 = engine.run_conventional_cycle(params_h02, drive)
-        rec0 = engine.run_conventional_cycle(params_h0, drive)
-        basis = analytic.pvm_optimal(params, float(p)).basis
-        rec_pvm = engine.run_pvm_cycle(params, drive, basis)
-        residual = max(r.first_law_residual for r in (rec02, rec0, rec_pvm))
-        rows.append((float(p), rec02.w_total, rec0.w_total, rec_pvm.w_total, residual))
+    for ps in spec.slices():
+        drives = [DriveSpec(p=p) for p in ps]
+        columns = (
+            engine.run_conventional_cycles(params_h02, drives),
+            engine.run_conventional_cycles(params_h0, drives),
+            engine.run_pvm_cycles(params, drives, [analytic.pvm_optimal(params, p).basis for p in ps]),
+        )
+        rows += [(p, *(r.w_total for r in recs), max(r.first_law_residual for r in recs))
+                 for p, *recs in zip(ps, *columns)]
     meta = _base_meta(
         args, panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c
     )
@@ -264,11 +273,11 @@ def cmd_fig4(args) -> int:
     crossing = analytic.reset_crossing_temperature(params)
     povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
     rows = []
-    for t_c in spec.values():
-        rec = analytic.aux_cost_record(params, float(t_c))
-        cold = EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / float(t_c))
-        cycle = engine.run_povm_cycle(cold, DriveSpec(p=1.0), povm)
-        rows.append((float(t_c), rec.delta_w, rec.min_cost, cycle.first_law_residual))
+    for t_cs in spec.slices():
+        colds = [EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / t_c) for t_c in t_cs]
+        for t_c, cycle in zip(t_cs, engine.run_povm_cycles(colds, DriveSpec(p=1.0), povm)):
+            rec = analytic.aux_cost_record(params, t_c)
+            rows.append((t_c, rec.delta_w, rec.min_cost, cycle.first_law_residual))
     meta = _base_meta(
         args, omega_x=args.omega_x, omega_z=args.omega_z,
         crossing_temperature=f"{crossing:.12g}",
@@ -291,10 +300,10 @@ def cmd_table1(args) -> int:
     w_pvm = analytic.pvm_adiabatic_record(params, math.pi / 2.0).w_total
     w_povm = analytic.povm_adiabatic_optimal(params).work
     best = analytic.pvm_best_p(params)
-    povm_na = max(
-        analytic.povm_work_ceiling(params, DriveSpec(p=float(p)))
-        for p in np.linspace(0.5, 1.0, 1001)
-    )
+    # povm_work_ceiling's closed form over its 1001-point p-grid, as one array expression
+    wz, wx, p = args.omega_z, args.omega_x, np.linspace(0.5, 1.0, 1001)
+    d = np.sqrt(np.maximum((wx - wz) ** 2 + 4.0 * wx * wz * (1.0 - p), 0.0))
+    povm_na = float(np.max(0.5 * params.tau_z * ((2.0 * p - 1.0) * wx - wz) + 0.5 * d))
     rows = [
         ("efficiency_adiabatic", eta0, eta0, eta0),
         ("optimal_work_adiabatic", w_conv, w_pvm, w_povm),
@@ -376,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     cycle.add_argument("--p", type=float, default=1.0, help="drive transition probability")
     cycle.add_argument("--alpha", type=float, default=0.0, help="drive phase")
     cycle.add_argument("--theta", type=float, default=None, help="measurement polar angle")
-    cycle.add_argument("--phi", type=float, default=0.0, help="measurement azimuthal angle")
+    cycle.add_argument("--phi", type=float, default=None, help="measurement azimuthal angle (default 0)")
     cycle.add_argument("--v0", action="store_true", help="use the optimal adiabatic dilation unitary")
     cycle.add_argument("--su4-file", help="file with 15 generator coefficients for the dilation unitary")
     cycle.add_argument("--t-c", type=float, default=None, help="auxiliary reset temperature")
@@ -424,9 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

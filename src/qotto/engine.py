@@ -7,11 +7,11 @@ projective measurement, or a non-selective generalized measurement
 realized by a joint unitary with a qubit auxiliary followed by a
 projective measurement on the auxiliary.
 
-Every cycle and optimizer objective runs through one unchecked kernel:
-:func:`strokes_i_ii`, then :func:`_measure` or :func:`_povm_stroke` for
-stroke III, then :class:`Strokes` energies and the one record builder.
-Inputs are checked when a spec type is built or a raw array enters a
-public function.
+Every cycle, grid (``run_*_cycles``: a list of specs gives one row each, a
+single spec is shared) and optimizer objective runs through one unchecked
+kernel broadcast over a leading row axis, a single cycle being its 0-d case:
+:func:`strokes_i_ii`, :func:`_measure` or :func:`_povm_stroke`, :func:`_records`.
+Inputs are checked when a spec type is built or a raw array enters a public function.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -116,16 +116,23 @@ class DriveSpec:
             raise ValueError(f"alpha must lie in [0, 2*pi), got {self.alpha}")
 
 
-def _basis_kets(theta: float, phi) -> np.ndarray:
-    # Kets of the bases at (theta, phi), one row per outcome; phi may be an array.
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
+def _field(specs, name: str):
+    # A field of one spec, or an array of it over a list or tuple of specs.
+    if isinstance(specs, (list, tuple)):
+        return np.array([getattr(x, name) for x in specs], dtype=float)
+    return getattr(specs, name)
+
+
+def _basis_kets(theta, phi) -> np.ndarray:
+    # Kets of the bases at (theta, phi), one row per outcome; theta and phi may be arrays.
+    half = np.asarray(0.5 * theta)[..., None]
+    c, s = np.cos(half), np.sin(half)
     phase = np.exp(1.0j * np.asarray(phi))[..., None]
     return np.stack([c * KET_PLUS + phase * s * KET_MINUS, s * KET_PLUS - phase * c * KET_MINUS], axis=-2)
 
 
-def basis_projectors(theta: float, phi) -> np.ndarray:
-    """Outcome projectors of the bases at (theta, phi), shape ``phi.shape + (2, 2, 2)``."""
+def basis_projectors(theta, phi) -> np.ndarray:
+    """Outcome projectors of the bases at (theta, phi), shape ``broadcast(theta, phi).shape + (2, 2, 2)``."""
     k = _basis_kets(theta, phi)
     return k[..., :, None] * k.conj()[..., None, :]
 
@@ -277,13 +284,13 @@ class CycleRecord:
 
 
 def hamiltonian_h1(params: EngineParams) -> np.ndarray:
-    """Stroke-I/IV Hamiltonian (omega_z / 2) sigma_z."""
-    return 0.5 * params.omega_z * SIGMA_Z
+    """Stroke-I/IV Hamiltonian (omega_z / 2) sigma_z; a list of params gives one per row."""
+    return np.multiply.outer(0.5 * _field(params, "omega_z"), SIGMA_Z)
 
 
 def hamiltonian_h2(params: EngineParams) -> np.ndarray:
-    """Stroke-II/III Hamiltonian (omega_x / 2) sigma_x."""
-    return 0.5 * params.omega_x * SIGMA_X
+    """Stroke-II/III Hamiltonian (omega_x / 2) sigma_x; a list of params gives one per row."""
+    return np.multiply.outer(0.5 * _field(params, "omega_x"), SIGMA_X)
 
 
 def thermal_state(h, beta: float) -> np.ndarray:
@@ -292,41 +299,42 @@ def thermal_state(h, beta: float) -> np.ndarray:
     return _gibbs(qmat.validate_hermitian(h, name="h"), beta)
 
 
-def _gibbs(h: np.ndarray, beta: float) -> np.ndarray:
-    # thermal_state without input checks.
+def _gibbs(h: np.ndarray, beta) -> np.ndarray:
+    # thermal_state without input checks; h and beta broadcast over leading axes.
     vals, vecs = np.linalg.eigh(h)
-    weights = np.exp(-beta * (vals - vals.min()))  # shift guards overflow at large beta
-    weights /= weights.sum()
-    return (vecs * weights) @ vecs.conj().T
+    # eigh sorts ascending; shifting by the lowest level guards overflow at large beta
+    weights = np.exp(np.asarray(-beta)[..., None] * (vals - vals[..., :1]))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def drive_unitary(drive: DriveSpec) -> np.ndarray:
-    """Drive-stroke unitary: maps |0> to sqrt(p)|+> + e^{i alpha} sqrt(1-p)|->."""
-    rp = math.sqrt(drive.p)
-    rq = math.sqrt(1.0 - drive.p)
-    phase = np.exp(1.0j * drive.alpha)
-    u = np.array(
-        [[rp + phase * rq, rq - phase * rp], [rp - phase * rq, rq + phase * rp]],
-        dtype=complex,
-    ) / math.sqrt(2.0)
-    return u
+    """Drive-stroke unitary mapping |0> to sqrt(p)|+> + e^{i alpha} sqrt(1-p)|->; one per row for a list."""
+    p = _field(drive, "p")
+    rp, rq = np.sqrt(p), np.sqrt(1.0 - p)
+    phase = np.exp(1.0j * _field(drive, "alpha"))
+    u = np.empty(rp.shape + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 0, 1] = rp + phase * rq, rq - phase * rp
+    u[..., 1, 0], u[..., 1, 1] = rp - phase * rq, rq + phase * rp
+    return u / math.sqrt(2.0)
 
 
 def _expect(h: np.ndarray, rho: np.ndarray):
-    # Tr(h rho) of one state or of each state in a stack.
-    return (h @ rho).trace(axis1=-2, axis2=-1).real
+    # Tr(h rho) of one state or of a stack; + 0.0 turns -0.0 + -0.0 into +0.0, as ndarray.trace does.
+    x = (h @ rho).real
+    return x[..., 0, 0] + x[..., 1, 1] + 0.0
 
 
 class Strokes(NamedTuple):
     """Driven state rho1 and energies e0, e1 after strokes I-II.
 
     Stroke IV maps rho2 to u^dag rho2 u, so e3 = Tr(uh1u rho2) with the
-    stroke-IV energy operator uh1u = u h1 u^dag.
+    stroke-IV energy operator uh1u = u h1 u^dag.  Stacked rows lead every field.
     """
 
     rho1: np.ndarray
-    e0: float
-    e1: float
+    e0: np.ndarray
+    e1: np.ndarray
     h2: np.ndarray
     uh1u: np.ndarray
 
@@ -341,25 +349,35 @@ class Strokes(NamedTuple):
 
 
 def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
-    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II)."""
+    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II); either may be a list."""
     h1 = hamiltonian_h1(params)
     h2 = hamiltonian_h2(params)
-    rho0 = _gibbs(h1, params.beta_c)
+    rho0 = _gibbs(h1, _field(params, "beta_c"))
     u = drive_unitary(drive)
-    rho1 = u @ rho0 @ u.conj().T
-    return Strokes(
-        rho1=rho1,
-        e0=float(_expect(h1, rho0)),
-        e1=float(_expect(h2, rho1)),
-        h2=h2,
-        uh1u=u @ h1 @ u.conj().T,
-    )
+    u_dag = u.conj().swapaxes(-1, -2)
+    rho1 = u @ rho0 @ u_dag
+    return Strokes(rho1=rho1, e0=_expect(h1, rho0), e1=_expect(h2, rho1), h2=h2, uh1u=u @ h1 @ u_dag)
+
+
+def _records(s: Strokes, rho2: np.ndarray, aux_entropy=0.0, aux_reset_cost=0.0) -> list[CycleRecord]:
+    # One ledger per row of a stroke-III output; e3 = Tr(uh1u rho2) carries every row axis.
+    e2, e3 = s.energies(rho2)
+    if e3.ndim == 0:
+        return [CycleRecord.from_energies(s.e0, s.e1, e2, e3, float(aux_entropy), float(aux_reset_cost))]
+    cols = [np.broadcast_to(c, e3.shape).tolist() for c in (s.e0, s.e1, e2, e3, aux_entropy, aux_reset_cost)]
+    return [CycleRecord.from_energies(*row) for row in zip(*cols)]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Kronecker product of the trailing 2x2 matrices; leading axes broadcast.
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (4, 4))
 
 
 def _measure(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     # Non-selective projective measurement sum_i P_i rho P_i over the outcome
-    # axis (-3) of a projector stack; leading axes of the stack broadcast.
-    x = projectors @ rho @ projectors
+    # axis (-3) of a projector stack; leading axes of rho and the stack broadcast.
+    x = projectors @ rho[..., None, :, :] @ projectors
     return x[..., 0, :, :] + x[..., 1, :, :]
 
 
@@ -368,8 +386,8 @@ def _povm_stroke(rho: np.ndarray, povm: PovmSpec) -> tuple[np.ndarray, np.ndarra
     # with the joint projectors I (x) P_i, return the (system, auxiliary)
     # marginals.
     v = povm.joint_unitary
-    x = v @ np.kron(rho, povm.aux_state) @ v.conj().T
-    return qmat._marginals(_measure(x, np.kron(ID2, povm.aux_basis.projectors())))
+    x = v @ _kron(rho, povm.aux_state) @ v.conj().T
+    return qmat._marginals(_measure(x, _kron(ID2, povm.aux_basis.projectors())))
 
 
 def pvm_stroke(rho, basis: MeasurementBasis) -> np.ndarray:
@@ -390,24 +408,46 @@ def povm_stroke(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
     return _povm_stroke(r, povm)
 
 
+def run_conventional_cycles(params, drives) -> list[CycleRecord]:
+    """:func:`run_conventional_cycle` on each row of a grid, in one stacked pass."""
+    if any(x.beta_h is None for x in (params if isinstance(params, (list, tuple)) else [params])):
+        raise ValueError("the conventional cycle requires beta_h")
+    s = strokes_i_ii(params, drives)
+    return _records(s, _gibbs(s.h2, _field(params, "beta_h")))
+
+
 def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecord:
     """Two-bath cycle: stroke III thermalizes at the hot inverse temperature.
 
     Stroke IV applies the reversed drive (the adjoint of the stroke-II
     unitary), so one drive parametrizes both work strokes.
     """
-    if params.beta_h is None:
-        raise ValueError("the conventional cycle requires beta_h")
-    s = strokes_i_ii(params, drive)
-    rho2 = _gibbs(s.h2, params.beta_h)
-    return CycleRecord.from_energies(s.e0, s.e1, *s.energies(rho2))
+    return run_conventional_cycles(params, drive)[0]
+
+
+def run_pvm_cycles(params, drives, bases) -> list[CycleRecord]:
+    """:func:`run_pvm_cycle` on each row of a grid, in one stacked pass."""
+    s = strokes_i_ii(params, drives)
+    projectors = basis_projectors(_field(bases, "theta_x"), _field(bases, "phi_x"))
+    return _records(s, _measure(s.rho1, projectors))
 
 
 def run_pvm_cycle(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:
     """Measurement-fueled cycle: stroke III is a non-selective projective measurement."""
-    s = strokes_i_ii(params, drive)
-    rho2 = _measure(s.rho1, basis.projectors())
-    return CycleRecord.from_energies(s.e0, s.e1, *s.energies(rho2))
+    return run_pvm_cycles(params, drive, basis)[0]
+
+
+def run_povm_cycles(params, drives, povm: PovmSpec, reset_temperature=None) -> list[CycleRecord]:
+    """:func:`run_povm_cycle` on each row of a grid; ``povm`` and ``reset_temperature`` are shared."""
+    if reset_temperature is None:
+        reset_temperature = 1.0 / _field(params, "beta_c")
+    _check_finite_nonnegative("reset_temperature", float(np.max(reset_temperature)))
+    s = strokes_i_ii(params, drives)
+    rho2, aux_post = _povm_stroke(s.rho1, povm)
+    aux_entropy = qmat._entropy_bits(aux_post)
+    gained = aux_entropy - qmat._entropy_bits(povm.aux_state)
+    cost = reset_temperature * LN2 * np.where(gained < 0.0, 0.0, gained)
+    return _records(s, rho2, aux_entropy, cost)
 
 
 def run_povm_cycle(
@@ -428,15 +468,4 @@ def run_povm_cycle(
     the entropy it gains, and the pure default pays T ln 2 S_post.
     ``aux_entropy`` reports S_post.
     """
-    if reset_temperature is None:
-        reset_temperature = 1.0 / params.beta_c
-    _check_finite_nonnegative("reset_temperature", reset_temperature)
-    s = strokes_i_ii(params, drive)
-    rho2, aux_post = _povm_stroke(s.rho1, povm)
-    aux_entropy = qmat._entropy_bits(aux_post)
-    gained = max(aux_entropy - qmat._entropy_bits(povm.aux_state), 0.0)
-    return CycleRecord.from_energies(
-        s.e0, s.e1, *s.energies(rho2),
-        aux_entropy=aux_entropy,
-        aux_reset_cost=reset_temperature * LN2 * gained,
-    )
+    return run_povm_cycles(params, drive, povm, reset_temperature)[0]

@@ -32,9 +32,14 @@ KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
-    """Rank-one projector |k><k| of a (not necessarily normalized) ket."""
+    """Rank-one projector |k><k| of a (not necessarily normalized) ket of length 2 or 4."""
     k = np.asarray(ket, dtype=complex)
-    k = k / np.linalg.norm(k)
+    if k.shape not in ((2,), (4,)):
+        raise ValueError(f"ket must have length 2 or 4, got shape {k.shape}")
+    norm = np.hypot.reduce(np.abs(k))  # hypot neither overflows nor underflows
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"ket norm must be finite and nonzero, got {norm}")
+    k = k / norm
     return np.outer(k, k.conj())
 
 
@@ -75,9 +80,9 @@ def validate_unitary(u, tol: float = UNITARY_TOL, name: str = "u") -> np.ndarray
 
 
 def _marginals(rho_sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (system, auxiliary) marginals of a 4x4 joint operator. No input checks.
-    r = rho_sa.reshape(2, 2, 2, 2)
-    return r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)
+    # (system, auxiliary) marginals of a 4x4 joint operator or a stack, unchecked; + 0.0 as in _expect.
+    r = rho_sa.reshape(rho_sa.shape[:-2] + (2, 2, 2, 2))
+    return r[..., :, 0, :, 0] + r[..., :, 1, :, 1] + 0.0, r[..., 0, :, 0, :] + r[..., 1, :, 1, :] + 0.0
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -147,11 +152,12 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues below zero (floating-point noise within DENSITY_TOL) are
     dropped with the zeros, so they cannot poison the logarithm.
     """
-    return _entropy_bits(validate_density_matrix(rho, name="rho"))
+    return float(_entropy_bits(validate_density_matrix(rho, name="rho")))
 
 
-def _entropy_bits(rho: np.ndarray) -> float:
-    # von_neumann_entropy without the density-matrix check.
+def _entropy_bits(rho: np.ndarray) -> np.ndarray:
+    # von_neumann_entropy unchecked, elementwise on a stack; eigenvalues <= 0 enter as 1 log 1 = 0.
     vals = np.linalg.eigvalsh(rho)
-    vals = vals[vals > 0.0]
-    return float(max(-(vals * np.log2(vals)).sum(), 0.0))
+    vals = np.where(vals > 0.0, vals, 1.0)
+    s = -(vals * np.log2(vals)).sum(axis=-1)
+    return np.where(s < 0.0, 0.0, s)

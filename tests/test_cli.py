@@ -1,12 +1,17 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from qotto import cli
+from qotto import analytic, cli
 from qotto.cli import RunReport, SweepSpec, main, render_report
+from qotto.engine import DriveSpec, EngineParams
 
 TANH1 = math.tanh(1.0)
 
@@ -55,6 +60,12 @@ class TestSweepSpec:
 
     def test_values(self):
         np.testing.assert_allclose(SweepSpec("p", 0.5, 1.0, 3).values(), [0.5, 0.75, 1.0])
+
+    def test_slices_cover_the_grid_in_order(self):
+        spec = SweepSpec("t_c", 0.1, 3.0, 2 * cli.GRID_SLICE + 3)
+        slices = spec.slices()
+        assert [len(s) for s in slices] == [cli.GRID_SLICE, cli.GRID_SLICE, 3]
+        assert sum(slices, []) == spec.values().tolist()
 
 
 class TestCycleCommand:
@@ -109,6 +120,8 @@ class TestCycleCommand:
         ("cycle", "--engine", "povm", "--v0", "--su4-file", "nope.txt"),
         ("cycle", "--engine", "pvm"),
         ("cycle", "--engine", "conventional", "--beta-h", "0.2", "--v0"),
+        ("cycle", "--engine", "conventional", "--beta-h", "0.2", "--phi", "1.0"),
+        ("cycle", "--engine", "conventional", "--beta-h", "0.2", "--phi", "0"),
     ])
     def test_invalid_flag_combinations(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -131,6 +144,14 @@ class TestCycleCommand:
 
 
 class TestFig2Command:
+    def test_grid_longer_than_a_slice(self, capsys):
+        n = cli.GRID_SLICE + 2
+        code, out, _ = run_cli(capsys, "fig2", "--grid-points", str(n), "--deterministic")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == pytest.approx(np.linspace(0.5, 1.0, n).tolist(), abs=1e-12)
+        assert all(r[4] <= 1e-10 for r in rows)
+
     def test_panel_a_orderings(self, capsys):
         code, out, _ = run_cli(capsys, "fig2", "--panel", "a", "--deterministic")
         assert code == 0
@@ -253,6 +274,20 @@ class TestTable1Command:
         assert eff_opt[2] == ""  # undefined below the ratio threshold
         assert any("hierarchy_conv_le_pvm_lt_povm: True" in l for l in out.splitlines())
 
+    @pytest.mark.parametrize("omega_x,omega_z,beta_c,beta_h", [(3.0, 2.0, 1.0, 0.2), (5.0, 2.0, 0.4, 0.1), (2.1, 2.0, 4.0, 3.9)])
+    def test_povm_nonadiabatic_is_the_ceiling_maximum(self, capsys, omega_x, omega_z, beta_c, beta_h):
+        params = EngineParams(omega_z, omega_x, beta_c, beta_h=beta_h)
+        ceiling = max(
+            analytic.povm_work_ceiling(params, DriveSpec(p=float(p))) for p in np.linspace(0.5, 1.0, 1001)
+        )
+        code, out, _ = run_cli(
+            capsys, "table1", "--omega-x", repr(omega_x), "--omega-z", repr(omega_z), "--beta-c", repr(beta_c),
+            "--beta-h", repr(beta_h), "--deterministic", "--format", "csv",
+        )
+        assert code == 0
+        row = next(l for l in out.splitlines() if l.startswith("optimal_work_nonadiabatic"))
+        assert row.split(",")[3] == f"{ceiling:.12g}"
+
     def test_large_ratio_povm_efficiency(self, capsys):
         code, out, _ = run_cli(
             capsys, "table1", "--omega-x", "5", "--deterministic", "--format", "csv"
@@ -336,3 +371,50 @@ class TestOutputPlumbing:
         assert "timestamp" not in out
         _, out, _ = run_cli(capsys, "fig4", "--grid-points", "5")
         assert "timestamp" in out
+
+
+# sha256 of the --deterministic report of each command, recorded before the
+# fig2/fig4 grids moved onto the stacked cycle kernel; every printed number,
+# first-law residuals included, must keep its bytes.
+GOLDEN = [
+    ("8ecd220ec0229b846cf28eafc0600baf10678e07cf34f6d9387516ef8ed3dd49",
+     "fig2 --panel a --beta-c 0.7 --grid-points 41"),
+    ("5409fbd8c6949c93ec6a2545ab935d9dc497475a30b4e6bd1e23cbffda937859",
+     "fig2 --panel b --beta-c 3"),
+    ("fbe0a8ff7467e2b8138a79c2cc5b13c3328eeed0519956303b378112658b4b11",
+     "fig4 --omega-x 4.5 --omega-z 1.5 --t-c-start 0.1 --t-c-stop 3 --grid-points 37"),
+    ("6bf28e3f2d9a80c008a16f75143da14897d05c4df3254d2550b248a12d85665b",
+     "table1 --omega-x 5 --beta-c 1.2 --beta-h 0.3"),
+    ("edf6e7d3e3f53e16047386b05e3251f9e9b2e3fd21c2f0b3c5dddbdd703b69ee",
+     "cycle --engine conventional --beta-h 0.2 --p 0.7 --alpha 1"),
+    ("54327b548d275b5cdb11f86d8f19f6b8ab33161d374bfe8bee23ed8aed1022c9",
+     "cycle --engine pvm --p 0.8 --alpha 0.3 --theta 1.1 --phi 0.4"),
+    ("01b27782366039b7f92de9c906c6fb6ceec027125729e63c5e73d3ed771dd804",
+     "cycle --engine povm --v0 --p 0.7 --theta 0.9 --phi 1.5 --t-c 0.5"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("digest,argv", GOLDEN, ids=[argv.split()[0] + str(i) for i, (_, argv) in enumerate(GOLDEN)])
+    def test_report_bytes(self, capsys, digest, argv):
+        code, out, _ = run_cli(capsys, *argv.split(), "--deterministic")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestParser:
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_reuses_one_parser(self, capsys):
+        run_cli(capsys, "cycle", "--engine", "pvm", "--theta", "1.0", "--deterministic")
+        parser = cli._parser()
+        code, out, _ = run_cli(capsys, "cycle", "--engine", "pvm", "--theta", "1.0", "--deterministic")
+        assert code == 0 and "w_total" in out
+        assert cli._parser() is parser
+
+    def test_import_builds_no_parser(self):
+        probe = "import qotto.cli as c; print(c._parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "0"

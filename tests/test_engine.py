@@ -504,3 +504,23 @@ class TestKernel:
             row = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(theta, phis)))
             single = [run_pvm_cycle(P52, drive, MeasurementBasis(theta, ph)).w_total for ph in phis]
             np.testing.assert_array_equal(row, single)
+
+    def test_grid_requires_beta_h_in_every_row(self):
+        hot = EngineParams(2.0, 3.0, 1.0, beta_h=0.2)
+        for params in (P32, [hot, P32]):
+            with pytest.raises(ValueError, match="requires beta_h"):
+                engine.run_conventional_cycles(params, DriveSpec(p=0.7))
+
+    def test_grid_rows_must_agree(self):
+        drives = [DriveSpec(p=0.6), DriveSpec(p=0.7)]
+        with pytest.raises(ValueError):
+            engine.run_pvm_cycles(P32, drives, [MeasurementBasis(1.0)] * 3)
+        with pytest.raises(ValueError):
+            engine.run_conventional_cycles([EngineParams(2.0, 3.0, 1.0, beta_h=0.2)] * 3, drives)
+
+    def test_stacked_drive_unitaries(self):
+        drives = [DriveSpec(p=0.5), DriveSpec(p=0.8, alpha=1.2), DriveSpec(p=1.0, alpha=5.0)]
+        stack = drive_unitary(drives)
+        assert stack.shape == (3, 2, 2)
+        for u, d in zip(stack, drives):
+            np.testing.assert_array_equal(u, drive_unitary(d))

@@ -1,4 +1,5 @@
-"""Property tests: the simulated ledgers equal their closed forms everywhere.
+"""Property tests: the simulated ledgers equal their closed forms everywhere,
+and every row of a stacked grid equals the single cycle on its specs.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same inputs.  The explicit examples pin the edges the
@@ -7,12 +8,26 @@ measurement axes at the poles and a near-zero cold temperature.
 """
 
 import math
+from dataclasses import astuple
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qotto import analytic
-from qotto.engine import DriveSpec, EngineParams, MeasurementBasis, run_conventional_cycle, run_pvm_cycle
+from qotto.engine import (
+    DriveSpec,
+    EngineParams,
+    MeasurementBasis,
+    PovmSpec,
+    run_conventional_cycle,
+    run_conventional_cycles,
+    run_povm_cycle,
+    run_povm_cycles,
+    run_pvm_cycle,
+    run_pvm_cycles,
+)
+from qotto.optimize import Su4Point, su4_from_point
 
 TOL = 1e-10
 FIELDS = ("e0", "e1", "e2", "e3", "w1", "w2", "w_total", "q_c", "q_h", "aux_entropy", "aux_reset_cost")
@@ -79,3 +94,104 @@ def test_pvm_cycle_matches_closed_form(omega_z, gamma, beta_c, hot_fraction, p, 
     basis = MeasurementBasis(theta, phi)
     sim = run_pvm_cycle(params, drive, basis)
     assert_ledgers_equal(sim, analytic.pvm_nonadiabatic_record(params, drive, basis))
+
+
+# Grid rows: each row of a stacked grid is the single cycle on that row's
+# specs, bit for bit in every ledger field.
+grid_row = st.tuples(
+    st.floats(0.2, 4.0),  # omega_z
+    st.floats(1.05, 4.0),  # gamma
+    st.floats(math.log(0.05), math.log(1e3)).map(math.exp),  # beta_c
+    st.floats(0.0, 0.95),  # hot fraction
+    st.floats(0.5, 1.0),  # p
+    angle,  # alpha
+    st.floats(0.0, math.pi),  # theta
+    angle,  # phi
+)
+dilation = st.tuples(
+    st.lists(st.floats(-math.pi, math.pi), min_size=15, max_size=15),  # generator coefficients
+    st.floats(0.0, 1.0),  # purity weight of the auxiliary: 1 is pure, 0 maximally mixed
+    st.floats(0.0, math.pi),  # auxiliary state and measurement polar angle
+    angle,  # auxiliary state and measurement azimuth
+)
+
+# p in {1/2, 1}, theta at both poles, beta_c = 1e3; a mixed, a pure and a
+# maximally mixed auxiliary
+EDGE_ROWS = [
+    (2.0, 2.0, 1.0, 0.2, 0.5, 0.0, 0.0, 0.0),
+    (2.0, 2.0, 1.0, 0.2, 1.0, 0.0, math.pi, 0.0),
+    (1.0, 2.0, 1e3, 0.5, 0.5, 1.0, math.pi, 2.0),
+    (1.0, 3.0, 1e3, 0.0, 1.0, 3.0, 0.0, 4.0),
+    (2.0, 1.5, 0.05, 0.9, 0.75, 0.5, 0.5 * math.pi, 0.5),
+]
+EDGE_DILATIONS = [
+    ([0.3] * 15, 0.5, 1.0, 2.0),
+    ([0.0] * 15, 1.0, 0.0, 0.0),
+    ([-1.0, 2.0, 0.5] * 5, 0.0, math.pi, 1.0),
+]
+
+
+def bits(record):
+    return [None if v is None else float(v).hex() for v in astuple(record)]
+
+
+def grid_specs(rows):
+    params = [EngineParams(wz, g * wz, bc, beta_h=h * bc) for wz, g, bc, h, *_ in rows]
+    drives = [DriveSpec(p, alpha) for *_, p, alpha, _, _ in rows]
+    bases = [MeasurementBasis(theta, phi) for *_, theta, phi in rows]
+    return params, drives, bases
+
+
+def povm_spec(coefficients, purity, theta, phi):
+    basis = MeasurementBasis(theta, phi)
+    aux = purity * basis.projectors()[0] + (1.0 - purity) * 0.5 * np.eye(2)
+    return PovmSpec(su4_from_point(Su4Point(np.array(coefficients))), aux_state=aux, aux_basis=basis)
+
+
+def assert_rows_bitwise(grid, singles):
+    assert len(grid) == len(singles)
+    for g, s in zip(grid, singles):
+        assert bits(g) == bits(s)
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(grid_row, min_size=1, max_size=24), povm=dilation)
+@example(rows=EDGE_ROWS, povm=EDGE_DILATIONS[0])
+@example(rows=EDGE_ROWS[::-1], povm=EDGE_DILATIONS[1])
+@example(rows=EDGE_ROWS[1:3], povm=EDGE_DILATIONS[2])
+def test_grid_rows_equal_single_cycles(rows, povm):
+    params, drives, bases = grid_specs(rows)
+    spec = povm_spec(*povm)
+    assert_rows_bitwise(
+        run_conventional_cycles(params, drives),
+        [run_conventional_cycle(p, d) for p, d in zip(params, drives)],
+    )
+    assert_rows_bitwise(
+        run_pvm_cycles(params, drives, bases),
+        [run_pvm_cycle(p, d, b) for p, d, b in zip(params, drives, bases)],
+    )
+    assert_rows_bitwise(
+        run_povm_cycles(params, drives, spec),
+        [run_povm_cycle(p, d, spec) for p, d in zip(params, drives)],
+    )
+    assert_rows_bitwise(
+        run_povm_cycles(params, drives, spec, reset_temperature=0.7),
+        [run_povm_cycle(p, d, spec, reset_temperature=0.7) for p, d in zip(params, drives)],
+    )
+    # a single spec is shared by every row, as fig2 shares its parameters and fig4 its drive
+    assert_rows_bitwise(
+        run_pvm_cycles(params[0], drives, bases),
+        [run_pvm_cycle(params[0], d, b) for d, b in zip(drives, bases)],
+    )
+    assert_rows_bitwise(
+        run_pvm_cycles(params[0], drives[0], bases),
+        [run_pvm_cycle(params[0], drives[0], b) for b in bases],
+    )
+    assert_rows_bitwise(
+        run_pvm_cycles(params, drives, bases[0]),
+        [run_pvm_cycle(p, d, bases[0]) for p, d in zip(params, drives)],
+    )
+    assert_rows_bitwise(
+        run_povm_cycles(params, drives[0], spec),
+        [run_povm_cycle(p, drives[0], spec) for p in params],
+    )

@@ -30,6 +30,25 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
+class TestProjector:
+    def test_normalizes(self):
+        p = qmat.projector([3.0, 4.0j])
+        np.testing.assert_allclose(p @ p, p, atol=1e-15)
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("ket", [[1e200, 1e200j], [1e-200, 0.0, 0.0, 1e-200]])
+    def test_extreme_scales(self, ket):
+        p = qmat.projector(ket)
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("ket", [
+        [0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0], [1.0, 2.0, 3.0], [[1.0, 0.0]], [],
+    ])
+    def test_rejects_bad_kets(self, ket):
+        with pytest.raises(ValueError, match="ket"):
+            qmat.projector(ket)
+
+
 class TestTensorProduct:
     # Joint operators are plain np.kron products, system factor first.
     def test_identity(self):
