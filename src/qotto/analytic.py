@@ -12,7 +12,6 @@ erasure cost carries an explicit ln 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,33 +20,9 @@ from . import qmat
 from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis, _check_finite_nonnegative
 
 
-@dataclass(frozen=True)
-class NonAdiabaticIntermediates:
-    """Scalar intermediates of the driven-cycle work algebra.
-
-    a = 2p - 1 and b = 2 sqrt(p(1-p)) encode the drive, mu the overlap
-    between the drive image of the ground state and the measurement axis.
-    The stroke energies need only mu: e2 = -(wx/2) tz mu cos(theta), and
-    the reversed stroke-IV drive sees mu again, e3 = -(wz/2) tz mu^2.
-    """
-
-    a: float
-    b: float
-    mu: float
-
-
 def discriminant(params: EngineParams, p: float) -> float:
     arg = (params.omega_x - params.omega_z) ** 2 + 4.0 * params.omega_x * params.omega_z * (1.0 - p)
     return math.sqrt(max(arg, 0.0))  # clamp guards rounding at the adiabatic boundary
-
-
-def intermediates(
-    params: EngineParams, drive: DriveSpec, basis: MeasurementBasis
-) -> NonAdiabaticIntermediates:
-    a = 2.0 * drive.p - 1.0
-    b = 2.0 * math.sqrt(drive.p * (1.0 - drive.p))
-    mu = a * math.cos(basis.theta_x) + b * math.sin(basis.theta_x) * math.cos(drive.alpha - basis.phi_x)
-    return NonAdiabaticIntermediates(a=a, b=b, mu=mu)
 
 
 def conventional_record(params: EngineParams, p: float) -> CycleRecord:
@@ -65,41 +40,27 @@ def conventional_record(params: EngineParams, p: float) -> CycleRecord:
     return CycleRecord.from_energies(e0, e1, e2, e3)
 
 
-def pvm_adiabatic_record(params: EngineParams, theta_x: float) -> CycleRecord:
-    """Projective-measurement cycle at p = 1; work is (tz/2)(wx - wz) sin^2(theta)."""
-    tz = params.tau_z
-    wz, wx = params.omega_z, params.omega_x
-    cos2 = math.cos(theta_x) ** 2
-    e0 = -0.5 * wz * tz
-    e1 = -0.5 * wx * tz
-    e2 = -0.5 * wx * tz * cos2
-    e3 = -0.5 * wz * tz * cos2
-    return CycleRecord.from_energies(e0, e1, e2, e3)
-
-
 def pvm_nonadiabatic_record(
     params: EngineParams, drive: DriveSpec, basis: MeasurementBasis
 ) -> CycleRecord:
-    """Projective-measurement cycle ledger at arbitrary drive."""
+    """Projective-measurement cycle ledger at arbitrary drive.
+
+    a = 2p - 1 and b = 2 sqrt(p(1-p)) encode the drive, mu the overlap
+    between the drive image of the ground state and the measurement axis.
+    The stroke energies need only mu: e2 = -(wx/2) tz mu cos(theta), and
+    the reversed stroke-IV drive sees mu again, e3 = -(wz/2) tz mu^2.  The
+    adiabatic cycle is p = 1, with work (tz/2)(wx - wz) sin^2(theta).
+    """
     tz = params.tau_z
     wz, wx = params.omega_z, params.omega_x
-    mid = intermediates(params, drive, basis)
+    a = 2.0 * drive.p - 1.0
+    b = 2.0 * math.sqrt(drive.p * (1.0 - drive.p))
+    mu = a * math.cos(basis.theta_x) + b * math.sin(basis.theta_x) * math.cos(drive.alpha - basis.phi_x)
     e0 = -0.5 * wz * tz
     e1 = 0.5 * wx * tz * (1.0 - 2.0 * drive.p)
-    e2 = -0.5 * wx * tz * mid.mu * math.cos(basis.theta_x)
-    e3 = -0.5 * wz * tz * mid.mu**2
+    e2 = -0.5 * wx * tz * mu * math.cos(basis.theta_x)
+    e3 = -0.5 * wz * tz * mu**2
     return CycleRecord.from_energies(e0, e1, e2, e3)
-
-
-def pvm_nonadiabatic_work(
-    params: EngineParams, drive: DriveSpec, basis: MeasurementBasis
-) -> float:
-    """Total work -(tz/2)[-a wx + wz - wz mu^2 + wx mu cos(theta)]."""
-    tz = params.tau_z
-    wz, wx = params.omega_z, params.omega_x
-    mid = intermediates(params, drive, basis)
-    cos_t = math.cos(basis.theta_x)
-    return -0.5 * tz * (-mid.a * wx + wz - wz * mid.mu**2 + wx * mid.mu * cos_t)
 
 
 class PvmOptimum(NamedTuple):
@@ -221,7 +182,7 @@ def povm_net_work_optimum(params: EngineParams, drive: DriveSpec, t_c: float | N
     _check_finite_nonnegative("t_c", t_c)
     tz = params.tau_z
     d = discriminant(params, drive.p)
-    cost = t_c * LN2 * binary_entropy_bits(0.5 * (1.0 + tz))
+    cost = _reset_cost(t_c, tz)
     return 0.5 * tz * ((2.0 * drive.p - 1.0) * params.omega_x - params.omega_z) + max(
         0.5 * d - cost, 0.5 * tz * d
     )
@@ -245,6 +206,11 @@ def binary_entropy_bits(p: float) -> float:
         if q > 0.0:
             out -= q * math.log2(q)
     return out
+
+
+def _reset_cost(t_c: float, tz: float) -> float:
+    # t_c ln2 H2((1 + tz)/2): the cost of resetting an auxiliary left with pole populations (1 +- tz)/2.
+    return t_c * LN2 * binary_entropy_bits(0.5 * (1.0 + tz))
 
 
 class AuxCostRecord(NamedTuple):
@@ -274,7 +240,7 @@ def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRe
         raise ValueError(f"t_c must be finite and positive, got {t_c}")
     wz, wx = params.omega_z, params.omega_x
     tz = math.tanh(0.5 * wz / t_c)
-    min_cost = t_c * LN2 * binary_entropy_bits(0.5 * (1.0 + tz))
+    min_cost = _reset_cost(t_c, tz)
     return AuxCostRecord(
         min_cost=min_cost,
         max_cost=t_c * LN2,
@@ -294,7 +260,7 @@ def reset_crossing_temperature(params: EngineParams) -> float:
     delta_w = 0.5 * (params.omega_x - params.omega_z)
 
     def cost(t: float) -> float:
-        return t * LN2 * binary_entropy_bits(0.5 * (1.0 + math.tanh(0.5 * params.omega_z / t)))
+        return _reset_cost(t, math.tanh(0.5 * params.omega_z / t))
 
     lo, hi = 1e-9, 1.0
     while cost(hi) < delta_w:
@@ -311,14 +277,3 @@ def reset_crossing_temperature(params: EngineParams) -> float:
             break
     return 0.5 * (lo + hi)
 
-
-def delta_w_pvm_conventional(params: EngineParams, p: float) -> float:
-    """Optimal projective work minus the infinite-temperature two-bath work.
-
-    Equals (tz/4)[D - (wx - wz) + 2 wx (1-p)] >= 0, vanishing only at p = 1.
-    """
-    if not (0.5 <= p <= 1.0):
-        raise ValueError(f"p must lie in [1/2, 1], got {p}")
-    tz = params.tau_z
-    wz, wx = params.omega_z, params.omega_x
-    return 0.25 * tz * (discriminant(params, p) - (wx - wz) + 2.0 * wx * (1.0 - p))

@@ -49,8 +49,8 @@ class SweepSpec:
         lo, hi = {"p": (0.5, 1.0), "t_c": (0.0, math.inf)}[self.variable]
         if self.start < lo or self.stop > hi:
             raise ValueError(f"{self.variable} range [{self.start}, {self.stop}] outside [{lo}, {hi}]")
-        if self.variable == "t_c" and self.start <= 0.0:
-            raise ValueError("t_c must be positive")
+        if self.variable == "t_c" and not (self.start > 0.0 and 1.0 / self.start < math.inf):
+            raise ValueError(f"t_c must be positive with a finite reciprocal, got start {self.start}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -207,6 +207,9 @@ def cmd_fig2(args) -> int:
     omega_x, omega_z = _PANELS[args.panel]
     spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
     params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c)
+    if not args.beta_c > 0.2:
+        raise ValueError(f"--beta-c must exceed 0.2, the fixed hot inverse temperature of the w_conv_bh02 column, "
+                         f"got {args.beta_c}")
     params_h02 = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c, beta_h=0.2)
     params_h0 = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c, beta_h=0.0)
     rows = []
@@ -297,7 +300,7 @@ def cmd_table1(args) -> int:
     )
     eta0 = 1.0 - args.omega_z / args.omega_x
     w_conv = analytic.conventional_record(params, 1.0).w_total
-    w_pvm = analytic.pvm_adiabatic_record(params, math.pi / 2.0).w_total
+    w_pvm = analytic.pvm_nonadiabatic_record(params, DriveSpec(1.0), MeasurementBasis(math.pi / 2.0)).w_total
     w_povm = analytic.povm_adiabatic_optimal(params).work
     best = analytic.pvm_best_p(params)
     # povm_work_ceiling's closed form over its 1001-point p-grid, as one array expression

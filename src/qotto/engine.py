@@ -52,7 +52,7 @@ class EngineParams:
     Hamiltonians (units of the reference frequency); the engine condition
     requires omega_x > omega_z > 0.  ``beta_h`` is only meaningful for the
     conventional two-bath cycle and may be omitted otherwise.  All values
-    must be finite.
+    must be finite, and so must the cold temperature 1/beta_c.
     """
 
     omega_z: float
@@ -72,6 +72,8 @@ class EngineParams:
             )
         if not self.beta_c > 0.0:
             raise ValueError(f"beta_c must be positive, got {self.beta_c}")
+        if not 1.0 / self.beta_c < math.inf:  # the default reset temperature is 1/beta_c
+            raise ValueError(f"beta_c must have a finite reciprocal, got {self.beta_c}")
         if self.beta_h is not None and not (0.0 <= self.beta_h < self.beta_c):
             raise ValueError(f"beta_h must satisfy 0 <= beta_h < beta_c, got {self.beta_h}")
 
@@ -293,14 +295,8 @@ def hamiltonian_h2(params: EngineParams) -> np.ndarray:
     return np.multiply.outer(0.5 * _field(params, "omega_x"), SIGMA_X)
 
 
-def thermal_state(h, beta: float) -> np.ndarray:
-    """Gibbs state exp(-beta h) / Z, computed in the eigenbasis of h."""
-    _check_finite_nonnegative("beta", beta)
-    return _gibbs(qmat.validate_hermitian(h, name="h"), beta)
-
-
 def _gibbs(h: np.ndarray, beta) -> np.ndarray:
-    # thermal_state without input checks; h and beta broadcast over leading axes.
+    # Gibbs state exp(-beta h) / Z in the eigenbasis of h, unchecked; h and beta broadcast over leading axes.
     vals, vecs = np.linalg.eigh(h)
     # eigh sorts ascending; shifting by the lowest level guards overflow at large beta
     weights = np.exp(np.asarray(-beta)[..., None] * (vals - vals[..., :1]))

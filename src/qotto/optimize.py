@@ -25,7 +25,7 @@ from scipy.optimize import minimize
 from . import engine, qmat
 from .engine import TWO_PI, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 
-_PAULIS = {"x": qmat.SIGMA_X, "y": qmat.SIGMA_Y, "z": qmat.SIGMA_Z}
+_PAULIS = {"x": qmat.SIGMA_X, "y": qmat.SIGMA_Y, "z": qmat.SIGMA_Z, "I": qmat.ID2}
 
 # Frozen generator ordering: the nine two-site Pauli products in
 # lexicographic (i, j) order, then sigma_i (x) I, then I (x) sigma_i.
@@ -36,11 +36,7 @@ SU4_GENERATOR_LABELS = tuple(
     + ["I" + i for i in "xyz"]
 )
 
-_GENERATOR_STACK = np.stack(
-    [np.kron(_PAULIS[i], _PAULIS[j]) for i in "xyz" for j in "xyz"]
-    + [np.kron(_PAULIS[i], qmat.ID2) for i in "xyz"]
-    + [np.kron(qmat.ID2, _PAULIS[i]) for i in "xyz"]
-)
+_GENERATOR_STACK = np.stack([np.kron(_PAULIS[i], _PAULIS[j]) for i, j in SU4_GENERATOR_LABELS])
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,10 +4,12 @@ Everything here works on plain complex numpy arrays in natural units
 (hbar = k_B = 1, frequencies in units of a reference frequency).  Joint
 operators use row-major Kronecker ordering, system factor first, so a
 4x4 matrix indexes as (system, auxiliary) x (system, auxiliary).
-All functions are pure; validation failures raise ``ValueError``.
-Eigendecompositions come with phases fixed; repeated calls on one input
-are identical.  The underscore helpers skip validation; the engine and
-the optimizers call them on matrices they built themselves.
+All functions are pure.  The public ones validate their input and raise
+``ValueError`` on failure; ``hermitian_eig`` fixes eigenvector phases, so
+repeated calls on one input are identical.  The underscore helpers
+(exp(iG), the unitary logarithm, von Neumann entropy, marginals) skip
+validation: the engine and the optimizers call them only on matrices they
+built themselves from inputs checked when a spec type was constructed.
 """
 
 from __future__ import annotations
@@ -29,18 +31,6 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-
-
-def projector(ket: np.ndarray) -> np.ndarray:
-    """Rank-one projector |k><k| of a (not necessarily normalized) ket of length 2 or 4."""
-    k = np.asarray(ket, dtype=complex)
-    if k.shape not in ((2,), (4,)):
-        raise ValueError(f"ket must have length 2 or 4, got shape {k.shape}")
-    norm = np.hypot.reduce(np.abs(k))  # hypot neither overflows nor underflows
-    if not 0.0 < norm < np.inf:
-        raise ValueError(f"ket norm must be finite and nonzero, got {norm}")
-    k = k / norm
-    return np.outer(k, k.conj())
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -114,17 +104,9 @@ def _hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, _phase_fix(vecs)
 
 
-def exp_i_hermitian(g) -> np.ndarray:
-    """exp(iG) for Hermitian G via exact eigendecomposition.
-
-    For the 2x2 and 4x4 generators used here this is accurate to machine
-    precision, so no series or scaling-and-squaring is needed.
-    """
-    return _exp_i(validate_hermitian(g, name="g"))
-
-
 def _exp_i(a: np.ndarray) -> np.ndarray:
-    # exp_i_hermitian without the Hermiticity check.
+    # exp(iA) of a Hermitian A through its exact eigendecomposition, which is
+    # accurate to machine precision at 2x2 and 4x4; A is not checked.
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(1.0j * vals)) @ vecs.conj().T
 
@@ -146,17 +128,9 @@ def _unitary_log(v: np.ndarray) -> np.ndarray:
     return (vecs * (2.0 * np.arctan(vals) - t)) @ vecs.conj().T
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(p log2 p) in bits, with the 0 log 0 = 0 convention.
-
-    Eigenvalues below zero (floating-point noise within DENSITY_TOL) are
-    dropped with the zeros, so they cannot poison the logarithm.
-    """
-    return float(_entropy_bits(validate_density_matrix(rho, name="rho")))
-
-
 def _entropy_bits(rho: np.ndarray) -> np.ndarray:
-    # von_neumann_entropy unchecked, elementwise on a stack; eigenvalues <= 0 enter as 1 log 1 = 0.
+    # Von Neumann entropy in bits, unchecked, elementwise on a stack; eigenvalues <= 0
+    # (zeros and rounding noise) enter as 1 log 1 = 0.
     vals = np.linalg.eigvalsh(rho)
     vals = np.where(vals > 0.0, vals, 1.0)
     s = -(vals * np.log2(vals)).sum(axis=-1)

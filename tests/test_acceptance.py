@@ -21,7 +21,7 @@ PARAM_SETS = (P32, P52)
 
 def random_su4(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return qmat.exp_i_hermitian(0.5 * (m + m.conj().T))
+    return qmat._exp_i(0.5 * (m + m.conj().T))
 
 
 def test_criterion_01_first_law():
@@ -109,7 +109,7 @@ def test_criterion_04_pvm_nonadiabatic_optimum():
         drive = DriveSpec(p=p)
 
         def work(th, ph):
-            return analytic.pvm_nonadiabatic_work(P32, drive, MeasurementBasis.wrapped(th, ph))
+            return analytic.pvm_nonadiabatic_record(P32, drive, MeasurementBasis.wrapped(th, ph)).w_total
 
         h = 1e-5
         th0, ph0 = opt.basis.theta_x, opt.basis.phi_x
@@ -225,7 +225,7 @@ def test_criterion_11_mixed_auxiliary_ceiling():
     """Mixed auxiliaries in the non-inverted regime cap the stroke energy at (wx/2) tz."""
     rng = np.random.default_rng(111)
     h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
-    rho0 = engine.thermal_state(engine.hamiltonian_h1(P32), 1.0)
+    rho0 = engine._gibbs(engine.hamiltonian_h1(P32), 1.0)
     u = engine.drive_unitary(DriveSpec(p=1.0))
     rho1 = u @ rho0 @ u.conj().T
     target = 0.5 * 3.0 * math.tanh(1.0)

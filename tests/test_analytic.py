@@ -7,16 +7,12 @@ from qotto import analytic, engine, qmat
 from qotto.analytic import (
     aux_cost_record,
     conventional_record,
-    delta_w_pvm_conventional,
-    intermediates,
     optimal_dilation_unitary,
     povm_adiabatic_optimal,
     povm_net_work_optimum,
     povm_work_ceiling,
-    pvm_adiabatic_record,
     pvm_best_p,
     pvm_nonadiabatic_record,
-    pvm_nonadiabatic_work,
     pvm_optimal,
     rearrangement_energy_bound,
     reset_crossing_temperature,
@@ -26,6 +22,15 @@ from qotto.engine import DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
 TANH1 = math.tanh(1.0)
+ADIABATIC = DriveSpec(p=1.0)
+
+
+def pvm_work(params, drive, basis):
+    return pvm_nonadiabatic_record(params, drive, basis).w_total
+
+
+def plus_projector():
+    return np.outer(qmat.KET_PLUS, qmat.KET_PLUS.conj())
 
 
 def records_close(a, b, tol=1e-10):
@@ -62,7 +67,7 @@ class TestConventionalRecord:
 
 class TestPvmRecords:
     def test_adiabatic_formulas(self):
-        rec = pvm_adiabatic_record(P32, math.pi / 2.0)
+        rec = pvm_nonadiabatic_record(P32, ADIABATIC, MeasurementBasis(math.pi / 2.0))
         assert rec.w_total == pytest.approx(0.5 * TANH1, abs=1e-14)
         assert rec.q_h == pytest.approx(1.5 * TANH1, abs=1e-14)
         assert rec.q_c == pytest.approx(-TANH1, abs=1e-14)
@@ -70,20 +75,24 @@ class TestPvmRecords:
 
     def test_adiabatic_first_law_identity(self):
         for theta in np.linspace(0.0, math.pi, 17):
-            rec = pvm_adiabatic_record(P32, float(theta))
+            rec = pvm_nonadiabatic_record(P32, ADIABATIC, MeasurementBasis(float(theta)))
             assert rec.first_law_residual <= 1e-14
 
     def test_nonadiabatic_reduces_to_adiabatic(self):
+        # at p = 1 the stroke energies are e2 = -(wx/2) tz cos^2(theta) and
+        # e3 = -(wz/2) tz cos^2(theta), so the work is (tz/2)(wx - wz) sin^2(theta)
         for theta in np.linspace(0.0, math.pi, 9):
-            basis = MeasurementBasis(float(theta), 0.0)
-            w_na = pvm_nonadiabatic_work(P32, DriveSpec(p=1.0, alpha=0.0), basis)
-            w_ad = pvm_adiabatic_record(P32, float(theta)).w_total
-            assert w_na == pytest.approx(w_ad, abs=1e-12)
+            for phi in (0.0, 2.1):
+                rec = pvm_nonadiabatic_record(P32, ADIABATIC, MeasurementBasis(float(theta), phi))
+                cos2 = math.cos(theta) ** 2
+                assert rec.e2 == pytest.approx(-1.5 * TANH1 * cos2, abs=1e-14)
+                assert rec.e3 == pytest.approx(-TANH1 * cos2, abs=1e-14)
+                assert rec.w_total == pytest.approx(0.5 * TANH1 * math.sin(theta) ** 2, abs=1e-12)
 
     def test_pole_basis_never_an_engine(self):
         # at theta = 0 the work is -2 wz tz p(1-p) <= 0
         for p in (0.5, 0.6, 0.8, 1.0):
-            w = pvm_nonadiabatic_work(P32, DriveSpec(p=p), MeasurementBasis(0.0))
+            w = pvm_work(P32, DriveSpec(p=p), MeasurementBasis(0.0))
             assert w == pytest.approx(-2.0 * 2.0 * TANH1 * p * (1.0 - p), abs=1e-12)
             assert w <= 1e-12
 
@@ -92,14 +101,21 @@ class TestPvmRecords:
         for _ in range(25):
             drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0, 2 * math.pi))
             basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            mid = intermediates(P32, drive, basis)
-            assert mid.a == pytest.approx(2.0 * drive.p - 1.0, abs=1e-15)
-            assert mid.a**2 + mid.b**2 == pytest.approx(1.0, abs=1e-12)
-            assert -1.0 - 1e-12 <= mid.mu <= 1.0 + 1e-12
+            # mu is the overlap of the driven ground state with the measurement axis
+            a = 2.0 * drive.p - 1.0
+            b = 2.0 * math.sqrt(drive.p * (1.0 - drive.p))
+            th = basis.theta_x
+            mu = a * math.cos(th) + b * math.sin(th) * math.cos(drive.alpha - basis.phi_x)
+            assert a**2 + b**2 == pytest.approx(1.0, abs=1e-12)
+            assert -1.0 - 1e-12 <= mu <= 1.0 + 1e-12
+            rec = pvm_nonadiabatic_record(P32, drive, basis)
+            assert rec.e2 == pytest.approx(-1.5 * TANH1 * mu * math.cos(th), abs=1e-14)
+            work = -0.5 * TANH1 * (-a * 3.0 + 2.0 - 2.0 * mu**2 + 3.0 * mu * math.cos(th))
+            assert rec.w_total == pytest.approx(work, abs=1e-13)
             # the reversed stroke-IV drive sees the overlap mu again:
             # the simulated e3 is -(wz/2) tz mu^2
             e3 = engine.run_pvm_cycle(P32, drive, basis).e3
-            assert e3 == pytest.approx(-TANH1 * mid.mu**2, abs=1e-10)
+            assert e3 == pytest.approx(-TANH1 * mu**2, abs=1e-10)
 
 
 class TestSimulatorEquivalence:
@@ -192,7 +208,7 @@ class TestPvmOptimal:
             drive = DriveSpec(p=p)
 
             def work(th, ph):
-                return pvm_nonadiabatic_work(P32, drive, MeasurementBasis.wrapped(th, ph))
+                return pvm_work(P32, drive, MeasurementBasis.wrapped(th, ph))
 
             h = 1e-5
             th0, ph0 = opt.basis.theta_x, opt.basis.phi_x
@@ -208,7 +224,7 @@ class TestPvmOptimal:
             drive = DriveSpec(p=p)
 
             def work(th, ph):
-                return pvm_nonadiabatic_work(P32, drive, MeasurementBasis.wrapped(th, ph))
+                return pvm_work(P32, drive, MeasurementBasis.wrapped(th, ph))
 
             h = 1e-5
             th0, ph0 = opt.basis.theta_x, opt.basis.phi_x
@@ -278,10 +294,10 @@ class TestPovmOptimal:
         assert povm_adiabatic_optimal(params).work == pytest.approx(1.0, abs=1e-12)
 
     def test_rearrangement_attains_half_omega_x(self):
-        rho0 = engine.thermal_state(engine.hamiltonian_h1(P32), 1.0)
+        rho0 = engine._gibbs(engine.hamiltonian_h1(P32), 1.0)
         u = engine.drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
-        joint = np.kron(rho1, qmat.projector(qmat.KET_PLUS))
+        joint = np.kron(rho1, plus_projector())
         h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
         assert rearrangement_energy_bound(h_joint, joint) == pytest.approx(1.5, abs=1e-12)
 
@@ -303,10 +319,10 @@ class TestWorkCeiling:
             drive = DriveSpec(p=p)
             h1 = engine.hamiltonian_h1(params)
             h2 = engine.hamiltonian_h2(params)
-            rho0 = engine.thermal_state(h1, params.beta_c)
+            rho0 = engine._gibbs(h1, params.beta_c)
             u = engine.drive_unitary(drive)
             rho1 = u @ rho0 @ u.conj().T
-            joint = np.kron(rho1, qmat.projector(qmat.KET_PLUS))
+            joint = np.kron(rho1, plus_projector())
             effective = np.kron(h2 - u @ h1 @ u.conj().T, qmat.ID2)
             w1 = np.trace(h2 @ rho1).real - np.trace(h1 @ rho0).real
             bound = rearrangement_energy_bound(effective, joint) - w1
@@ -339,7 +355,7 @@ class TestRearrangementBound:
         # the reachable measurement-stroke energy tops out at (wx/2) tanh(v_z)
         rng = np.random.default_rng(34)
         h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
-        rho0 = engine.thermal_state(engine.hamiltonian_h1(P32), 1.0)
+        rho0 = engine._gibbs(engine.hamiltonian_h1(P32), 1.0)
         u = engine.drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         q_cap = math.exp(2.0) / (1.0 + math.exp(2.0))
@@ -447,16 +463,24 @@ class TestCrossingTemperature:
                 assert below.delta_w > below.min_cost
 
 
+def delta_w_pvm_conventional(params, p):
+    # optimal projective work minus the infinite-temperature two-bath work
+    conv = conventional_record(EngineParams(params.omega_z, params.omega_x, params.beta_c, beta_h=0.0), p)
+    return pvm_optimal(params, p).work - conv.w_total
+
+
 class TestCrossEngineGaps:
     def test_delta_w_pvm_conventional(self):
+        # (tz/4)[D - (wx - wz) + 2 wx (1 - p)], vanishing only at p = 1
         assert delta_w_pvm_conventional(P32, 1.0) == pytest.approx(0.0, abs=1e-13)
         expected = 0.25 * TANH1 * (math.sqrt(7.0) - 1.0 + 1.5)
         assert delta_w_pvm_conventional(P32, 0.75) == pytest.approx(expected, abs=1e-13)
-        # cross-check as optimal projective work minus hot-bath-free work
-        conv = conventional_record(EngineParams(2.0, 3.0, 1.0, beta_h=0.0), 0.75).w_total
-        assert delta_w_pvm_conventional(P32, 0.75) == pytest.approx(
-            pvm_optimal(P32, 0.75).work - conv, abs=1e-12
-        )
+        for params in (P32, P52):
+            wz, wx = params.omega_z, params.omega_x
+            for p in np.linspace(0.5, 1.0, 11):
+                d = math.sqrt((wx - wz) ** 2 + 4.0 * wx * wz * (1.0 - p))
+                expected = 0.25 * params.tau_z * (d - (wx - wz) + 2.0 * wx * (1.0 - p))
+                assert delta_w_pvm_conventional(params, float(p)) == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_advantage(self):
         for params in (P32, P52):

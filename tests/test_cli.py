@@ -52,6 +52,8 @@ class TestSweepSpec:
             SweepSpec("voltage", 0.0, 1.0, 5)
         with pytest.raises(ValueError):
             SweepSpec("t_c", 0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="t_c must be positive with a finite reciprocal"):
+            SweepSpec("t_c", 1e-320, 1.0, 5)  # 1/t_c, the cold beta, overflows
         with pytest.raises(ValueError):
             SweepSpec("beta_c", 0.5, 1.0, 3)  # only p and t_c are swept
         for start, stop in ((0.5, math.inf), (math.nan, 1.0), (0.5, math.nan), (-math.inf, 1.0)):
@@ -177,6 +179,29 @@ class TestFig2Command:
         works = [r[3] for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(works, works[1:]))
         assert max(works) == works[-1]
+
+    @pytest.mark.parametrize("beta_c", ["0.2", "0.1"])
+    def test_beta_c_at_or_below_the_hot_column(self, capsys, beta_c):
+        code, out, err = run_cli(capsys, "fig2", "--beta-c", beta_c, "--deterministic")
+        assert code == 2
+        assert err.startswith("error: --beta-c must exceed 0.2")
+        assert "w_conv_bh02" in err
+        assert out == ""
+
+
+class TestColdTemperatureOverflow:
+    # a cold temperature (1/beta_c, or a swept t_c's 1/t_c) that overflows is rejected by its own name
+    @pytest.mark.parametrize("argv,name", [
+        ("cycle --engine povm --v0 --beta-c 5e-324", "beta_c"),
+        ("fig3 --beta-c 1e-320", "beta_c"),
+        ("optimize-povm --beta-c 1e-320", "beta_c"),
+        ("fig4 --t-c-start 1e-320", "t_c"),
+    ], ids=["cycle", "fig3", "optimize-povm", "fig4"])
+    def test_exits_2_naming_the_flag_value(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv.split(), "--deterministic")
+        assert code == 2
+        assert err.startswith(f"error: {name} must")
+        assert out == ""
 
 
 class TestFig3Command:
@@ -373,9 +398,9 @@ class TestOutputPlumbing:
         assert "timestamp" in out
 
 
-# sha256 of the --deterministic report of each command, recorded before the
-# fig2/fig4 grids moved onto the stacked cycle kernel; every printed number,
-# first-law residuals included, must keep its bytes.
+# sha256 of the --deterministic report of each command, each recorded before a
+# change to the code behind it; every printed number, first-law residuals
+# included, must keep its bytes.
 GOLDEN = [
     ("8ecd220ec0229b846cf28eafc0600baf10678e07cf34f6d9387516ef8ed3dd49",
      "fig2 --panel a --beta-c 0.7 --grid-points 41"),
@@ -391,6 +416,8 @@ GOLDEN = [
      "cycle --engine pvm --p 0.8 --alpha 0.3 --theta 1.1 --phi 0.4"),
     ("01b27782366039b7f92de9c906c6fb6ceec027125729e63c5e73d3ed771dd804",
      "cycle --engine povm --v0 --p 0.7 --theta 0.9 --phi 1.5 --t-c 0.5"),
+    ("4c5eed128c9defbd69abf015b3ca706d6a73cd184ecfac86c30c6d728e56e9df",
+     "fig3 --panel b --grid-points 5"),
 ]
 
 

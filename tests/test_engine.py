@@ -18,7 +18,6 @@ from qotto.engine import (
     run_conventional_cycle,
     run_povm_cycle,
     run_pvm_cycle,
-    thermal_state,
 )
 from qotto.qmat import HADAMARD, ID2, ID4, KET_MINUS, KET_PLUS
 
@@ -28,7 +27,7 @@ P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
 
 def random_su4(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return qmat.exp_i_hermitian(0.5 * (m + m.conj().T))
+    return qmat._exp_i(0.5 * (m + m.conj().T))
 
 
 class TestParams:
@@ -45,6 +44,17 @@ class TestParams:
             EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0, beta_h=1.0)
         with pytest.raises(ValueError):
             EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0, beta_h=-0.1)
+
+    @pytest.mark.parametrize("beta_c", [5e-324, 1e-320, 5e-309])
+    def test_rejects_an_infinite_cold_temperature(self, beta_c):
+        # 1/beta_c, the default reset temperature, overflows to inf
+        with pytest.raises(ValueError, match="beta_c must have a finite reciprocal"):
+            EngineParams(omega_z=2.0, omega_x=3.0, beta_c=beta_c)
+
+    def test_smallest_cold_beta_runs(self):
+        params = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=6e-309)  # 1/beta_c is about 1.7e308
+        rec = run_povm_cycle(params, DriveSpec(p=1.0), PovmSpec(joint_unitary=analytic.optimal_dilation_unitary()))
+        assert math.isfinite(rec.aux_reset_cost)
 
     def test_derived_quantities(self):
         p = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0, beta_h=0.2)
@@ -122,25 +132,29 @@ class TestHamiltonians:
 
 
 class TestThermalState:
+    # engine._gibbs is the kernel's unchecked Gibbs state; its beta comes from EngineParams.
     def test_infinite_temperature(self):
-        np.testing.assert_allclose(thermal_state(hamiltonian_h2(P32), 0.0), ID2 / 2.0, atol=1e-14)
+        np.testing.assert_allclose(engine._gibbs(hamiltonian_h2(P32), 0.0), ID2 / 2.0, atol=1e-14)
 
     def test_gibbs_populations_and_energy(self):
-        rho = thermal_state(hamiltonian_h1(P32), 1.0)
+        rho = engine._gibbs(hamiltonian_h1(P32), 1.0)
         z = 2.0 * math.cosh(1.0)
         np.testing.assert_allclose(np.diag(rho).real, [math.exp(-1.0) / z, math.exp(1.0) / z], atol=1e-12)
         energy = np.trace(hamiltonian_h1(P32) @ rho).real
         assert energy == pytest.approx(-math.tanh(1.0), abs=1e-12)
 
     def test_zero_temperature_limit(self):
-        rho = thermal_state(hamiltonian_h1(P32), 50.0)
+        rho = engine._gibbs(hamiltonian_h1(P32), 50.0)
         ground = np.diag([0.0, 1.0]).astype(complex)
         np.testing.assert_allclose(rho, ground, atol=1e-10)
 
     def test_rejects_negative_beta(self):
+        # every beta that reaches _gibbs is beta_c or beta_h of an EngineParams
         for beta in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
-                thermal_state(hamiltonian_h1(P32), beta)
+                EngineParams(omega_z=2.0, omega_x=3.0, beta_c=beta)
+            with pytest.raises(ValueError):
+                EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0, beta_h=beta)
 
 
 class TestDriveUnitary:
@@ -163,11 +177,11 @@ class TestDriveUnitary:
             assert abs(amp) ** 2 == pytest.approx(d.p, abs=1e-14)
 
     def test_adiabatic_population_transfer(self):
-        rho0 = thermal_state(hamiltonian_h1(P32), 1.0)
+        rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
         u = drive_unitary(DriveSpec(p=1.0, alpha=1.3))
         rho1 = u @ rho0 @ u.conj().T
         pops = np.diag(rho0).real
-        expected = pops[0] * qmat.projector(KET_PLUS) + pops[1] * qmat.projector(KET_MINUS)
+        expected = pops[0] * np.outer(KET_PLUS, KET_PLUS.conj()) + pops[1] * np.outer(KET_MINUS, KET_MINUS.conj())
         np.testing.assert_allclose(rho1, expected, atol=1e-12)
 
 
@@ -181,7 +195,7 @@ class TestPvmStroke:
     def test_computational_basis_zeroes_energy(self):
         # theta = pi/2 measures in {|0>, |1>}; the post-measurement state
         # carries no sigma_x polarization.
-        rho0 = thermal_state(hamiltonian_h1(P32), 1.0)
+        rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
         u = drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         rho2 = pvm_stroke(rho1, MeasurementBasis(theta_x=math.pi / 2.0))
@@ -189,7 +203,7 @@ class TestPvmStroke:
         assert e2 == pytest.approx(0.0, abs=1e-12)
 
     def test_pole_basis_injects_no_heat(self):
-        rho0 = thermal_state(hamiltonian_h1(P32), 1.0)
+        rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
         u = drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         rho2 = pvm_stroke(rho1, MeasurementBasis(theta_x=0.0))
@@ -273,16 +287,17 @@ class TestPovmStroke:
 
     def test_optimal_dilation_pins_plus(self):
         povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
-        rho0 = thermal_state(hamiltonian_h1(P32), 1.0)
+        rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
         u = drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         system, aux = povm_stroke(rho1, povm)
-        np.testing.assert_allclose(system, qmat.projector(KET_PLUS), atol=1e-12)
+        plus, minus = np.outer(KET_PLUS, KET_PLUS.conj()), np.outer(KET_MINUS, KET_MINUS.conj())
+        np.testing.assert_allclose(system, plus, atol=1e-12)
         e2 = np.trace(hamiltonian_h2(P32) @ system).real
         assert e2 == pytest.approx(1.5, abs=1e-12)
         # auxiliary keeps the thermal populations along its poles
         tz = math.tanh(1.0)
-        expected_aux = 0.5 * (1.0 - tz) * qmat.projector(KET_PLUS) + 0.5 * (1.0 + tz) * qmat.projector(KET_MINUS)
+        expected_aux = 0.5 * (1.0 - tz) * plus + 0.5 * (1.0 + tz) * minus
         np.testing.assert_allclose(aux, expected_aux, atol=1e-12)
 
     def test_matches_kraus_channel(self):

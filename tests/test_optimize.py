@@ -30,6 +30,15 @@ class TestGenerators:
             "xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz",
             "xI", "yI", "zI", "Ix", "Iy", "Iz",
         )
+        sx, sy, sz, i2 = qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z, qmat.ID2
+        explicit = np.stack([
+            np.kron(sx, sx), np.kron(sx, sy), np.kron(sx, sz),
+            np.kron(sy, sx), np.kron(sy, sy), np.kron(sy, sz),
+            np.kron(sz, sx), np.kron(sz, sy), np.kron(sz, sz),
+            np.kron(sx, i2), np.kron(sy, i2), np.kron(sz, i2),
+            np.kron(i2, sx), np.kron(i2, sy), np.kron(i2, sz),
+        ])
+        assert np.array_equal(optimize._GENERATOR_STACK, explicit)
         # exp(i (pi/2) G_j) = i G_j for every Pauli product G_j, so the unit
         # point along coefficient j exposes the generator behind label j
         factor = {"x": qmat.SIGMA_X, "y": qmat.SIGMA_Y, "z": qmat.SIGMA_Z, "I": qmat.ID2}

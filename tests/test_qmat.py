@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qotto import qmat
-from qotto.engine import PovmSpec, povm_stroke
+from qotto.engine import MeasurementBasis, PovmSpec, povm_stroke
 from qotto.qmat import (
     HADAMARD,
     ID2,
@@ -13,9 +13,9 @@ from qotto.qmat import (
     KET_PLUS,
     SIGMA_X,
     SIGMA_Z,
-    exp_i_hermitian,
+    _entropy_bits,
+    _exp_i,
     hermitian_eig,
-    von_neumann_entropy,
 )
 
 
@@ -31,22 +31,12 @@ def random_density(rng, dim):
 
 
 class TestProjector:
+    # Measurement projectors are built from the angles of a MeasurementBasis.
     def test_normalizes(self):
-        p = qmat.projector([3.0, 4.0j])
-        np.testing.assert_allclose(p @ p, p, atol=1e-15)
-        assert np.trace(p).real == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("ket", [[1e200, 1e200j], [1e-200, 0.0, 0.0, 1e-200]])
-    def test_extreme_scales(self, ket):
-        p = qmat.projector(ket)
-        assert np.trace(p).real == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("ket", [
-        [0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0], [1.0, 2.0, 3.0], [[1.0, 0.0]], [],
-    ])
-    def test_rejects_bad_kets(self, ket):
-        with pytest.raises(ValueError, match="ket"):
-            qmat.projector(ket)
+        pp, pm = MeasurementBasis(theta_x=2.0, phi_x=4.0).projectors()
+        for p in (pp, pm):
+            np.testing.assert_allclose(p @ p, p, atol=1e-15)
+            assert np.trace(p).real == pytest.approx(1.0, abs=1e-15)
 
 
 class TestTensorProduct:
@@ -188,19 +178,20 @@ class TestHermitianEig:
 
 
 class TestExpIHermitian:
+    # qmat._exp_i is the unchecked exp(iG) behind su4_from_point.
     def test_zero_generator(self):
-        np.testing.assert_allclose(exp_i_hermitian(np.zeros((2, 2))), ID2, atol=1e-14)
+        np.testing.assert_allclose(_exp_i(np.zeros((2, 2))), ID2, atol=1e-14)
 
     def test_half_pi_sigma_x(self):
         # cos(pi/2) I + i sin(pi/2) sigma_x
         np.testing.assert_allclose(
-            exp_i_hermitian(0.5 * math.pi * SIGMA_X), 1j * SIGMA_X, atol=1e-12
+            _exp_i(0.5 * math.pi * SIGMA_X), 1j * SIGMA_X, atol=1e-12
         )
 
     def test_diagonal_generator(self):
         g = np.diag([math.pi, 0.0, 0.0, 0.0]).astype(complex)
         np.testing.assert_allclose(
-            exp_i_hermitian(g), np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex), atol=1e-12
+            _exp_i(g), np.diag([-1.0, 1.0, 1.0, 1.0]).astype(complex), atol=1e-12
         )
 
     def test_inverse_pairs(self):
@@ -208,18 +199,14 @@ class TestExpIHermitian:
         for dim in (2, 4):
             for _ in range(20):
                 g = random_hermitian(rng, dim, scale=5.0)
-                prod = exp_i_hermitian(g) @ exp_i_hermitian(-g)
+                prod = _exp_i(g) @ _exp_i(-g)
                 np.testing.assert_allclose(prod, np.eye(dim), atol=1e-10)
 
     def test_output_unitary(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            u = exp_i_hermitian(random_hermitian(rng, 4))
+            u = _exp_i(random_hermitian(rng, 4))
             np.testing.assert_allclose(u.conj().T @ u, ID4, atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            exp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestUnitaryLog:
@@ -228,13 +215,13 @@ class TestUnitaryLog:
     def check(self, v):
         h = qmat._unitary_log(v)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
-        np.testing.assert_allclose(exp_i_hermitian(h), v, atol=1e-12)
+        np.testing.assert_allclose(_exp_i(h), v, atol=1e-12)
 
     def test_random_unitaries(self):
         rng = np.random.default_rng(37)
         for dim in (2, 4):
             for _ in range(20):
-                self.check(exp_i_hermitian(random_hermitian(rng, dim, scale=5.0)))
+                self.check(_exp_i(random_hermitian(rng, dim, scale=5.0)))
 
     def test_degenerate_and_antipodal_eigenphases(self):
         rng = np.random.default_rng(41)
@@ -243,13 +230,18 @@ class TestUnitaryLog:
         self.check(-ID4)
         self.check(np.diag([-1.0, -1.0, 1.0j, 1.0j]).astype(complex))
         for _ in range(10):
-            u = exp_i_hermitian(random_hermitian(rng, 2, scale=5.0))
+            u = _exp_i(random_hermitian(rng, 2, scale=5.0))
             self.check(np.kron(u, ID2))  # each eigenphase twice
 
 
+def von_neumann_entropy(rho):
+    return float(_entropy_bits(rho))
+
+
 class TestVonNeumannEntropy:
+    # qmat._entropy_bits is the unchecked entropy of the auxiliary states.
     def test_pure_state(self):
-        assert von_neumann_entropy(qmat.projector(KET_PLUS)) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(np.outer(KET_PLUS, KET_PLUS.conj())) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
         assert von_neumann_entropy(ID2 / 2.0) == pytest.approx(1.0, abs=1e-12)
@@ -268,7 +260,7 @@ class TestVonNeumannEntropy:
         for dim in (2, 4):
             for _ in range(15):
                 rho = random_density(rng, dim)
-                u = exp_i_hermitian(random_hermitian(rng, dim))
+                u = _exp_i(random_hermitian(rng, dim))
                 s1 = von_neumann_entropy(rho)
                 s2 = von_neumann_entropy(u @ rho @ u.conj().T)
                 assert abs(s1 - s2) < 1e-10
@@ -285,5 +277,8 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            von_neumann_entropy(np.diag([0.8, 0.3]))
+        # the kernel takes entropies of PovmSpec.aux_state and of the stroke output,
+        # so a state that is not a density matrix is refused when the spec is built
+        for aux in (np.diag([0.8, 0.3]), np.array([[0.5, 0.5], [0.0, 0.5]])):
+            with pytest.raises(ValueError, match="aux_state"):
+                PovmSpec(joint_unitary=ID4, aux_state=aux)
