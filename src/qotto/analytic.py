@@ -70,15 +70,17 @@ class PvmOptimum(NamedTuple):
     eta: float
 
 
-def pvm_optimal(params: EngineParams, p: float, alpha: float = 0.0) -> PvmOptimum:
-    """Work-maximizing measurement basis and value for a given drive.
+def pvm_optimal(params: EngineParams, p: float) -> PvmOptimum:
+    """Work-maximizing measurement basis and value for the drive at p with phase 0.
 
     The maximum over (theta_x, phi_x) is (tz/4)(D - wz + wx(2p - 1)),
-    attained on the phi_x = alpha branch at the angle fixed by
+    attained at phi_x = 0 and the angle fixed by
     cos(2 theta) = -A/hypot(A, B), sin(2 theta) = -B/hypot(A, B) with
     A = wz(b^2 - a^2) + a wx and B = b(wx - 2 a wz).  The heat entering
     during the measurement stroke at that basis is
-    wx tz (a D + wx - a wz) / (4 D).
+    wx tz (a D + wx - a wz) / (4 D).  For a drive phase alpha the work
+    depends on phi_x only through alpha - phi_x, so the optimal basis is
+    shifted to phi_x = alpha with the same work and heat.
     """
     if not (0.5 <= p <= 1.0):
         raise ValueError(f"p must lie in [1/2, 1], got {p}")
@@ -93,7 +95,7 @@ def pvm_optimal(params: EngineParams, p: float, alpha: float = 0.0) -> PvmOptimu
     x = math.atan2(-coef_b, -coef_a)
     if x < 0.0:
         x += 2.0 * math.pi
-    basis = MeasurementBasis(theta_x=0.5 * x, phi_x=alpha % (2.0 * math.pi))
+    basis = MeasurementBasis(theta_x=0.5 * x)
     heat = wx * tz * (a * d + wx - a * wz) / (4.0 * d)
     return PvmOptimum(work=work, basis=basis, heat=heat, eta=work / heat)
 
@@ -253,9 +255,11 @@ def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRe
 def reset_crossing_temperature(params: EngineParams) -> float:
     """Cold-bath temperature where the minimal reset cost equals delta_w.
 
-    The minimal reset cost grows monotonically with temperature, so the
-    crossing is unique; it is bracketed by doubling and located by
-    bisection until the cost matches delta_w to 1e-9.
+    The minimal reset cost grows monotonically with temperature, like
+    t ln 2 at large t, so the crossing is unique and doubling always
+    brackets it (a large gap crosses just above t_c_bound); bisection then
+    locates it until the cost matches delta_w to 1e-9 or the bracket
+    reaches adjacent floats.
     """
     delta_w = 0.5 * (params.omega_x - params.omega_z)
 
@@ -265,8 +269,6 @@ def reset_crossing_temperature(params: EngineParams) -> float:
     lo, hi = 1e-9, 1.0
     while cost(hi) < delta_w:
         hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("failed to bracket the reset-cost crossing")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if cost(mid) < delta_w:

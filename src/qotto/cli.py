@@ -63,7 +63,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Header metadata plus tabular rows, renderable as text, CSV or JSON."""
+    """Metadata plus tabular rows, renderable as text, CSV or JSON."""
 
     meta: dict
     columns: tuple[str, ...]
@@ -109,32 +109,7 @@ def render_report(report: RunReport, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _base_meta(args, **extra) -> dict:
-    meta = {"tool": f"qotto {__version__}", "units": UNITS_BANNER}
-    if not args.deterministic:
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    meta.update(extra)
-    return meta
-
-
-def _record_row(record: engine.CycleRecord) -> tuple:
-    return (
-        record.e0, record.e1, record.e2, record.e3,
-        record.w1, record.w2, record.w_total, record.q_c, record.q_h,
-        record.eta, record.aux_entropy, record.aux_reset_cost,
-        record.net_work, record.first_law_residual,
-    )
-
-
-RECORD_COLUMNS = (
+RECORD_COLUMNS = (  # the CycleRecord fields and properties a ledger row prints, in order
     "e0", "e1", "e2", "e3", "w1", "w2", "w_total", "q_c", "q_h",
     "eta", "aux_entropy", "aux_reset_cost", "net_work", "first_law_residual",
 )
@@ -151,14 +126,14 @@ def _load_su4_file(path: str) -> optimize.Su4Point:
     return optimize.Su4Point(np.array(values))
 
 
-def cmd_cycle(args) -> int:
+def cmd_cycle(args) -> RunReport:
     params = EngineParams(
         omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c, beta_h=args.beta_h
     )
     drive = DriveSpec(p=args.p, alpha=args.alpha)
     phi = 0.0 if args.phi is None else args.phi
-    meta = _base_meta(
-        args, engine=args.engine, omega_z=args.omega_z, omega_x=args.omega_x,
+    meta = dict(
+        engine=args.engine, omega_z=args.omega_z, omega_x=args.omega_x,
         beta_c=args.beta_c, p=args.p, alpha=args.alpha,
     )
     if args.engine == "conventional":
@@ -195,15 +170,13 @@ def cmd_cycle(args) -> int:
         record = engine.run_povm_cycle(params, drive, povm, reset_temperature=args.t_c)
         if args.t_c is not None:
             meta["t_c"] = args.t_c
-    report = RunReport(meta=meta, columns=RECORD_COLUMNS, rows=[_record_row(record)])
-    _emit(render_report(report, args.format), args.out)
-    return 0
+    return RunReport(meta=meta, columns=RECORD_COLUMNS, rows=[tuple(getattr(record, c) for c in RECORD_COLUMNS)])
 
 
 _PANELS = {"a": (3.0, 2.0), "b": (5.0, 2.0)}
 
 
-def cmd_fig2(args) -> int:
+def cmd_fig2(args) -> RunReport:
     omega_x, omega_z = _PANELS[args.panel]
     spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
     params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c)
@@ -222,24 +195,18 @@ def cmd_fig2(args) -> int:
         )
         rows += [(p, *(r.w_total for r in recs), max(r.first_law_residual for r in recs))
                  for p, *recs in zip(ps, *columns)]
-    meta = _base_meta(
-        args, panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c
-    )
-    report = RunReport(
-        meta=meta,
+    return RunReport(
+        meta=dict(panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c),
         columns=("p", "w_conv_bh02", "w_conv_bh0", "w_pvm_max", "first_law_residual"),
         rows=rows,
     )
-    _emit(render_report(report, args.format), args.out)
-    return 0
 
 
-def cmd_fig3(args) -> int:
+def cmd_fig3(args) -> RunReport:
     omega_x, omega_z = _PANELS[args.panel]
     spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
     params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c)
     t_c = args.t_c if args.t_c is not None else 1.0 / args.beta_c
-    engine._check_finite_nonnegative("t_c", t_c)  # before any row runs
     rows = []
     for p in spec.values():
         drive = DriveSpec(p=float(p))
@@ -255,46 +222,38 @@ def cmd_fig3(args) -> int:
                 net.best_value, w_pvm, residual, int(converged),
             )
         )
-    meta = _base_meta(
-        args, panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c, t_c=t_c
-    )
-    report = RunReport(
-        meta=meta,
+    return RunReport(
+        meta=dict(panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c, t_c=t_c),
         columns=(
             "p", "w_povm_max", "w_povm_lower_bound", "w_net_max", "w_pvm_max",
             "first_law_residual", "converged",
         ),
         rows=rows,
     )
-    _emit(render_report(report, args.format), args.out)
-    return 0
 
 
-def cmd_fig4(args) -> int:
+def cmd_fig4(args) -> RunReport:
     params = EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0)
     spec = SweepSpec("t_c", args.t_c_start, args.t_c_stop, args.grid_points)
     crossing = analytic.reset_crossing_temperature(params)
     povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
     rows = []
     for t_cs in spec.slices():
-        colds = [EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / t_c) for t_c in t_cs]
+        try:  # only the bound on beta_c * omega_x can fail, first at the coldest point
+            colds = [EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / t_c) for t_c in t_cs]
+        except ValueError as exc:
+            raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
         for t_c, cycle in zip(t_cs, engine.run_povm_cycles(colds, DriveSpec(p=1.0), povm)):
             rec = analytic.aux_cost_record(params, t_c)
             rows.append((t_c, rec.delta_w, rec.min_cost, cycle.first_law_residual))
-    meta = _base_meta(
-        args, omega_x=args.omega_x, omega_z=args.omega_z,
-        crossing_temperature=f"{crossing:.12g}",
-    )
-    report = RunReport(
-        meta=meta,
+    return RunReport(
+        meta=dict(omega_x=args.omega_x, omega_z=args.omega_z, crossing_temperature=f"{crossing:.12g}"),
         columns=("t_c", "delta_w", "w_a_min", "first_law_residual"),
         rows=rows,
     )
-    _emit(render_report(report, args.format), args.out)
-    return 0
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> RunReport:
     params = EngineParams(
         omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c, beta_h=args.beta_h
     )
@@ -314,45 +273,35 @@ def cmd_table1(args) -> int:
         ("optimal_work_nonadiabatic", w_conv, best.work, povm_na),
         ("efficiency_at_optimal_work", eta0, best.eta, eta0 if params.gamma >= 2.0 else None),
     ]
-    hierarchy_ok = w_conv <= w_pvm < w_povm
-    meta = _base_meta(
-        args, omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
-        beta_h=args.beta_h, hierarchy_conv_le_pvm_lt_povm=str(bool(hierarchy_ok)),
+    meta = dict(
+        omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
+        beta_h=args.beta_h, hierarchy_conv_le_pvm_lt_povm=str(bool(w_conv <= w_pvm < w_povm)),
     )
-    report = RunReport(
-        meta=meta, columns=("quantity", "conventional", "pvm", "povm"), rows=rows
-    )
-    _emit(render_report(report, args.format), args.out)
-    return 0
+    return RunReport(meta=meta, columns=("quantity", "conventional", "pvm", "povm"), rows=rows)
 
 
-def cmd_optimize_povm(args) -> int:
+def cmd_optimize_povm(args) -> RunReport:
     params = EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c)
     drive = DriveSpec(p=args.p, alpha=0.0)
     if args.t_c is not None and not args.net:
         raise ValueError("--t-c requires --net")
     if args.net:
-        t_c = args.t_c if args.t_c is not None else 1.0 / args.beta_c
-        result = optimize.optimize_povm_net_work(params, drive, t_c=t_c)
+        result = optimize.optimize_povm_net_work(params, drive, t_c=args.t_c)
     else:
         result = optimize.optimize_povm_work(params, drive)
-    meta = _base_meta(
-        args, omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
+    if args.su4_out:
+        with open(args.su4_out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("# generator coefficients, order: " + " ".join(optimize.SU4_GENERATOR_LABELS) + "\n")
+            fh.write(" ".join(f"{v:.17g}" for v in result.best_point.k) + "\n")
+    meta = dict(
+        omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
         p=args.p, objective="net" if args.net else "gross",
     )
     columns = ("best_value", "evaluations", "converged") + tuple(
         f"k_{label}" for label in optimize.SU4_GENERATOR_LABELS
     )
-    row = (result.best_value, result.evaluations, int(result.converged)) + tuple(
-        result.best_point.k
-    )
-    report = RunReport(meta=meta, columns=columns, rows=[row])
-    _emit(render_report(report, args.format), args.out)
-    if args.su4_out:
-        with open(args.su4_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# generator coefficients, order: " + " ".join(optimize.SU4_GENERATOR_LABELS) + "\n")
-            fh.write(" ".join(f"{v:.17g}" for v in result.best_point.k) + "\n")
-    return 0
+    row = (result.best_value, result.evaluations, int(result.converged)) + tuple(result.best_point.k)
+    return RunReport(meta=meta, columns=columns, rows=[row])
 
 
 def _add_output_flags(sub, default_format: str) -> None:
@@ -440,15 +389,23 @@ _parser = functools.cache(build_parser)  # built on the first main() call, then 
 
 
 def main(argv=None) -> int:
+    """Run one command: header, then its metadata and rows, to --out or stdout; 2 on a bad flag value."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        report = args.func(args)
+        header = {"tool": f"qotto {__version__}", "units": UNITS_BANNER}
+        if not args.deterministic:
+            header["timestamp"] = datetime.now(timezone.utc).isoformat()
+        text = render_report(RunReport({**header, **report.meta}, report.columns, report.rows), args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

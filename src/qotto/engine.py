@@ -52,7 +52,10 @@ class EngineParams:
     Hamiltonians (units of the reference frequency); the engine condition
     requires omega_x > omega_z > 0.  ``beta_h`` is only meaningful for the
     conventional two-bath cycle and may be omitted otherwise.  All values
-    must be finite, and so must the cold temperature 1/beta_c.
+    must be finite, and so must the cold temperature 1/beta_c.  The closed
+    forms square the gaps and the Gibbs states scale them by beta, so
+    omega_x may be at most 1e150 and beta_c * omega_x at most 1e300, far
+    enough inside the float range that neither overflows.
     """
 
     omega_z: float
@@ -70,10 +73,14 @@ class EngineParams:
                 f"engine condition omega_x > omega_z > 0 violated: "
                 f"omega_x={self.omega_x}, omega_z={self.omega_z}"
             )
+        if not self.omega_x <= 1e150:
+            raise ValueError(f"omega_x must be at most 1e150, got {self.omega_x}")
         if not self.beta_c > 0.0:
             raise ValueError(f"beta_c must be positive, got {self.beta_c}")
         if not 1.0 / self.beta_c < math.inf:  # the default reset temperature is 1/beta_c
             raise ValueError(f"beta_c must have a finite reciprocal, got {self.beta_c}")
+        if not self.beta_c * self.omega_x <= 1e300:  # beta_h < beta_c, so beta_h * omega_x is bounded too
+            raise ValueError(f"beta_c * omega_x must be at most 1e300, got {self.beta_c} * {self.omega_x}")
         if self.beta_h is not None and not (0.0 <= self.beta_h < self.beta_c):
             raise ValueError(f"beta_h must satisfy 0 <= beta_h < beta_c, got {self.beta_h}")
 

@@ -4,7 +4,8 @@ Everything here works on plain complex numpy arrays in natural units
 (hbar = k_B = 1, frequencies in units of a reference frequency).  Joint
 operators use row-major Kronecker ordering, system factor first, so a
 4x4 matrix indexes as (system, auxiliary) x (system, auxiliary).
-All functions are pure.  The public ones validate their input and raise
+All functions are pure.  The public ones validate their input against
+the module constants HERMITIAN_TOL, DENSITY_TOL and UNITARY_TOL and raise
 ``ValueError`` on failure; ``hermitian_eig`` fixes eigenvector phases, so
 repeated calls on one input are identical.  The underscore helpers
 (exp(iG), the unitary logarithm, von Neumann entropy, marginals) skip
@@ -45,27 +46,27 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def validate_hermitian(m, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+def validate_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_matrix(m, name)
-    if np.max(np.abs(a - a.conj().T)) > tol:
-        raise ValueError(f"{name} is not Hermitian within {tol}")
+    if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
     return a
 
 
-def validate_density_matrix(rho, tol: float = DENSITY_TOL, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace and positive semidefiniteness (to tol)."""
-    a = validate_hermitian(rho, tol, name)
-    if abs(np.trace(a) - 1.0) > tol:
-        raise ValueError(f"{name} trace is {np.trace(a).real}, expected 1 within {tol}")
-    if np.linalg.eigvalsh(a).min() < -tol:
-        raise ValueError(f"{name} has an eigenvalue below -{tol}")
+def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
+    """Check Hermiticity, unit trace and positive semidefiniteness (to DENSITY_TOL)."""
+    a = validate_hermitian(rho, name)
+    if abs(np.trace(a) - 1.0) > DENSITY_TOL:
+        raise ValueError(f"{name} trace is {np.trace(a).real}, expected 1 within {DENSITY_TOL}")
+    if np.linalg.eigvalsh(a).min() < -DENSITY_TOL:
+        raise ValueError(f"{name} has an eigenvalue below -{DENSITY_TOL}")
     return a
 
 
-def validate_unitary(u, tol: float = UNITARY_TOL, name: str = "u") -> np.ndarray:
+def validate_unitary(u, name: str = "u") -> np.ndarray:
     a = as_matrix(u, name)
-    if np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) > tol:
-        raise ValueError(f"{name} is not unitary within {tol}")
+    if np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) > UNITARY_TOL:
+        raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
     return a
 
 

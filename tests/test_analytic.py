@@ -462,6 +462,13 @@ class TestCrossingTemperature:
                 below = aux_cost_record(params, float(t))
                 assert below.delta_w > below.min_cost
 
+    @pytest.mark.parametrize("omega_x", [1.3e9, 1e12])
+    def test_crossing_at_large_gaps(self, omega_x):
+        # the cost grows like t ln 2, so a large gap crosses just above t_c_bound, far beyond 1e9
+        params = EngineParams(1.0, omega_x, 1.0)
+        rec = aux_cost_record(params, reset_crossing_temperature(params))
+        assert rec.min_cost == pytest.approx(rec.delta_w, rel=1e-12, abs=0.0)
+
 
 def delta_w_pvm_conventional(params, p):
     # optimal projective work minus the infinite-temperature two-bath work

@@ -190,18 +190,42 @@ class TestFig2Command:
 
 
 class TestColdTemperatureOverflow:
-    # a cold temperature (1/beta_c, or a swept t_c's 1/t_c) that overflows is rejected by its own name
+    # a cold temperature (1/beta_c, or a swept t_c's 1/t_c), a squared gap or a beta_c * omega_x
+    # that overflows is rejected by its own name, before anything is written and without a warning
     @pytest.mark.parametrize("argv,name", [
         ("cycle --engine povm --v0 --beta-c 5e-324", "beta_c"),
         ("fig3 --beta-c 1e-320", "beta_c"),
         ("optimize-povm --beta-c 1e-320", "beta_c"),
         ("fig4 --t-c-start 1e-320", "t_c"),
-    ], ids=["cycle", "fig3", "optimize-povm", "fig4"])
+        ("table1 --omega-x 2e154", "omega_x"),
+        ("cycle --engine pvm --theta 1 --beta-c 1e308", "beta_c * omega_x"),
+        ("fig2 --beta-c 1e308", "beta_c * omega_x"),
+        ("fig3 --beta-c 1e308", "beta_c * omega_x"),
+        ("optimize-povm --beta-c 1e308", "beta_c * omega_x"),
+        ("fig4 --t-c-start 1e-308", "t_c"),
+    ], ids=["cycle", "fig3", "optimize-povm", "fig4", "table1-gap", "cycle-beta-gap", "fig2-beta-gap",
+            "fig3-beta-gap", "optimize-povm-beta-gap", "fig4-beta-gap"])
     def test_exits_2_naming_the_flag_value(self, capsys, argv, name):
-        code, out, err = run_cli(capsys, *argv.split(), "--deterministic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv.split(), "--deterministic")
         assert code == 2
         assert err.startswith(f"error: {name} must")
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        "table1 --omega-x 1e150",
+        "cycle --engine povm --v0 --omega-x 5 --beta-c 2e299",
+        "fig4 --omega-x 1e150 --grid-points 3",
+        "optimize-povm --omega-x 1e150 --p 0.7 --net",
+    ], ids=["table1", "cycle", "fig4", "optimize-povm"])
+    def test_runs_at_the_bounds(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, *argv.split(), "--deterministic", "--format", "csv")
+        assert code == 0
+        cells = {v for line in out.splitlines() if not line.startswith("#") for v in line.split(",")}
+        assert not cells & {"inf", "-inf", "nan"}
 
 
 class TestFig3Command:
@@ -271,6 +295,15 @@ class TestFig4Command:
         assert len(crossing) == 1
         assert float(crossing[0].split(":")[1]) == pytest.approx(2.436872905700407, abs=1e-8)
 
+    def test_large_gap(self, capsys):
+        # the reset cost grows like t ln 2, so the crossing lies just above t_c_bound, beyond 1e9
+        code, out, _ = run_cli(capsys, "fig4", "--omega-x", "1.3e9", "--omega-z", "1", "--deterministic")
+        assert code == 0
+        crossing = next(l for l in out.splitlines() if l.startswith("# crossing_temperature"))
+        params = EngineParams(1.0, 1.3e9, 1.0)
+        assert crossing == f"# crossing_temperature: {analytic.reset_crossing_temperature(params):.12g}"
+        assert float(crossing.split(":")[1]) == pytest.approx(analytic.aux_cost_record(params).t_c_bound, rel=1e-9)
+
     @pytest.mark.parametrize("flag", ["--t-c-stop", "--t-c-start"])
     def test_rejects_non_finite_range(self, capsys, flag):
         with warnings.catch_warnings():
@@ -338,6 +371,14 @@ class TestOptimizeCommand:
         )
         assert code == 0
         assert parse_kv(out)["w_total"] == pytest.approx(best, abs=1e-9)
+
+    def test_unwritable_su4_out_prints_no_report(self, capsys, tmp_path):
+        # --su4-out is written before the report, so its failure leaves stdout empty
+        target = tmp_path / "missing" / "k.txt"
+        code, out, err = run_cli(capsys, "optimize-povm", "--su4-out", str(target), "--deterministic")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_net_objective(self, capsys):
         code, out, _ = run_cli(
@@ -418,6 +459,14 @@ GOLDEN = [
      "cycle --engine povm --v0 --p 0.7 --theta 0.9 --phi 1.5 --t-c 0.5"),
     ("4c5eed128c9defbd69abf015b3ca706d6a73cd184ecfac86c30c6d728e56e9df",
      "fig3 --panel b --grid-points 5"),
+    ("b9ce8ab6dc7d44a4fdc459b43c448eea81c8da05fd445df2b4ed1631a3d810c0",
+     "optimize-povm --omega-x 5 --p 0.8"),
+    ("629e5667616a7db65dcb6f6f38aa9d46ffb9b4d217b8a63e36bd853010fdd752",
+     "optimize-povm --omega-x 5 --p 0.8 --net --t-c 0.5"),
+    ("ea4bd14de4ee541ad9e3ab19ec43bdccd529641272223eca22e1e029c9e7b65d",
+     "fig4 --grid-points 7 --format json"),
+    ("dbe1954a18c7cb60ec335b2446df36972fbfc275038a76296bbe4448c9be31bd",
+     "table1 --format csv"),
 ]
 
 

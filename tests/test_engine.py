@@ -56,6 +56,33 @@ class TestParams:
         rec = run_povm_cycle(params, DriveSpec(p=1.0), PovmSpec(joint_unitary=analytic.optimal_dilation_unitary()))
         assert math.isfinite(rec.aux_reset_cost)
 
+    # omega_x <= 1e150 and beta_c * omega_x <= 1e300 keep squared gaps and Gibbs
+    # exponents finite; every cycle runs, warning-free, at each bound
+    @pytest.mark.parametrize("omega_x,beta_c", [(1e150, 1.0), (5.0, 2e299), (1e150, 1e150)])
+    def test_cycles_run_at_the_bounds(self, omega_x, beta_c):
+        assert omega_x <= 1e150 and beta_c * omega_x <= 1e300
+        params = EngineParams(omega_z=2.0, omega_x=omega_x, beta_c=beta_c, beta_h=0.5 * beta_c)
+        drive = DriveSpec(p=0.7, alpha=0.3)
+        records = [
+            run_conventional_cycle(params, drive),
+            run_pvm_cycle(params, drive, MeasurementBasis(1.0, 0.5)),
+            run_povm_cycle(params, drive, PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())),
+            analytic.pvm_nonadiabatic_record(params, drive, MeasurementBasis(1.0, 0.5)),
+        ]
+        assert all(math.isfinite(r.w_total) and math.isfinite(r.net_work) for r in records)
+        assert math.isfinite(analytic.povm_work_ceiling(params, drive))
+
+    def test_rejects_a_gap_beyond_the_bound(self):
+        with pytest.raises(ValueError, match="omega_x must be at most 1e150"):
+            EngineParams(omega_z=2.0, omega_x=math.nextafter(1e150, math.inf), beta_c=1e-100)
+        with pytest.raises(ValueError, match="omega_x must be at most 1e150"):
+            EngineParams(omega_z=2.0, omega_x=2e154, beta_c=1.0)  # (omega_x - omega_z)**2 overflows
+
+    @pytest.mark.parametrize("omega_x,beta_c", [(5.0, math.nextafter(2e299, math.inf)), (3.0, 1e308), (1e150, 1e151)])
+    def test_rejects_beta_times_gap_beyond_the_bound(self, omega_x, beta_c):
+        with pytest.raises(ValueError, match=r"beta_c \* omega_x must be at most 1e300"):
+            EngineParams(omega_z=2.0, omega_x=omega_x, beta_c=beta_c)
+
     def test_derived_quantities(self):
         p = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0, beta_h=0.2)
         assert p.v_z == pytest.approx(1.0)

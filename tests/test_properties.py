@@ -7,7 +7,9 @@ simulator must handle: p = 1/2 and p = 1, a gap ratio of exactly 2,
 measurement axes at the poles and a near-zero cold temperature.
 """
 
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qotto import analytic
+from qotto.cli import main
 from qotto.engine import (
     DriveSpec,
     EngineParams,
@@ -195,3 +198,64 @@ def test_grid_rows_equal_single_cycles(rows, povm):
         run_povm_cycles(params, drives[0], spec),
         [run_povm_cycle(p, drives[0], spec) for p in params],
     )
+
+
+# The command line: with --deterministic, a report is a pure function of argv.
+# Every command either writes its report and exits 0, or writes nothing to
+# stdout and exits 2 (a bad flag value, or argparse's own SystemExit(2)); it
+# never raises, and under the suite's error::RuntimeWarning it never warns.
+EXTREME_FLOATS = (0.0, -1.0, 5e-324, 1e-320, 1e154, 1e308, math.nan, math.inf, -math.inf)
+flag_value = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats(0.05, 6.0))
+COMMAND_FLAGS = {
+    "cycle": ("omega-x", "omega-z", "beta-c", "beta-h", "p", "alpha", "theta", "phi", "t-c"),
+    "fig2": ("beta-c",),
+    "fig3": ("beta-c", "t-c"),
+    "fig4": ("omega-x", "omega-z", "beta-c", "t-c-start", "t-c-stop"),
+    "table1": ("omega-x", "omega-z", "beta-c", "beta-h"),
+    "optimize-povm": ("omega-x", "omega-z", "beta-c", "p", "t-c"),
+}
+COMMAND_CHOICES = {
+    "cycle": [("--engine", ("conventional", "pvm", "povm"))],
+    "fig2": [("--panel", ("a", "b"))],
+    "fig3": [("--panel", ("a", "b"))],
+}
+COMMAND_SWITCHES = {"cycle": ("--v0",), "optimize-povm": ("--net",)}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag, choices in COMMAND_CHOICES.get(command, ()):
+        argv.append(f"{flag}={draw(st.sampled_from(choices))}")
+    for flag in COMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(flag_value)!r}")
+    argv += [s for s in COMMAND_SWITCHES.get(command, ()) if draw(st.booleans())]
+    if command in ("fig2", "fig3", "fig4"):
+        argv.append(f"--grid-points={draw(st.integers(2, 6))}")
+    argv.append(f"--format={draw(st.sampled_from(('text', 'csv', 'json')))}")
+    return argv + ["--deterministic"]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["fig4", "--omega-x=1300000000.0", "--omega-z=1.0", "--deterministic"])
+@example(argv=["table1", "--omega-x=2e+154", "--deterministic"])
+@example(argv=["cycle", "--engine=pvm", "--theta=1.0", "--beta-c=1e+308", "--deterministic"])
+def test_deterministic_report_is_a_pure_function_of_argv(argv):
+    code, out = run_main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out == "", argv
+    assert run_main(argv) == (code, out), argv
