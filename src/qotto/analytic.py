@@ -70,14 +70,34 @@ class PvmOptimum(NamedTuple):
     eta: float
 
 
+def _optimal_theta(wz: float, wx: float, p: float) -> float:
+    # The angle of pvm_optimal_theta at one p, through math.atan2: np.arctan2 can differ from it in the last ulp.
+    a = 2.0 * p - 1.0
+    b = 2.0 * math.sqrt(p * (1.0 - p))
+    x = math.atan2(-(b * (wx - 2.0 * a * wz)), -(wz * (b * b - a * a) + a * wx))
+    return 0.5 * (x + 2.0 * math.pi if x < 0.0 else x)
+
+
+def pvm_optimal_theta(params: EngineParams, ps) -> np.ndarray:
+    """Polar angles theta_x of the work-optimal bases at phi_x = 0, one per p of a 1-d array.
+
+    With a = 2p - 1 and b = 2 sqrt(p(1-p)), the angle is fixed by
+    cos(2 theta) = -A/hypot(A, B), sin(2 theta) = -B/hypot(A, B), where
+    A = wz(b^2 - a^2) + a wx and B = b(wx - 2 a wz); it lies in [0, pi].
+    Each angle equals ``pvm_optimal(params, p).basis.theta_x`` bit for bit.
+    """
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 1 or not np.all((ps >= 0.5) & (ps <= 1.0)):
+        raise ValueError(f"p must lie in [1/2, 1] along a 1-d array, got {ps}")
+    return np.array([_optimal_theta(params.omega_z, params.omega_x, p) for p in ps.tolist()])
+
+
 def pvm_optimal(params: EngineParams, p: float) -> PvmOptimum:
     """Work-maximizing measurement basis and value for the drive at p with phase 0.
 
     The maximum over (theta_x, phi_x) is (tz/4)(D - wz + wx(2p - 1)),
-    attained at phi_x = 0 and the angle fixed by
-    cos(2 theta) = -A/hypot(A, B), sin(2 theta) = -B/hypot(A, B) with
-    A = wz(b^2 - a^2) + a wx and B = b(wx - 2 a wz).  The heat entering
-    during the measurement stroke at that basis is
+    attained at phi_x = 0 and the angle of :func:`pvm_optimal_theta`.  The
+    heat entering during the measurement stroke at that basis is
     wx tz (a D + wx - a wz) / (4 D).  For a drive phase alpha the work
     depends on phi_x only through alpha - phi_x, so the optimal basis is
     shifted to phi_x = alpha with the same work and heat.
@@ -87,15 +107,9 @@ def pvm_optimal(params: EngineParams, p: float) -> PvmOptimum:
     tz = params.tau_z
     wz, wx = params.omega_z, params.omega_x
     a = 2.0 * p - 1.0
-    b = 2.0 * math.sqrt(p * (1.0 - p))
-    coef_a = wz * (b * b - a * a) + a * wx
-    coef_b = b * (wx - 2.0 * a * wz)
     d = discriminant(params, p)
     work = 0.25 * tz * (d - wz + a * wx)
-    x = math.atan2(-coef_b, -coef_a)
-    if x < 0.0:
-        x += 2.0 * math.pi
-    basis = MeasurementBasis(theta_x=0.5 * x)
+    basis = MeasurementBasis(theta_x=_optimal_theta(wz, wx, p))
     heat = wx * tz * (a * d + wx - a * wz) / (4.0 * d)
     return PvmOptimum(work=work, basis=basis, heat=heat, eta=work / heat)
 
@@ -255,27 +269,26 @@ def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRe
 def reset_crossing_temperature(params: EngineParams) -> float:
     """Cold-bath temperature where the minimal reset cost equals delta_w.
 
-    The minimal reset cost grows monotonically with temperature, like
-    t ln 2 at large t, so the crossing is unique and doubling always
-    brackets it (a large gap crosses just above t_c_bound); bisection then
-    locates it until the cost matches delta_w to 1e-9 or the bracket
-    reaches adjacent floats.
+    The minimal reset cost grows monotonically with temperature and never
+    exceeds t ln 2, so the crossing is unique and lies at or above
+    t_c_bound = delta_w / ln 2.  Doubling from there brackets it, and
+    bisection narrows the bracket down to adjacent floats; no tolerance
+    is absolute, so the crossing is found alike at every scale of the gaps.
+    Returns the upper end, the lowest float found where the cost reaches
+    delta_w.
     """
     delta_w = 0.5 * (params.omega_x - params.omega_z)
 
     def cost(t: float) -> float:
         return _reset_cost(t, math.tanh(0.5 * params.omega_z / t))
 
-    lo, hi = 1e-9, 1.0
+    hi = max(delta_w / LN2, math.ulp(0.0))  # the ulp keeps a delta_w that underflows to 0 off t = 0
+    lo = 0.5 * hi  # cost(lo) <= delta_w / 2
     while cost(hi) < delta_w:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if cost(mid) < delta_w:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-13 and abs(cost(mid) - delta_w) < 1e-9:
-            break
-    return 0.5 * (lo + hi)
-
+    return hi

@@ -71,6 +71,8 @@ class RunReport:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -191,10 +193,10 @@ def cmd_fig2(args) -> RunReport:
         columns = (
             engine.run_conventional_cycles(params_h02, drives),
             engine.run_conventional_cycles(params_h0, drives),
-            engine.run_pvm_cycles(params, drives, [analytic.pvm_optimal(params, p).basis for p in ps]),
+            engine.run_pvm_cycles(params, drives, analytic.pvm_optimal_theta(params, ps)),
         )
-        rows += [(p, *(r.w_total for r in recs), max(r.first_law_residual for r in recs))
-                 for p, *recs in zip(ps, *columns)]
+        residual = functools.reduce(np.maximum, (r.first_law_residual for r in columns))
+        rows += zip(ps, *(r.w_total.tolist() for r in columns), residual.tolist())
     return RunReport(
         meta=dict(panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c),
         columns=("p", "w_conv_bh02", "w_conv_bh0", "w_pvm_max", "first_law_residual"),
@@ -243,9 +245,10 @@ def cmd_fig4(args) -> RunReport:
             colds = [EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / t_c) for t_c in t_cs]
         except ValueError as exc:
             raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
-        for t_c, cycle in zip(t_cs, engine.run_povm_cycles(colds, DriveSpec(p=1.0), povm)):
+        residual = engine.run_povm_cycles(colds, DriveSpec(p=1.0), povm).first_law_residual
+        for t_c, res in zip(t_cs, residual.tolist()):
             rec = analytic.aux_cost_record(params, t_c)
-            rows.append((t_c, rec.delta_w, rec.min_cost, cycle.first_law_residual))
+            rows.append((t_c, rec.delta_w, rec.min_cost, res))
     return RunReport(
         meta=dict(omega_x=args.omega_x, omega_z=args.omega_z, crossing_temperature=f"{crossing:.12g}"),
         columns=("t_c", "delta_w", "w_a_min", "first_law_residual"),
@@ -285,8 +288,9 @@ def cmd_optimize_povm(args) -> RunReport:
     drive = DriveSpec(p=args.p, alpha=0.0)
     if args.t_c is not None and not args.net:
         raise ValueError("--t-c requires --net")
+    t_c = 1.0 / args.beta_c if args.t_c is None else args.t_c
     if args.net:
-        result = optimize.optimize_povm_net_work(params, drive, t_c=args.t_c)
+        result = optimize.optimize_povm_net_work(params, drive, t_c=t_c)
     else:
         result = optimize.optimize_povm_work(params, drive)
     if args.su4_out:
@@ -297,6 +301,8 @@ def cmd_optimize_povm(args) -> RunReport:
         omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
         p=args.p, objective="net" if args.net else "gross",
     )
+    if args.net:
+        meta["t_c"] = t_c
     columns = ("best_value", "evaluations", "converged") + tuple(
         f"k_{label}" for label in optimize.SU4_GENERATOR_LABELS
     )

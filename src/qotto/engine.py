@@ -10,13 +10,16 @@ projective measurement on the auxiliary.
 Every cycle, grid (``run_*_cycles``: a list of specs gives one row each, a
 single spec is shared) and optimizer objective runs through one unchecked
 kernel broadcast over a leading row axis, a single cycle being its 0-d case:
-:func:`strokes_i_ii`, :func:`_measure` or :func:`_povm_stroke`, :func:`_records`.
-Inputs are checked when a spec type is built or a raw array enters a public function.
+:func:`strokes_i_ii`, :func:`_measure` or :func:`_povm_stroke`, and
+:meth:`CycleRecord.from_energies`, which gives a grid one record whose
+fields are arrays over the rows.  Inputs are checked when a spec type is
+built or a raw array enters a public function.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
 when the cycle delivers work.  Efficiency is w_total / q_h and is left
-undefined (None) unless both q_h and w_total are positive.
+undefined (None, or NaN in a grid's column) unless both q_h and w_total are
+positive.
 """
 
 from __future__ import annotations
@@ -245,37 +248,52 @@ class PovmSpec:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Per-cycle thermodynamic ledger.
+    """Per-cycle thermodynamic ledger, or the ledgers of a grid as columns.
 
     Energies e0..e3 are the working-substance energies after strokes
     I..IV; w1/w2 are the stroke works, q_c/q_h the stroke heats.  ``eta``
     is None whenever the cycle does not operate as an engine.  The two
     aux_* fields are nonzero only for generalized-measurement cycles.
+    A grid's record holds one float array per field, over the rows, with
+    ``eta`` NaN in the rows where a single cycle's would be None.
     """
 
-    e0: float
-    e1: float
-    e2: float
-    e3: float
-    w1: float
-    w2: float
-    w_total: float
-    q_c: float
-    q_h: float
-    eta: float | None
-    aux_entropy: float = 0.0
-    aux_reset_cost: float = 0.0
+    e0: float | np.ndarray
+    e1: float | np.ndarray
+    e2: float | np.ndarray
+    e3: float | np.ndarray
+    w1: float | np.ndarray
+    w2: float | np.ndarray
+    w_total: float | np.ndarray
+    q_c: float | np.ndarray
+    q_h: float | np.ndarray
+    eta: float | np.ndarray | None
+    aux_entropy: float | np.ndarray = 0.0
+    aux_reset_cost: float | np.ndarray = 0.0
 
     @classmethod
     def from_energies(cls, e0, e1, e2, e3, aux_entropy=0.0, aux_reset_cost=0.0) -> CycleRecord:
-        """The ledger of a cycle whose strokes leave energies e0..e3."""
-        e0, e1, e2, e3 = float(e0), float(e1), float(e2), float(e3)
+        """The ledger of a cycle whose strokes leave energies e0..e3.
+
+        Scalars (floats or 0-d arrays) give plain floats; if any argument is
+        an array with a row axis, all are broadcast together and every field
+        is an array of that shape.
+        """
+        cols = (e0, e1, e2, e3, aux_entropy, aux_reset_cost)
+        if any(getattr(c, "ndim", 0) for c in cols):
+            e0, e1, e2, e3, aux_entropy, aux_reset_cost = np.broadcast_arrays(*(np.asarray(c, float) for c in cols))
+        else:
+            e0, e1, e2, e3, aux_entropy, aux_reset_cost = map(float, cols)
         w1 = e1 - e0
         w2 = e3 - e2
         w_total = -(w1 + w2)
         q_h = e2 - e1
         q_c = e0 - e3
-        eta = w_total / q_h if (q_h > ENGINE_TOL and w_total > ENGINE_TOL) else None
+        runs = (q_h > ENGINE_TOL) & (w_total > ENGINE_TOL)  # the cycle runs as an engine
+        if isinstance(runs, bool):
+            eta = w_total / q_h if runs else None
+        else:
+            eta = np.divide(w_total, q_h, out=np.full_like(q_h, np.nan), where=runs)
         return cls(
             e0=e0, e1=e1, e2=e2, e3=e3, w1=w1, w2=w2, w_total=w_total,
             q_c=q_c, q_h=q_h, eta=eta,
@@ -283,12 +301,12 @@ class CycleRecord:
         )
 
     @property
-    def net_work(self) -> float:
+    def net_work(self) -> float | np.ndarray:
         """Delivered work after paying the auxiliary reset cost."""
         return self.w_total - self.aux_reset_cost
 
     @property
-    def first_law_residual(self) -> float:
+    def first_law_residual(self) -> float | np.ndarray:
         return abs(self.q_h + self.q_c - self.w_total)
 
 
@@ -350,6 +368,10 @@ class Strokes(NamedTuple):
         e2, e3 = self.energies(rho2)
         return -(self.e1 - self.e0) - (e3 - e2)
 
+    def record(self, rho2, aux_entropy=0.0, aux_reset_cost=0.0) -> CycleRecord:
+        """The ledger of the cycle through rho2: one record, with array fields for a stack."""
+        return CycleRecord.from_energies(self.e0, self.e1, *self.energies(rho2), aux_entropy, aux_reset_cost)
+
 
 def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
     """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II); either may be a list."""
@@ -360,15 +382,6 @@ def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
     u_dag = u.conj().swapaxes(-1, -2)
     rho1 = u @ rho0 @ u_dag
     return Strokes(rho1=rho1, e0=_expect(h1, rho0), e1=_expect(h2, rho1), h2=h2, uh1u=u @ h1 @ u_dag)
-
-
-def _records(s: Strokes, rho2: np.ndarray, aux_entropy=0.0, aux_reset_cost=0.0) -> list[CycleRecord]:
-    # One ledger per row of a stroke-III output; e3 = Tr(uh1u rho2) carries every row axis.
-    e2, e3 = s.energies(rho2)
-    if e3.ndim == 0:
-        return [CycleRecord.from_energies(s.e0, s.e1, e2, e3, float(aux_entropy), float(aux_reset_cost))]
-    cols = [np.broadcast_to(c, e3.shape).tolist() for c in (s.e0, s.e1, e2, e3, aux_entropy, aux_reset_cost)]
-    return [CycleRecord.from_energies(*row) for row in zip(*cols)]
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,12 +424,12 @@ def povm_stroke(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
     return _povm_stroke(r, povm)
 
 
-def run_conventional_cycles(params, drives) -> list[CycleRecord]:
-    """:func:`run_conventional_cycle` on each row of a grid, in one stacked pass."""
+def run_conventional_cycles(params, drives) -> CycleRecord:
+    """:func:`run_conventional_cycle` on each row of a grid, in one stacked pass: one record with array fields."""
     if any(x.beta_h is None for x in (params if isinstance(params, (list, tuple)) else [params])):
         raise ValueError("the conventional cycle requires beta_h")
     s = strokes_i_ii(params, drives)
-    return _records(s, _gibbs(s.h2, _field(params, "beta_h")))
+    return s.record(_gibbs(s.h2, _field(params, "beta_h")))
 
 
 def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecord:
@@ -425,23 +438,36 @@ def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecor
     Stroke IV applies the reversed drive (the adjoint of the stroke-II
     unitary), so one drive parametrizes both work strokes.
     """
-    return run_conventional_cycles(params, drive)[0]
+    return run_conventional_cycles(params, drive)
 
 
-def run_pvm_cycles(params, drives, bases) -> list[CycleRecord]:
-    """:func:`run_pvm_cycle` on each row of a grid, in one stacked pass."""
+def run_pvm_cycles(params, drives, bases) -> CycleRecord:
+    """:func:`run_pvm_cycle` on each row of a grid, in one stacked pass: one record with array fields.
+
+    ``bases`` is one basis, a list of them, or a 1-d array of polar angles
+    theta_x in [0, pi] at phi_x = 0, where the work-optimal bases of a
+    phase-0 drive lie (:func:`qotto.analytic.pvm_optimal_theta`).
+    """
+    if isinstance(bases, np.ndarray):
+        theta, phi = bases, 0.0
+        if theta.ndim != 1 or not np.all((theta >= 0.0) & (theta <= math.pi)):
+            raise ValueError("an array of bases must be 1-d polar angles in [0, pi]")
+    else:
+        theta, phi = _field(bases, "theta_x"), _field(bases, "phi_x")
     s = strokes_i_ii(params, drives)
-    projectors = basis_projectors(_field(bases, "theta_x"), _field(bases, "phi_x"))
-    return _records(s, _measure(s.rho1, projectors))
+    return s.record(_measure(s.rho1, basis_projectors(theta, phi)))
 
 
 def run_pvm_cycle(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:
     """Measurement-fueled cycle: stroke III is a non-selective projective measurement."""
-    return run_pvm_cycles(params, drive, basis)[0]
+    return run_pvm_cycles(params, drive, basis)
 
 
-def run_povm_cycles(params, drives, povm: PovmSpec, reset_temperature=None) -> list[CycleRecord]:
-    """:func:`run_povm_cycle` on each row of a grid; ``povm`` and ``reset_temperature`` are shared."""
+def run_povm_cycles(params, drives, povm: PovmSpec, reset_temperature=None) -> CycleRecord:
+    """:func:`run_povm_cycle` on each row of a grid, in one stacked pass: one record with array fields.
+
+    ``povm`` and ``reset_temperature`` are shared by every row.
+    """
     if reset_temperature is None:
         reset_temperature = 1.0 / _field(params, "beta_c")
     _check_finite_nonnegative("reset_temperature", float(np.max(reset_temperature)))
@@ -450,7 +476,7 @@ def run_povm_cycles(params, drives, povm: PovmSpec, reset_temperature=None) -> l
     aux_entropy = qmat._entropy_bits(aux_post)
     gained = aux_entropy - qmat._entropy_bits(povm.aux_state)
     cost = reset_temperature * LN2 * np.where(gained < 0.0, 0.0, gained)
-    return _records(s, rho2, aux_entropy, cost)
+    return s.record(rho2, aux_entropy, cost)
 
 
 def run_povm_cycle(
@@ -471,4 +497,4 @@ def run_povm_cycle(
     the entropy it gains, and the pure default pays T ln 2 S_post.
     ``aux_entropy`` reports S_post.
     """
-    return run_povm_cycles(params, drive, povm, reset_temperature)[0]
+    return run_povm_cycles(params, drive, povm, reset_temperature)

@@ -242,6 +242,28 @@ class TestPvmOptimal:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             pvm_optimal(P32, 0.3)
+        for p in (0.3, 0.7, [0.7, 1.01], [0.7, math.nan], [[0.7]]):
+            with pytest.raises(ValueError, match="p must lie in"):
+                analytic.pvm_optimal_theta(P32, p)
+
+    def test_slice_angles_equal_single_optima(self):
+        # one call for a grid of p gives every row's pvm_optimal angle bit
+        # for bit, and both equal the scalar formula through math.atan2
+        def scalar_theta(params, p):
+            wz, wx = params.omega_z, params.omega_x
+            a = 2.0 * p - 1.0
+            b = 2.0 * math.sqrt(p * (1.0 - p))
+            x = math.atan2(-(b * (wx - 2.0 * a * wz)), -(wz * (b * b - a * a) + a * wx))
+            return 0.5 * (x + 2.0 * math.pi if x < 0.0 else x)
+
+        rng = np.random.default_rng(31)
+        grid = [0.5, 1.0, 0.875, *np.linspace(0.5, 1.0, 101).tolist(), *rng.uniform(0.5, 1.0, 400).tolist()]
+        for params in (P32, P52, EngineParams(2.0, 4.0, 1.0), EngineParams(0.3, 3.7, 2.0)):
+            angles = analytic.pvm_optimal_theta(params, grid)
+            assert angles.shape == (len(grid),)
+            singles = [pvm_optimal(params, p).basis.theta_x for p in grid]
+            assert [a.hex() for a in angles.tolist()] == [t.hex() for t in singles]
+            assert [t.hex() for t in singles] == [scalar_theta(params, p).hex() for p in grid]
 
 
 class TestPvmBestP:
@@ -461,6 +483,24 @@ class TestCrossingTemperature:
             for t in np.linspace(0.05, t_ad * (1.0 - 1e-6), 25):
                 below = aux_cost_record(params, float(t))
                 assert below.delta_w > below.min_cost
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 2.5, 4.0])
+    def test_crossing_at_every_scale(self, gamma):
+        # the crossing over omega_z depends only on gamma, so no scale of the gaps may lose it
+        unit = reset_crossing_temperature(EngineParams(1.0, gamma, 1.0))
+        for omega_z in (10.0 ** np.arange(-12, 12.5, 1.5)).tolist():
+            params = EngineParams(omega_z, gamma * omega_z, 1.0)
+            t_ad = reset_crossing_temperature(params)
+            rec = aux_cost_record(params, t_ad)
+            assert rec.min_cost == pytest.approx(rec.delta_w, rel=1e-12, abs=0.0)
+            assert t_ad / omega_z == pytest.approx(unit, rel=1e-12)
+
+    def test_crossing_at_tiny_gaps(self):
+        params = EngineParams(1e-12, 2e-12, 1.0)
+        t_ad = reset_crossing_temperature(params)
+        assert t_ad == pytest.approx(8.952e-13, rel=1e-3)
+        rec = aux_cost_record(params, t_ad)
+        assert rec.min_cost == pytest.approx(rec.delta_w, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("omega_x", [1.3e9, 1e12])
     def test_crossing_at_large_gaps(self, omega_x):

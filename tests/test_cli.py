@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qotto import analytic, cli
+from qotto import analytic, cli, engine
 from qotto.cli import RunReport, SweepSpec, main, render_report
 from qotto.engine import DriveSpec, EngineParams
 
@@ -281,6 +281,38 @@ class TestFig3Command:
         assert [row[-1] for row in rows] == [1, 1, 1]
 
 
+class TestStackedRows:
+    """fig2 and fig4 read their rows from the columns of stacked records."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"CycleRecord": 0, "MeasurementBasis": 0}
+        for cls in (engine.CycleRecord, engine.MeasurementBasis):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-row projective optimum")
+
+        monkeypatch.setattr(analytic, "pvm_optimal", forbidden)
+        return counts
+
+    def test_fig2_builds_three_records_per_slice(self, capsys, built):
+        for points, slices in ((101, 1), (cli.GRID_SLICE + 4, 2)):
+            built.update(CycleRecord=0)
+            code, _, _ = run_cli(capsys, "fig2", "--grid-points", str(points), "--deterministic")
+            assert code == 0
+            assert built == {"CycleRecord": 3 * slices, "MeasurementBasis": 0}
+
+    def test_fig4_builds_one_record(self, capsys, built):
+        code, _, _ = run_cli(capsys, "fig4", "--deterministic")
+        assert code == 0
+        assert built == {"CycleRecord": 1, "MeasurementBasis": 0}
+
+
 class TestFig4Command:
     def test_columns_and_crossing(self, capsys):
         code, out, _ = run_cli(capsys, "fig4", "--grid-points", "12", "--deterministic")
@@ -402,7 +434,18 @@ class TestOptimizeCommand:
             capsys, "optimize-povm", "--net", "--t-c", "0.5", "--p", "0.8", "--deterministic"
         )
         assert code == 0
-        assert "objective: net" in out
+        assert "objective: net\n# t_c: 0.5\n" in out
+
+    def test_net_reports_the_default_t_c(self, capsys):
+        # two net runs at different reset temperatures must not share a header
+        code, out, _ = run_cli(
+            capsys, "optimize-povm", "--net", "--beta-c", "4", "--deterministic", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["t_c"] == 0.25
+        code, out, _ = run_cli(capsys, "optimize-povm", "--beta-c", "4", "--deterministic")
+        assert code == 0
+        assert "t_c" not in out
 
     def test_removed_search_flags(self, capsys):
         for flag in (("--budget", "10"), ("--strict",), ("--seed", "1")):
@@ -461,12 +504,19 @@ GOLDEN = [
      "fig3 --panel b --grid-points 5"),
     ("b9ce8ab6dc7d44a4fdc459b43c448eea81c8da05fd445df2b4ed1631a3d810c0",
      "optimize-povm --omega-x 5 --p 0.8"),
-    ("629e5667616a7db65dcb6f6f38aa9d46ffb9b4d217b8a63e36bd853010fdd752",
+    # re-recorded when net reports began to carry their t_c (before: 629e5667616a7db6...)
+    ("9e779f41cabe8d86be4985702088627ac5c7cc74d14531d643fc7ab60e96e6bb",
      "optimize-povm --omega-x 5 --p 0.8 --net --t-c 0.5"),
     ("ea4bd14de4ee541ad9e3ab19ec43bdccd529641272223eca22e1e029c9e7b65d",
      "fig4 --grid-points 7 --format json"),
     ("dbe1954a18c7cb60ec335b2446df36972fbfc275038a76296bbe4448c9be31bd",
      "table1 --format csv"),
+    ("497a2de16470ce449e79b4bb16240614a938166a475c9c8927090fc2e9c807ca",
+     "fig2 --panel b --beta-c 0.9 --grid-points 4100"),
+    ("7ad72e09706b62127dca08da108589d59a10613172d0ba40cae696ba25d9387c",
+     "fig2 --format text"),
+    ("8ad6d62774b05ee1533f35cf97c1c07338be600b71e9953cb18d5e618a61917e",
+     "fig4 --grid-points 9 --format csv"),
 ]
 
 

@@ -560,6 +560,18 @@ class TestKernel:
         with pytest.raises(ValueError):
             engine.run_conventional_cycles([EngineParams(2.0, 3.0, 1.0, beta_h=0.2)] * 3, drives)
 
+    def test_bases_as_an_array_of_polar_angles(self):
+        # an array of theta_x is the list of bases at those angles and phi_x = 0, bit for bit
+        drives = [DriveSpec(p=p) for p in (0.5, 0.6, 0.8, 1.0)]
+        thetas = np.array([0.0, 1.0, 2.5, math.pi])
+        grid = engine.run_pvm_cycles(P52, drives, thetas)
+        ref = engine.run_pvm_cycles(P52, drives, [MeasurementBasis(t) for t in thetas.tolist()])
+        for name in ("e0", "e1", "e2", "e3", "w_total", "q_c", "q_h", "eta"):
+            np.testing.assert_array_equal(getattr(grid, name), getattr(ref, name))
+        for bad in (np.array([0.5, -0.1, 1.0, 1.0]), np.array([0.5, math.nan, 1.0, 1.0]), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="polar angles in \\[0, pi\\]"):
+                engine.run_pvm_cycles(P52, drives[:len(bad)], bad)
+
     def test_stacked_drive_unitaries(self):
         drives = [DriveSpec(p=0.5), DriveSpec(p=0.8, alpha=1.2), DriveSpec(p=1.0, alpha=5.0)]
         stack = drive_unitary(drives)
