@@ -198,7 +198,7 @@ def povm_net_work_optimum(params: EngineParams, drive: DriveSpec, t_c: float | N
     _check_finite_nonnegative("t_c", t_c)
     tz = params.tau_z
     d = discriminant(params, drive.p)
-    cost = _reset_cost(t_c, tz)
+    cost = _reset_cost(t_c, params.beta_c * params.omega_z)
     return 0.5 * tz * ((2.0 * drive.p - 1.0) * params.omega_x - params.omega_z) + max(
         0.5 * d - cost, 0.5 * tz * d
     )
@@ -224,9 +224,13 @@ def binary_entropy_bits(p: float) -> float:
     return out
 
 
-def _reset_cost(t_c: float, tz: float) -> float:
-    # t_c ln2 H2((1 + tz)/2): the cost of resetting an auxiliary left with pole populations (1 +- tz)/2.
-    return t_c * LN2 * binary_entropy_bits(0.5 * (1.0 + tz))
+def _reset_cost(t_c: float, x: float) -> float:
+    # t_c ln2 H2(q): the cost of resetting an auxiliary left with pole populations q and 1 - q, where
+    # q = (1 - tz)/2 = 1/(1 + e^x) is the smaller, x = beta omega_z.  q is formed directly, with
+    # -q ln q = q (x + ln(1 + e^-x)) and -(1 - q) ln(1 - q) through log1p, so no term cancels as q -> 0.
+    e = math.exp(-x)
+    q = e / (1.0 + e)
+    return t_c * (q * (x + math.log1p(e)) - (1.0 - q) * math.log1p(-q))
 
 
 class AuxCostRecord(NamedTuple):
@@ -256,7 +260,7 @@ def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRe
         raise ValueError(f"t_c must be finite and positive, got {t_c}")
     wz, wx = params.omega_z, params.omega_x
     tz = math.tanh(0.5 * wz / t_c)
-    min_cost = _reset_cost(t_c, tz)
+    min_cost = _reset_cost(t_c, wz / t_c)
     return AuxCostRecord(
         min_cost=min_cost,
         max_cost=t_c * LN2,
@@ -280,7 +284,7 @@ def reset_crossing_temperature(params: EngineParams) -> float:
     delta_w = 0.5 * (params.omega_x - params.omega_z)
 
     def cost(t: float) -> float:
-        return _reset_cost(t, math.tanh(0.5 * params.omega_z / t))
+        return _reset_cost(t, params.omega_z / t)
 
     hi = max(delta_w / LN2, math.ulp(0.0))  # the ulp keeps a delta_w that underflows to 0 off t = 0
     lo = 0.5 * hi  # cost(lo) <= delta_w / 2

@@ -10,10 +10,12 @@ projective measurement on the auxiliary.
 Every cycle, grid (``run_*_cycles``: a list of specs gives one row each, a
 single spec is shared) and optimizer objective runs through one unchecked
 kernel broadcast over a leading row axis, a single cycle being its 0-d case:
-:func:`strokes_i_ii`, :func:`_measure` or :func:`_povm_stroke`, and
-:meth:`CycleRecord.from_energies`, which gives a grid one record whose
-fields are arrays over the rows.  Inputs are checked when a spec type is
-built or a raw array enters a public function.
+:func:`strokes_i_ii`, then one of the stroke-III methods of
+:class:`Strokes` (a hot bath, a projective measurement, or a dilation whose
+joint unitary may differ per row), and :meth:`CycleRecord.from_energies`,
+which gives a grid one record whose fields are arrays over the rows.
+Inputs are checked when a spec type is built or a raw array enters a
+public function.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -347,7 +349,7 @@ def _expect(h: np.ndarray, rho: np.ndarray):
 
 
 class Strokes(NamedTuple):
-    """Driven state rho1 and energies e0, e1 after strokes I-II.
+    """Driven state rho1 and energies e0, e1 after strokes I-II; the stroke-III methods return the ledger.
 
     Stroke IV maps rho2 to u^dag rho2 u, so e3 = Tr(uh1u rho2) with the
     stroke-IV energy operator uh1u = u h1 u^dag.  Stacked rows lead every field.
@@ -371,6 +373,22 @@ class Strokes(NamedTuple):
     def record(self, rho2, aux_entropy=0.0, aux_reset_cost=0.0) -> CycleRecord:
         """The ledger of the cycle through rho2: one record, with array fields for a stack."""
         return CycleRecord.from_energies(self.e0, self.e1, *self.energies(rho2), aux_entropy, aux_reset_cost)
+
+    def thermalize(self, beta_h) -> CycleRecord:
+        """Stroke III as a hot bath at beta_h (one per row, or shared)."""
+        return self.record(_gibbs(self.h2, beta_h))
+
+    def measure(self, projectors: np.ndarray) -> CycleRecord:
+        """Stroke III as the non-selective projective measurement with an outcome projector stack (-3 axis)."""
+        return self.record(_measure(self.rho1, projectors))
+
+    def dilate(self, v: np.ndarray, aux_state, aux_projectors, reset_temperature) -> CycleRecord:
+        """Stroke III as the dilation of :func:`run_povm_cycle`, with one joint unitary v per row or one shared."""
+        rho2, aux_post = _povm_stroke(self.rho1, v, aux_state, aux_projectors)
+        aux_entropy = qmat._entropy_bits(aux_post)
+        gained = aux_entropy - qmat._entropy_bits(aux_state)
+        cost = reset_temperature * LN2 * np.where(gained < 0.0, 0.0, gained)
+        return self.record(rho2, aux_entropy, cost)
 
 
 def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
@@ -397,13 +415,11 @@ def _measure(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     return x[..., 0, :, :] + x[..., 1, :, :]
 
 
-def _povm_stroke(rho: np.ndarray, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
-    # Rotate the dilated state by the joint unitary, measure the auxiliary
-    # with the joint projectors I (x) P_i, return the (system, auxiliary)
-    # marginals.
-    v = povm.joint_unitary
-    x = v @ _kron(rho, povm.aux_state) @ v.conj().T
-    return qmat._marginals(_measure(x, _kron(ID2, povm.aux_basis.projectors())))
+def _povm_stroke(rho: np.ndarray, v: np.ndarray, aux_state: np.ndarray, aux_projectors: np.ndarray):
+    # Rotate the dilated state by the joint unitary v (one per row or shared), measure the auxiliary
+    # with the joint projectors I (x) P_i, return the (system, auxiliary) marginals.
+    x = v @ _kron(rho, aux_state) @ v.conj().swapaxes(-1, -2)
+    return qmat._marginals(_measure(x, _kron(ID2, aux_projectors)))
 
 
 def pvm_stroke(rho, basis: MeasurementBasis) -> np.ndarray:
@@ -421,15 +437,14 @@ def povm_stroke(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
     r = qmat.validate_density_matrix(rho)
     if r.shape != (2, 2):
         raise ValueError(f"rho must be 2x2, got {r.shape}")
-    return _povm_stroke(r, povm)
+    return _povm_stroke(r, povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors())
 
 
 def run_conventional_cycles(params, drives) -> CycleRecord:
     """:func:`run_conventional_cycle` on each row of a grid, in one stacked pass: one record with array fields."""
     if any(x.beta_h is None for x in (params if isinstance(params, (list, tuple)) else [params])):
         raise ValueError("the conventional cycle requires beta_h")
-    s = strokes_i_ii(params, drives)
-    return s.record(_gibbs(s.h2, _field(params, "beta_h")))
+    return strokes_i_ii(params, drives).thermalize(_field(params, "beta_h"))
 
 
 def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecord:
@@ -454,8 +469,7 @@ def run_pvm_cycles(params, drives, bases) -> CycleRecord:
             raise ValueError("an array of bases must be 1-d polar angles in [0, pi]")
     else:
         theta, phi = _field(bases, "theta_x"), _field(bases, "phi_x")
-    s = strokes_i_ii(params, drives)
-    return s.record(_measure(s.rho1, basis_projectors(theta, phi)))
+    return strokes_i_ii(params, drives).measure(basis_projectors(theta, phi))
 
 
 def run_pvm_cycle(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:
@@ -471,12 +485,9 @@ def run_povm_cycles(params, drives, povm: PovmSpec, reset_temperature=None) -> C
     if reset_temperature is None:
         reset_temperature = 1.0 / _field(params, "beta_c")
     _check_finite_nonnegative("reset_temperature", float(np.max(reset_temperature)))
-    s = strokes_i_ii(params, drives)
-    rho2, aux_post = _povm_stroke(s.rho1, povm)
-    aux_entropy = qmat._entropy_bits(aux_post)
-    gained = aux_entropy - qmat._entropy_bits(povm.aux_state)
-    cost = reset_temperature * LN2 * np.where(gained < 0.0, 0.0, gained)
-    return s.record(rho2, aux_entropy, cost)
+    return strokes_i_ii(params, drives).dilate(
+        povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors(), reset_temperature
+    )
 
 
 def run_povm_cycle(

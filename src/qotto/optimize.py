@@ -9,9 +9,12 @@ linear in the dilated state, so a passive-state rearrangement of the
 eigenvectors of the driven state onto those of h2 - u h1 u^dag maximizes
 it (Allahverdyan, Balian & Nieuwenhuizen, EPL 67, 565 (2004)), and the
 net work is maximized by that unitary or by the zero-entropy one that
-only rotates the system.  Each optimum is built explicitly, stored as
-generator coefficients through its Hermitian logarithm, and valued by
-simulating the cycle, so results are reproducible bit for bit.
+only rotates the system, at any drive phase.  Each optimum is built
+explicitly, stored as generator coefficients through its Hermitian
+logarithm, and valued by simulating the cycle, so results are
+reproducible bit for bit.  One strokes pass builds the candidates of one
+row or a stack, and one cycle pass values them, one joint unitary per
+row: an optimizer call is the one-row case of a ``qotto fig3`` slice.
 """
 
 from __future__ import annotations
@@ -149,17 +152,20 @@ def optimize_pvm_basis(
     )
 
 
-def _optimal_dilations(strokes: engine.Strokes) -> tuple[np.ndarray, np.ndarray]:
-    # The gross-optimal and the zero-entropy joint unitary for an auxiliary
-    # starting in |+>.  r1, r2 are the eigenvectors of rho1, larger weight
-    # first; h+, h- the top and bottom ones of h_eff = h2 - u h1 u^dag.  The
-    # gross one maps r1|+> -> h+|+>, r2|+> -> h+|->, r1|-> -> h-|+> and
-    # r2|-> -> h-|->; the zero-entropy one rotates only the system, r1 -> h+
-    # and r2 -> h-.
-    r = qmat._hermitian_eig(strokes.rho1)[1][:, ::-1]
-    h = qmat._hermitian_eig(strokes.h2 - strokes.uh1u)[1][:, ::-1]
-    gross = np.kron(h, qmat.HADAMARD)[:, [0, 2, 1, 3]] @ np.kron(r, qmat.HADAMARD).conj().T
-    return gross, np.kron(h @ r.conj().T, qmat.ID2)
+def _optimal_dilations(strokes: engine.Strokes, net: bool = True) -> np.ndarray:
+    # The gross-optimal joint unitary for an auxiliary starting in |+>, one
+    # per row, or for net work (2,) + rows + (4, 4): it and the zero-entropy one.
+    # r1, r2 are the eigenvectors of rho1, larger weight first; h+, h- the
+    # top and bottom ones of h_eff = h2 - u h1 u^dag.  The gross one maps
+    # r1|+> -> h+|+>, r2|+> -> h+|->, r1|-> -> h-|+> and r2|-> -> h-|->; the
+    # zero-entropy one rotates only the system, r1 -> h+ and r2 -> h-.
+    r = qmat._hermitian_eig(strokes.rho1)[1][..., ::-1]
+    h = qmat._hermitian_eig(strokes.h2 - strokes.uh1u)[1][..., ::-1]
+    rh = engine._kron(r, qmat.HADAMARD)
+    gross = engine._kron(h, qmat.HADAMARD)[..., [0, 2, 1, 3]] @ rh.conj().swapaxes(-1, -2)
+    if not net:
+        return gross
+    return np.stack([gross, engine._kron(h @ r.conj().swapaxes(-1, -2), qmat.ID2)])
 
 
 def _su4_point(v: np.ndarray) -> Su4Point:
@@ -170,21 +176,29 @@ def _su4_point(v: np.ndarray) -> Su4Point:
     return Su4Point(np.einsum("jab,ba->j", _GENERATOR_STACK, h).real / 4.0)
 
 
+# The auxiliary of every dilation optimum, |+><+| measured at its poles, checked once here.
+_AUX = PovmSpec(joint_unitary=qmat.ID4)
+_AUX_PROJECTORS = _AUX.aux_basis.projectors()
+
+
+def _dilation_candidates(params, drives, t_c: float, net: bool) -> tuple[engine.CycleRecord, list[Su4Point]]:
+    # The optimal dilations of every row of (params, drives) in one strokes pass and one cycle pass: the
+    # record of the gross-optimal ones, or for net work one of shape (2,) + rows (gross-optimal, then
+    # zero-entropy), and the points, in that order.  Each candidate is valued at the unitary its point gives.
+    strokes = engine.strokes_i_ii(params, drives)
+    vs = _optimal_dilations(strokes, net)
+    points = [_su4_point(v) for v in vs.reshape(-1, 4, 4)]
+    us = np.stack([su4_from_point(pt) for pt in points])
+    if not np.max(np.abs(us.conj().swapaxes(-1, -2) @ us - qmat.ID4)) <= qmat.UNITARY_TOL:  # NaN fails too
+        raise ValueError(f"joint_unitary is not a finite unitary within {qmat.UNITARY_TOL}")
+    return strokes.dilate(us.reshape(vs.shape), _AUX.aux_state, _AUX_PROJECTORS, t_c), points
+
+
 def _optimize_dilation(params: EngineParams, drive: DriveSpec, t_c: float, net: bool) -> OptResult:
-    if drive.alpha != 0.0:
-        raise ValueError("dilation optimization fixes the drive phase alpha = 0")
-    candidates = _optimal_dilations(engine.strokes_i_ii(params, drive))[: 2 if net else 1]
-    best_value, best_point = -math.inf, None
-    for v in candidates:  # strict comparison: a tie keeps the gross-optimal one
-        point = _su4_point(v)
-        povm = PovmSpec(joint_unitary=su4_from_point(point))
-        record = engine.run_povm_cycle(params, drive, povm, reset_temperature=t_c)
-        value = record.net_work if net else record.w_total
-        if value > best_value:
-            best_value, best_point = value, point
-    return OptResult(
-        best_value=best_value, best_point=best_point, evaluations=len(candidates), converged=True
-    )
+    record, points = _dilation_candidates(params, drive, t_c, net)
+    values = record.net_work.tolist() if net else [record.w_total]
+    j = 1 if net and values[1] > values[0] else 0  # a tie keeps the gross-optimal one
+    return OptResult(best_value=values[j], best_point=points[j], evaluations=len(points), converged=True)
 
 
 def optimize_povm_work(

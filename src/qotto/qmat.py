@@ -77,15 +77,14 @@ def _marginals(rho_sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
-    # Make the first non-negligible component of each column real positive.
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            lead = col[nz[0]]
-            out[:, j] = col * (abs(lead) / lead)
-    return out
+    # Make the first non-negligible component of each column real positive,
+    # elementwise on a stack; a column with none is left as it is.
+    big = np.abs(vecs) > 1e-12
+    some = big.any(axis=-2, keepdims=True)
+    lead = np.where(some, vecs[..., -1:, :], 1.0)
+    for i in range(vecs.shape[-2] - 2, -1, -1):  # upward, so the first non-negligible entry wins
+        lead = np.where(big[..., i:i + 1, :], vecs[..., i:i + 1, :], lead)
+    return np.where(some, vecs * (np.hypot(lead.real, lead.imag) / lead), vecs)  # hypot is abs() of a scalar
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:

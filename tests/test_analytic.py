@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -429,6 +430,27 @@ class TestAuxCost:
 
     def test_defaults_to_cold_bath(self):
         assert aux_cost_record(P32) == aux_cost_record(P32, 1.0)
+
+    def test_min_cost_against_50_digits(self):
+        # exact where the pole population (1 - tz)/2 underflows 1 - (1 + tz)/2: at t_c = 0.05 and
+        # omega_z = 2 the cost is 8.7e-18, not 0
+        def exact(t_c, omega_z):
+            with mpmath.workdps(50):
+                q = 1 / (1 + mpmath.exp(mpmath.mpf(omega_z) / mpmath.mpf(t_c)))
+                return mpmath.mpf(t_c) * (-q * mpmath.log(q) - (1 - q) * mpmath.log1p(-q))
+
+        checked = 0
+        for omega_z in np.logspace(-6.0, 6.0, 37).tolist():
+            for t_c in np.logspace(math.log10(0.02), 1.0, 31).tolist():
+                got = aux_cost_record(EngineParams(omega_z, 2.5 * omega_z, 1.0), t_c).min_cost
+                ref = exact(t_c, omega_z)
+                if omega_z / t_c <= 700.0:  # the cost is a normal float, above 1e-300
+                    assert abs(got - ref) <= 1e-13 * ref, (omega_z, t_c)
+                    checked += 1
+                else:  # it underflows toward 0, as e^(-omega_z / t_c) does
+                    assert abs(got - ref) <= 1e-300, (omega_z, t_c)
+        assert checked > 700
+        assert aux_cost_record(P52, 0.05).min_cost == pytest.approx(8.709126223347777e-18, rel=1e-13)
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):

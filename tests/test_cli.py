@@ -313,6 +313,45 @@ class TestStackedRows:
         assert built == {"CycleRecord": 1, "MeasurementBasis": 0}
 
 
+class TestOneStrokesPassPerSlice:
+    """fig2 and fig3 run strokes I-II once per slice; fig3 builds no PovmSpec."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"strokes_i_ii": 0, "PovmSpec": 0}
+        strokes, init = engine.strokes_i_ii, engine.PovmSpec.__init__
+
+        def counted_strokes(*args):
+            counts["strokes_i_ii"] += 1
+            return strokes(*args)
+
+        def counted_init(self, *args, **kwargs):
+            counts["PovmSpec"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "strokes_i_ii", counted_strokes)
+        monkeypatch.setattr(engine.PovmSpec, "__init__", counted_init)
+        return counts
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3"])
+    def test_one_strokes_pass_per_slice(self, capsys, monkeypatch, counts, command):
+        monkeypatch.setattr(cli, "GRID_SLICE", 4)
+        for points, slices in ((4, 1), (9, 3), (21, 6)):
+            counts.update(strokes_i_ii=0)
+            code, _, _ = run_cli(capsys, command, "--grid-points", str(points), "--deterministic")
+            assert code == 0
+            assert counts["strokes_i_ii"] == slices
+        assert counts["PovmSpec"] == 0
+
+    def test_fig3_slices_keep_the_bytes(self, capsys, monkeypatch):
+        for argv in (("fig3",), ("fig3", "--panel", "b", "--beta-c", "3", "--t-c", "0.4", "--grid-points", "23")):
+            _, whole, _ = run_cli(capsys, *argv, "--deterministic")
+            monkeypatch.setattr(cli, "GRID_SLICE", 4)
+            _, sliced, _ = run_cli(capsys, *argv, "--deterministic")
+            monkeypatch.undo()
+            assert sliced == whole
+
+
 class TestFig4Command:
     def test_columns_and_crossing(self, capsys):
         code, out, _ = run_cli(capsys, "fig4", "--grid-points", "12", "--deterministic")
@@ -490,7 +529,8 @@ GOLDEN = [
      "fig2 --panel a --beta-c 0.7 --grid-points 41"),
     ("5409fbd8c6949c93ec6a2545ab935d9dc497475a30b4e6bd1e23cbffda937859",
      "fig2 --panel b --beta-c 3"),
-    ("fbe0a8ff7467e2b8138a79c2cc5b13c3328eeed0519956303b378112658b4b11",
+    # re-recorded when the reset cost became exact at low t_c, which moves w_a_min (before: fbe0a8ff7467e2b8...)
+    ("646f09717bd115e2a753b944258d3eff82128ca2216c25647870e699e547129a",
      "fig4 --omega-x 4.5 --omega-z 1.5 --t-c-start 0.1 --t-c-stop 3 --grid-points 37"),
     ("6bf28e3f2d9a80c008a16f75143da14897d05c4df3254d2550b248a12d85665b",
      "table1 --omega-x 5 --beta-c 1.2 --beta-h 0.3"),
@@ -507,7 +547,8 @@ GOLDEN = [
     # re-recorded when net reports began to carry their t_c (before: 629e5667616a7db6...)
     ("9e779f41cabe8d86be4985702088627ac5c7cc74d14531d643fc7ab60e96e6bb",
      "optimize-povm --omega-x 5 --p 0.8 --net --t-c 0.5"),
-    ("ea4bd14de4ee541ad9e3ab19ec43bdccd529641272223eca22e1e029c9e7b65d",
+    # re-recorded when the reset cost became exact at low t_c, which moves w_a_min (before: ea4bd14de4ee541a...)
+    ("9e30346322eac07f9690218613bda7a6c918c406cec11ebf7be655947dcc21d5",
      "fig4 --grid-points 7 --format json"),
     ("dbe1954a18c7cb60ec335b2446df36972fbfc275038a76296bbe4448c9be31bd",
      "table1 --format csv"),
@@ -515,8 +556,15 @@ GOLDEN = [
      "fig2 --panel b --beta-c 0.9 --grid-points 4100"),
     ("7ad72e09706b62127dca08da108589d59a10613172d0ba40cae696ba25d9387c",
      "fig2 --format text"),
-    ("8ad6d62774b05ee1533f35cf97c1c07338be600b71e9953cb18d5e618a61917e",
+    # re-recorded when the reset cost became exact at low t_c, which moves w_a_min (before: 8ad6d62774b05ee1...)
+    ("c0c98ea483385b7cc5b315cfffc5e141ba36f5299f5ad12baa8a3fcc38c9b4e9",
      "fig4 --grid-points 9 --format csv"),
+    ("8d10b62f6b17aff6198c34899edfed77d71c622da3e2f1c7d3f8274f34527255",
+     "fig3"),
+    ("6ed79e3cc2c16a43e02ebc53732582f255902c79d6819ac8dc5262abf949cb0b",
+     "fig3 --panel b --beta-c 3 --t-c 0.4 --grid-points 23 --format json"),
+    ("a66d5f27a45ee85cd91e07a4048d77e932010adf76a72ce5394f3b3098f5afb0",
+     "optimize-povm --omega-x 4 --p 0.6 --net --t-c 0"),
 ]
 
 

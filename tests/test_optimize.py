@@ -153,9 +153,17 @@ class TestPovmWorkOptimizer:
             assert a.best_value == b.best_value
             np.testing.assert_array_equal(a.best_point.k, b.best_point.k)
 
-    def test_rejects_phase(self):
-        with pytest.raises(ValueError):
-            optimize_povm_work(P32, DriveSpec(p=1.0, alpha=0.4))
+    def test_any_drive_phase(self):
+        # the construction never assumed alpha = 0: both optima reach their closed forms at any phase
+        rng = np.random.default_rng(41)
+        for params in (P32, P52, EngineParams(omega_z=1.0, omega_x=2.5, beta_c=3.0)):
+            for _ in range(10):
+                drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0.0, 2.0 * math.pi))
+                t_c = rng.uniform(0.0, 2.0)
+                gross = optimize_povm_work(params, drive)
+                net = optimize_povm_net_work(params, drive, t_c=t_c)
+                assert gross.best_value == pytest.approx(analytic.povm_work_ceiling(params, drive), abs=1e-10)
+                assert net.best_value == pytest.approx(analytic.povm_net_work_optimum(params, drive, t_c), abs=1e-10)
 
 
 class TestPovmNetOptimizer:
@@ -271,3 +279,33 @@ class TestClosedFormDilations:
         net = optimize_povm_net_work(P52, DriveSpec(p=0.8))
         assert (gross.evaluations, gross.converged) == (1, True)
         assert (net.evaluations, net.converged) == (2, True)
+
+
+class TestOneStrokesPass:
+    def test_strokes_once_per_call(self, monkeypatch):
+        calls = []
+        strokes = engine.strokes_i_ii
+
+        def counted(*args):
+            calls.append(args)
+            return strokes(*args)
+
+        monkeypatch.setattr(engine, "strokes_i_ii", counted)
+        optimize_povm_work(P52, DriveSpec(p=0.8))
+        assert len(calls) == 1
+        optimize_povm_net_work(P52, DriveSpec(p=0.8), t_c=0.3)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bad", [2.0 * qmat.ID4, np.full((4, 4), np.nan)])
+    def test_candidates_are_checked_unitary(self, monkeypatch, bad):
+        monkeypatch.setattr(optimize, "su4_from_point", lambda point: bad)
+        for run in (optimize_povm_work, optimize_povm_net_work):
+            with pytest.raises(ValueError, match="joint_unitary is not a finite unitary"):
+                run(P52, DriveSpec(p=0.8))
+
+    def test_gross_call_builds_only_the_gross_candidate(self):
+        strokes = engine.strokes_i_ii(P52, DriveSpec(p=0.8))
+        gross = optimize._optimal_dilations(strokes, net=False)
+        both = optimize._optimal_dilations(strokes, net=True)
+        assert gross.shape == (4, 4) and both.shape == (2, 4, 4)
+        assert gross.tobytes() == both[0].tobytes()

@@ -1,5 +1,6 @@
 """Property tests: the simulated ledgers equal their closed forms everywhere,
-and every row of a stacked grid equals the single cycle on its specs.
+and every row of a stacked grid equals the single cycle on its specs, as
+every row of stacked dilation optima equals the single optimizer call.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same inputs.  The explicit examples pin the edges the
@@ -16,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qotto import analytic
+from qotto import analytic, optimize
 from qotto.cli import main
 from qotto.engine import (
     CycleRecord,
@@ -205,6 +206,53 @@ def test_grid_rows_equal_single_cycles(rows, povm):
         run_povm_cycles(params, drives[0], spec),
         [run_povm_cycle(p, drives[0], spec) for p in params],
     )
+
+
+# Stacked dilation optima: one strokes pass and one candidate pass over many
+# rows, as fig3 runs them, give every row the single optimizer call's value
+# and point, bit for bit.
+optimum_row = st.tuples(
+    st.floats(0.2, 4.0),  # omega_z
+    st.floats(1.05, 4.0),  # gamma
+    st.floats(math.log(0.05), math.log(1e3)).map(math.exp),  # beta_c
+    st.floats(0.5, 1.0),  # p
+    angle,  # alpha
+)
+# p in {1/2, 1}, beta_c = 1e3, a gap ratio of exactly 2
+EDGE_OPTIMUM_ROWS = [
+    (2.0, 1.5, 1.0, 0.5, 0.0),
+    (2.0, 2.0, 1.0, 1.0, 0.0),
+    (1.0, 2.5, 1e3, 0.5, 1.0),
+    (1.0, 3.0, 1e3, 1.0, 0.0),
+]
+
+
+def hex_k(point):
+    return [float(c).hex() for c in point.k]
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(optimum_row, min_size=1, max_size=24), t_c=st.floats(0.0, 3.0))
+@example(rows=EDGE_OPTIMUM_ROWS, t_c=0.0)
+@example(rows=EDGE_OPTIMUM_ROWS[::-1], t_c=1.0)
+@example(rows=EDGE_OPTIMUM_ROWS[2:], t_c=1e-3)
+def test_stacked_optima_equal_single_calls(rows, t_c):
+    params = [EngineParams(wz, g * wz, bc) for wz, g, bc, _, _ in rows]
+    drives = [DriveSpec(p, alpha) for *_, p, alpha in rows]
+    both, points = optimize._dilation_candidates(params, drives, t_c, net=True)
+    gross_only, gross_points = optimize._dilation_candidates(params, drives, t_c, net=False)
+    n = len(rows)
+    assert both.w_total.shape == (2, n) and gross_only.w_total.shape == (n,)
+    assert len(points) == 2 * n and len(gross_points) == n
+    for i, (prm, drive) in enumerate(zip(params, drives)):
+        gross = optimize.optimize_povm_work(prm, drive)
+        net = optimize.optimize_povm_net_work(prm, drive, t_c=t_c)
+        for value, point in ((both.w_total[0, i], points[i]), (gross_only.w_total[i], gross_points[i])):
+            assert float(value).hex() == gross.best_value.hex()
+            assert hex_k(point) == hex_k(gross.best_point)
+        j = 1 if both.net_work[1, i] > both.net_work[0, i] else 0  # a tie keeps the gross-optimal one
+        assert float(both.net_work[j, i]).hex() == net.best_value.hex()
+        assert hex_k(points[j * n + i]) == hex_k(net.best_point)
 
 
 # The command line: with --deterministic, a report is a pure function of argv.

@@ -165,6 +165,35 @@ class TestHermitianEig:
                 lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
                 assert abs(lead.imag) < 1e-12 and lead.real > 0.0
 
+    def test_phase_fix_equals_the_column_loop(self):
+        def column_loop(vecs):  # the per-column reference the vectorized form replaced
+            out = vecs.copy()
+            for j in range(out.shape[1]):
+                col = out[:, j]
+                nz = np.flatnonzero(np.abs(col) > 1e-12)
+                if nz.size:
+                    lead = col[nz[0]]
+                    out[:, j] = col * (abs(lead) / lead)
+            return out
+
+        rng = np.random.default_rng(29)
+        cases = []
+        for dim in (2, 4):
+            for _ in range(200):
+                cases.append(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            zero_leading = cases[-1].copy()
+            zero_leading[: dim // 2] = 0.0  # the lead sits below one or more exact zeros
+            tiny_leading = cases[-2].copy()
+            tiny_leading[0] = 1e-13 * (1.0 - 1.0j)  # negligible, but not zero
+            all_tiny = cases[-3].copy()
+            all_tiny[:, 0] *= 1e-14  # a column with no lead is left alone
+            all_tiny[:, -1] = -0.0
+            cases += [zero_leading, tiny_leading, all_tiny, hermitian_eig(random_hermitian(rng, dim))[1]]
+        for vecs in cases:
+            assert qmat._phase_fix(vecs).tobytes() == column_loop(vecs).tobytes()
+        stack = np.stack(cases[:200])
+        assert qmat._phase_fix(stack).tobytes() == np.stack([column_loop(v) for v in cases[:200]]).tobytes()
+
     def test_deterministic_on_degenerate_input(self):
         joint = np.kron(SIGMA_X, ID2)
         first = hermitian_eig(joint)
