@@ -138,11 +138,6 @@ def pvm_best_p(params: EngineParams) -> PvmBestP:
     return PvmBestP(p_star=1.0, work=0.5 * tz * (wx - wz), eta=1.0 - wz / wx)
 
 
-class PovmOptimum(NamedTuple):
-    work: float
-    v0: np.ndarray
-
-
 # Permutation whose matrix in the product eigenbasis of sigma_x (x) sigma_x
 # swaps the middle two basis states; it moves the support of the dilated
 # thermal state onto the high-energy eigenspace of the measurement-stroke
@@ -156,17 +151,6 @@ def optimal_dilation_unitary() -> np.ndarray:
     """The work-optimal adiabatic joint unitary, in the computational product basis."""
     t = np.kron(qmat.HADAMARD, qmat.HADAMARD)
     return t @ _SWAP_MIDDLE @ t
-
-
-def povm_adiabatic_optimal(params: EngineParams) -> PovmOptimum:
-    """Optimal adiabatic generalized-measurement work and a unitary attaining it.
-
-    The optimum over all two-outcome generalized measurements with a pure
-    auxiliary is (1/2)(wx - wz)(1 + tz); running the simulated cycle with
-    the returned unitary at p = 1 attains it.
-    """
-    work = 0.5 * (params.omega_x - params.omega_z) * (1.0 + params.tau_z)
-    return PovmOptimum(work=work, v0=optimal_dilation_unitary())
 
 
 def povm_work_ceiling(params: EngineParams, drive: DriveSpec) -> float:
@@ -211,17 +195,6 @@ def rearrangement_energy_bound(h, rho) -> float:
     if hm.shape != rm.shape:
         raise ValueError(f"dimension mismatch: {hm.shape} vs {rm.shape}")
     return float(np.sort(np.linalg.eigvalsh(hm)) @ np.sort(np.linalg.eigvalsh(rm)))
-
-
-def binary_entropy_bits(p: float) -> float:
-    """H2(p) in bits with the 0 log 0 = 0 convention."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability out of range: {p}")
-    out = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            out -= q * math.log2(q)
-    return out
 
 
 def _reset_cost(t_c: float, x: float) -> float:

@@ -230,14 +230,17 @@ def cmd_fig4(args) -> RunReport:
     spec = SweepSpec("t_c", args.t_c_start, args.t_c_stop, args.grid_points)
     crossing = analytic.reset_crossing_temperature(params)
     povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
+    aux_projectors = povm.aux_basis.projectors()
     rows = []
     for t_cs in spec.slices():
         try:  # only the bound on beta_c * omega_x can fail, first at the coldest point
             colds = [EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / t_c) for t_c in t_cs]
         except ValueError as exc:
             raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
-        residual = engine.run_povm_cycles(colds, DriveSpec(p=1.0), povm).first_law_residual
-        for t_c, res in zip(t_cs, residual.tolist()):
+        cycles = engine.strokes_i_ii(colds, DriveSpec(p=1.0)).dilate(
+            povm.joint_unitary, povm.aux_state, aux_projectors, np.array(t_cs)  # each row resets at its t_c
+        )
+        for t_c, res in zip(t_cs, cycles.first_law_residual.tolist()):
             rec = analytic.aux_cost_record(params, t_c)
             rows.append((t_c, rec.delta_w, rec.min_cost, res))
     return RunReport(
@@ -254,7 +257,7 @@ def cmd_table1(args) -> RunReport:
     eta0 = 1.0 - args.omega_z / args.omega_x
     w_conv = analytic.conventional_record(params, 1.0).w_total
     w_pvm = analytic.pvm_nonadiabatic_record(params, DriveSpec(1.0), MeasurementBasis(math.pi / 2.0)).w_total
-    w_povm = analytic.povm_adiabatic_optimal(params).work
+    w_povm = analytic.povm_work_ceiling(params, DriveSpec(1.0))
     best = analytic.pvm_best_p(params)
     # povm_work_ceiling's closed form over its 1001-point p-grid, as one array expression
     wz, wx, p = args.omega_z, args.omega_x, np.linspace(0.5, 1.0, 1001)

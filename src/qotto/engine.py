@@ -7,15 +7,16 @@ projective measurement, or a non-selective generalized measurement
 realized by a joint unitary with a qubit auxiliary followed by a
 projective measurement on the auxiliary.
 
-Every cycle, grid (``run_*_cycles``: a list of specs gives one row each, a
-single spec is shared) and optimizer objective runs through one unchecked
+Every cycle, grid and optimizer objective runs through one unchecked
 kernel broadcast over a leading row axis, a single cycle being its 0-d case:
-:func:`strokes_i_ii`, then one of the stroke-III methods of
-:class:`Strokes` (a hot bath, a projective measurement, or a dilation whose
-joint unitary may differ per row), and :meth:`CycleRecord.from_energies`,
-which gives a grid one record whose fields are arrays over the rows.
-Inputs are checked when a spec type is built or a raw array enters a
-public function.
+:func:`strokes_i_ii` (a list of specs gives one row each, a single spec is
+shared), then one of the stroke-III methods of :class:`Strokes` (a hot
+bath, a projective measurement, or a dilation whose joint unitary may
+differ per row), and :meth:`CycleRecord.from_energies`, which gives a grid
+one record whose fields are arrays over the rows.  ``run_*_cycle`` checks
+one cycle's inputs and runs it; a grid calls the kernel directly with
+inputs its caller has already checked.  Inputs are checked when a spec
+type is built or a raw array enters a public function.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -440,54 +441,20 @@ def povm_stroke(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
     return _povm_stroke(r, povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors())
 
 
-def run_conventional_cycles(params, drives) -> CycleRecord:
-    """:func:`run_conventional_cycle` on each row of a grid, in one stacked pass: one record with array fields."""
-    if any(x.beta_h is None for x in (params if isinstance(params, (list, tuple)) else [params])):
-        raise ValueError("the conventional cycle requires beta_h")
-    return strokes_i_ii(params, drives).thermalize(_field(params, "beta_h"))
-
-
 def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecord:
     """Two-bath cycle: stroke III thermalizes at the hot inverse temperature.
 
     Stroke IV applies the reversed drive (the adjoint of the stroke-II
     unitary), so one drive parametrizes both work strokes.
     """
-    return run_conventional_cycles(params, drive)
-
-
-def run_pvm_cycles(params, drives, bases) -> CycleRecord:
-    """:func:`run_pvm_cycle` on each row of a grid, in one stacked pass: one record with array fields.
-
-    ``bases`` is one basis, a list of them, or a 1-d array of polar angles
-    theta_x in [0, pi] at phi_x = 0, where the work-optimal bases of a
-    phase-0 drive lie (:func:`qotto.analytic.pvm_optimal_theta`).
-    """
-    if isinstance(bases, np.ndarray):
-        theta, phi = bases, 0.0
-        if theta.ndim != 1 or not np.all((theta >= 0.0) & (theta <= math.pi)):
-            raise ValueError("an array of bases must be 1-d polar angles in [0, pi]")
-    else:
-        theta, phi = _field(bases, "theta_x"), _field(bases, "phi_x")
-    return strokes_i_ii(params, drives).measure(basis_projectors(theta, phi))
+    if params.beta_h is None:
+        raise ValueError("the conventional cycle requires beta_h")
+    return strokes_i_ii(params, drive).thermalize(params.beta_h)
 
 
 def run_pvm_cycle(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:
     """Measurement-fueled cycle: stroke III is a non-selective projective measurement."""
-    return run_pvm_cycles(params, drive, basis)
-
-
-def run_povm_cycles(params, drives, povm: PovmSpec, reset_temperature=None) -> CycleRecord:
-    """:func:`run_povm_cycle` on each row of a grid, in one stacked pass: one record with array fields.
-
-    ``povm`` and ``reset_temperature`` are shared by every row.
-    """
-    if reset_temperature is None:
-        reset_temperature = 1.0 / _field(params, "beta_c")
-    _check_finite_nonnegative("reset_temperature", float(np.max(reset_temperature)))
-    return strokes_i_ii(params, drives).dilate(
-        povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors(), reset_temperature
-    )
+    return strokes_i_ii(params, drive).measure(basis.projectors())
 
 
 def run_povm_cycle(
@@ -508,4 +475,9 @@ def run_povm_cycle(
     the entropy it gains, and the pure default pays T ln 2 S_post.
     ``aux_entropy`` reports S_post.
     """
-    return run_povm_cycles(params, drive, povm, reset_temperature)
+    if reset_temperature is None:
+        reset_temperature = 1.0 / params.beta_c
+    _check_finite_nonnegative("reset_temperature", reset_temperature)
+    return strokes_i_ii(params, drive).dilate(
+        povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors(), reset_temperature
+    )

@@ -10,11 +10,14 @@ eigenvectors of the driven state onto those of h2 - u h1 u^dag maximizes
 it (Allahverdyan, Balian & Nieuwenhuizen, EPL 67, 565 (2004)), and the
 net work is maximized by that unitary or by the zero-entropy one that
 only rotates the system, at any drive phase.  Each optimum is built
-explicitly, stored as generator coefficients through its Hermitian
-logarithm, and valued by simulating the cycle, so results are
-reproducible bit for bit.  One strokes pass builds the candidates of one
-row or a stack, and one cycle pass values them, one joint unitary per
-row: an optimizer call is the one-row case of a ``qotto fig3`` slice.
+explicitly and valued by simulating the cycle with that unitary, so
+results are reproducible bit for bit.  One strokes pass builds the
+candidates of one row or a stack, and one cycle pass values them, one
+joint unitary per row: an optimizer call is the one-row case of a
+``qotto fig3`` slice.  Only the winner of an optimizer call is turned
+into generator coefficients, through its Hermitian logarithm; that
+point's unitary is the valued one up to a global phase and rounding, so
+re-simulating it reproduces the value to about 1e-14.
 """
 
 from __future__ import annotations
@@ -181,24 +184,23 @@ _AUX = PovmSpec(joint_unitary=qmat.ID4)
 _AUX_PROJECTORS = _AUX.aux_basis.projectors()
 
 
-def _dilation_candidates(params, drives, t_c: float, net: bool) -> tuple[engine.CycleRecord, list[Su4Point]]:
+def _dilation_candidates(params, drives, t_c: float, net: bool) -> tuple[engine.CycleRecord, np.ndarray]:
     # The optimal dilations of every row of (params, drives) in one strokes pass and one cycle pass: the
     # record of the gross-optimal ones, or for net work one of shape (2,) + rows (gross-optimal, then
-    # zero-entropy), and the points, in that order.  Each candidate is valued at the unitary its point gives.
+    # zero-entropy), and the joint unitaries it values, in that order.
     strokes = engine.strokes_i_ii(params, drives)
     vs = _optimal_dilations(strokes, net)
-    points = [_su4_point(v) for v in vs.reshape(-1, 4, 4)]
-    us = np.stack([su4_from_point(pt) for pt in points])
-    if not np.max(np.abs(us.conj().swapaxes(-1, -2) @ us - qmat.ID4)) <= qmat.UNITARY_TOL:  # NaN fails too
+    if not np.max(np.abs(vs.conj().swapaxes(-1, -2) @ vs - qmat.ID4)) <= qmat.UNITARY_TOL:  # NaN fails too
         raise ValueError(f"joint_unitary is not a finite unitary within {qmat.UNITARY_TOL}")
-    return strokes.dilate(us.reshape(vs.shape), _AUX.aux_state, _AUX_PROJECTORS, t_c), points
+    return strokes.dilate(vs, _AUX.aux_state, _AUX_PROJECTORS, t_c), vs
 
 
 def _optimize_dilation(params: EngineParams, drive: DriveSpec, t_c: float, net: bool) -> OptResult:
-    record, points = _dilation_candidates(params, drive, t_c, net)
+    record, vs = _dilation_candidates(params, drive, t_c, net)
     values = record.net_work.tolist() if net else [record.w_total]
     j = 1 if net and values[1] > values[0] else 0  # a tie keeps the gross-optimal one
-    return OptResult(best_value=values[j], best_point=points[j], evaluations=len(points), converged=True)
+    point = _su4_point(vs.reshape(-1, 4, 4)[j])  # only the winner is turned into coefficients
+    return OptResult(best_value=values[j], best_point=point, evaluations=len(values), converged=True)
 
 
 def optimize_povm_work(
@@ -212,8 +214,9 @@ def optimize_povm_work(
     that rearranges the eigenvectors of the driven state onto the top
     eigenvector of h2 - u h1 u^dag attains the maximum,
     :func:`qotto.analytic.povm_work_ceiling`; the value is the simulated
-    cycle at the returned point (one evaluation).  ``cfg`` has no effect and
-    is kept for existing callers.
+    cycle at that unitary (one evaluation), which the returned point
+    reproduces up to a global phase and rounding.  ``cfg`` has no effect
+    and is kept for existing callers.
     """
     return _optimize_dilation(params, drive, t_c=1.0 / params.beta_c, net=False)
 

@@ -9,7 +9,6 @@ from qotto.analytic import (
     aux_cost_record,
     conventional_record,
     optimal_dilation_unitary,
-    povm_adiabatic_optimal,
     povm_net_work_optimum,
     povm_work_ceiling,
     pvm_best_p,
@@ -301,10 +300,10 @@ class TestPvmBestP:
 
 class TestPovmOptimal:
     def test_closed_form_and_simulation(self):
-        opt = povm_adiabatic_optimal(P32)
-        assert opt.work == pytest.approx(0.5 * (1.0 + TANH1), abs=1e-14)
-        rec = engine.run_povm_cycle(P32, DriveSpec(p=1.0), PovmSpec(joint_unitary=opt.v0))
-        assert rec.w_total == pytest.approx(opt.work, abs=1e-10)
+        work = 0.5 * (3.0 - 2.0) * (1.0 + TANH1)  # (1/2)(wx - wz)(1 + tz)
+        assert povm_work_ceiling(P32, ADIABATIC) == pytest.approx(work, abs=1e-14)
+        rec = engine.run_povm_cycle(P32, ADIABATIC, PovmSpec(joint_unitary=optimal_dilation_unitary()))
+        assert rec.w_total == pytest.approx(work, abs=1e-10)
 
     def test_v0_is_the_stated_permutation(self):
         t = np.kron(qmat.HADAMARD, qmat.HADAMARD)
@@ -314,7 +313,7 @@ class TestPovmOptimal:
 
     def test_cold_limit(self):
         params = EngineParams(2.0, 3.0, 200.0)
-        assert povm_adiabatic_optimal(params).work == pytest.approx(1.0, abs=1e-12)
+        assert povm_work_ceiling(params, ADIABATIC) == pytest.approx(1.0, abs=1e-12)
 
     def test_rearrangement_attains_half_omega_x(self):
         rho0 = engine._gibbs(engine.hamiltonian_h1(P32), 1.0)
@@ -329,7 +328,8 @@ class TestWorkCeiling:
     def test_reduces_to_adiabatic_optimum(self):
         for params in (P32, P52):
             ceiling = povm_work_ceiling(params, DriveSpec(p=1.0))
-            assert ceiling == pytest.approx(povm_adiabatic_optimal(params).work, abs=1e-13)
+            adiabatic = 0.5 * (params.omega_x - params.omega_z) * (1.0 + params.tau_z)
+            assert ceiling == pytest.approx(adiabatic, abs=1e-13)
 
     def test_matches_rearrangement_construction(self):
         # independent route: pair eigenvectors of the effective observable
@@ -559,5 +559,5 @@ class TestCrossEngineGaps:
     def test_generalized_vs_projective_gap_constant_in_beta(self):
         for beta_c in (0.2, 0.5, 1.0, 2.0, 5.0):
             params = EngineParams(2.0, 3.0, beta_c)
-            gap = povm_adiabatic_optimal(params).work - pvm_optimal(params, 1.0).work
+            gap = povm_work_ceiling(params, ADIABATIC) - pvm_optimal(params, 1.0).work
             assert gap == pytest.approx(0.5, abs=1e-13)

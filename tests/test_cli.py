@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -9,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qotto import analytic, cli, engine
+from qotto import analytic, cli, engine, optimize
 from qotto.cli import RunReport, SweepSpec, main, render_report
 from qotto.engine import DriveSpec, EngineParams
 
@@ -540,7 +542,8 @@ GOLDEN = [
      "cycle --engine pvm --p 0.8 --alpha 0.3 --theta 1.1 --phi 0.4"),
     ("01b27782366039b7f92de9c906c6fb6ceec027125729e63c5e73d3ed771dd804",
      "cycle --engine povm --v0 --p 0.7 --theta 0.9 --phi 1.5 --t-c 0.5"),
-    ("4c5eed128c9defbd69abf015b3ca706d6a73cd184ecfac86c30c6d728e56e9df",
+    # re-recorded when fig3 began to value its built unitaries; residuals move at rounding (before: 4c5eed128c9defbd...)
+    ("2ff314914dc1374d887f01710ca07c5662053c974a417a44dcb9d3d8b33b5d09",
      "fig3 --panel b --grid-points 5"),
     ("b9ce8ab6dc7d44a4fdc459b43c448eea81c8da05fd445df2b4ed1631a3d810c0",
      "optimize-povm --omega-x 5 --p 0.8"),
@@ -559,9 +562,11 @@ GOLDEN = [
     # re-recorded when the reset cost became exact at low t_c, which moves w_a_min (before: 8ad6d62774b05ee1...)
     ("c0c98ea483385b7cc5b315cfffc5e141ba36f5299f5ad12baa8a3fcc38c9b4e9",
      "fig4 --grid-points 9 --format csv"),
-    ("8d10b62f6b17aff6198c34899edfed77d71c622da3e2f1c7d3f8274f34527255",
+    # re-recorded when fig3 began to value its built unitaries; residuals move at rounding (before: 8d10b62f6b17aff6...)
+    ("6fdbf1d0e4aedfa838de1abdefda3573793e66824470e11955d7b9755e6a0689",
      "fig3"),
-    ("6ed79e3cc2c16a43e02ebc53732582f255902c79d6819ac8dc5262abf949cb0b",
+    # re-recorded when fig3 began to value its built unitaries; residuals move at rounding (before: 6ed79e3cc2c16a43...)
+    ("28af002ed2b893474f1646be671c08f061379b0978155ae978f4758eda4197ca",
      "fig3 --panel b --beta-c 3 --t-c 0.4 --grid-points 23 --format json"),
     ("a66d5f27a45ee85cd91e07a4048d77e932010adf76a72ce5394f3b3098f5afb0",
      "optimize-povm --omega-x 4 --p 0.6 --net --t-c 0"),
@@ -574,6 +579,48 @@ class TestGoldenBytes:
         code, out, _ = run_cli(capsys, *argv.split(), "--deterministic")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def readme_commands():
+    """Every ``qotto ...`` line of README.md's ``sh`` blocks, in order, as argv without the program name."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    return [shlex.split(line, comments=True)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("qotto ")]
+
+
+class TestReadmeExamples:
+    """The README's examples run as written, and a written optimum reproduces its value."""
+
+    def test_every_example_runs(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        results, records, written = [], [], {}
+
+        def spy(module, name, log):  # record every value the command computes, at full precision
+            run = getattr(module, name)
+
+            def logged(*args, **kwargs):
+                log.append(run(*args, **kwargs))
+                return log[-1]
+
+            monkeypatch.setattr(module, name, logged)
+
+        spy(optimize, "optimize_povm_work", results)
+        spy(optimize, "optimize_povm_net_work", results)
+        spy(engine, "run_povm_cycle", records)
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {"cycle", "fig2", "fig3", "fig4", "table1", "optimize-povm"}
+        compared = 0
+        for argv in commands:
+            code, _, err = run_cli(capsys, *argv, "--deterministic")
+            assert code == 0, (argv, err)
+            if "--su4-out" in argv:
+                written[argv[argv.index("--su4-out") + 1]] = results[-1].best_value
+            if "--su4-file" in argv:
+                value = written[argv[argv.index("--su4-file") + 1]]
+                assert abs(records[-1].w_total - value) <= 1e-12, argv
+                compared += 1
+        assert compared >= 1
 
 
 class TestParser:

@@ -547,30 +547,15 @@ class TestKernel:
             single = [run_pvm_cycle(P52, drive, MeasurementBasis(theta, ph)).w_total for ph in phis]
             np.testing.assert_array_equal(row, single)
 
-    def test_grid_requires_beta_h_in_every_row(self):
-        hot = EngineParams(2.0, 3.0, 1.0, beta_h=0.2)
-        for params in (P32, [hot, P32]):
-            with pytest.raises(ValueError, match="requires beta_h"):
-                engine.run_conventional_cycles(params, DriveSpec(p=0.7))
-
     def test_grid_rows_must_agree(self):
         drives = [DriveSpec(p=0.6), DriveSpec(p=0.7)]
+        strokes = engine.strokes_i_ii(P32, drives)
         with pytest.raises(ValueError):
-            engine.run_pvm_cycles(P32, drives, [MeasurementBasis(1.0)] * 3)
+            strokes.measure(engine.basis_projectors(np.ones(3), 0.0))
         with pytest.raises(ValueError):
-            engine.run_conventional_cycles([EngineParams(2.0, 3.0, 1.0, beta_h=0.2)] * 3, drives)
-
-    def test_bases_as_an_array_of_polar_angles(self):
-        # an array of theta_x is the list of bases at those angles and phi_x = 0, bit for bit
-        drives = [DriveSpec(p=p) for p in (0.5, 0.6, 0.8, 1.0)]
-        thetas = np.array([0.0, 1.0, 2.5, math.pi])
-        grid = engine.run_pvm_cycles(P52, drives, thetas)
-        ref = engine.run_pvm_cycles(P52, drives, [MeasurementBasis(t) for t in thetas.tolist()])
-        for name in ("e0", "e1", "e2", "e3", "w_total", "q_c", "q_h", "eta"):
-            np.testing.assert_array_equal(getattr(grid, name), getattr(ref, name))
-        for bad in (np.array([0.5, -0.1, 1.0, 1.0]), np.array([0.5, math.nan, 1.0, 1.0]), np.ones((2, 2))):
-            with pytest.raises(ValueError, match="polar angles in \\[0, pi\\]"):
-                engine.run_pvm_cycles(P52, drives[:len(bad)], bad)
+            strokes.thermalize(np.full(3, 0.2))
+        with pytest.raises(ValueError):
+            engine.strokes_i_ii([EngineParams(2.0, 3.0, 1.0, beta_h=0.2)] * 3, drives)
 
     def test_stacked_drive_unitaries(self):
         drives = [DriveSpec(p=0.5), DriveSpec(p=0.8, alpha=1.2), DriveSpec(p=1.0, alpha=5.0)]

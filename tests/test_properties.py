@@ -25,12 +25,11 @@ from qotto.engine import (
     EngineParams,
     MeasurementBasis,
     PovmSpec,
+    basis_projectors,
     run_conventional_cycle,
-    run_conventional_cycles,
     run_povm_cycle,
-    run_povm_cycles,
     run_pvm_cycle,
-    run_pvm_cycles,
+    strokes_i_ii,
 )
 from qotto.optimize import Su4Point, su4_from_point
 
@@ -101,9 +100,10 @@ def test_pvm_cycle_matches_closed_form(omega_z, gamma, beta_c, hot_fraction, p, 
     assert_ledgers_equal(sim, analytic.pvm_nonadiabatic_record(params, drive, basis))
 
 
-# Grid rows: a stacked grid returns one record of columns, and row i of
-# every column is the single cycle on that row's specs, bit for bit; a
-# grid's eta is NaN exactly where the single cycle's is None.
+# Grid rows: strokes_i_ii on lists of specs, then a stroke-III method,
+# returns one record of columns, and row i of every column is the single
+# cycle on that row's specs, bit for bit; a grid's eta is NaN exactly where
+# the single cycle's is None.
 grid_row = st.tuples(
     st.floats(0.2, 4.0),  # omega_z
     st.floats(1.05, 4.0),  # gamma
@@ -173,37 +173,44 @@ def assert_rows_bitwise(grid, singles):
 def test_grid_rows_equal_single_cycles(rows, povm):
     params, drives, bases = grid_specs(rows)
     spec = povm_spec(*povm)
+    thetas = np.array([b.theta_x for b in bases])
+    phis = np.array([b.phi_x for b in bases])
+    strokes = strokes_i_ii(params, drives)
+
+    def dilate(strokes, reset_temperature):
+        return strokes.dilate(spec.joint_unitary, spec.aux_state, spec.aux_basis.projectors(), reset_temperature)
+
     assert_rows_bitwise(
-        run_conventional_cycles(params, drives),
+        strokes.thermalize(np.array([x.beta_h for x in params])),
         [run_conventional_cycle(p, d) for p, d in zip(params, drives)],
     )
     assert_rows_bitwise(
-        run_pvm_cycles(params, drives, bases),
+        strokes.measure(basis_projectors(thetas, phis)),
         [run_pvm_cycle(p, d, b) for p, d, b in zip(params, drives, bases)],
     )
     assert_rows_bitwise(
-        run_povm_cycles(params, drives, spec),
+        dilate(strokes, 1.0 / np.array([x.beta_c for x in params])),
         [run_povm_cycle(p, d, spec) for p, d in zip(params, drives)],
     )
     assert_rows_bitwise(
-        run_povm_cycles(params, drives, spec, reset_temperature=0.7),
+        dilate(strokes, 0.7),
         [run_povm_cycle(p, d, spec, reset_temperature=0.7) for p, d in zip(params, drives)],
     )
     # a single spec is shared by every row, as fig2 shares its parameters and fig4 its drive
     assert_rows_bitwise(
-        run_pvm_cycles(params[0], drives, bases),
+        strokes_i_ii(params[0], drives).measure(basis_projectors(thetas, phis)),
         [run_pvm_cycle(params[0], d, b) for d, b in zip(drives, bases)],
     )
     assert_rows_bitwise(
-        run_pvm_cycles(params[0], drives[0], bases),
+        strokes_i_ii(params[0], drives[0]).measure(basis_projectors(thetas, phis)),
         [run_pvm_cycle(params[0], drives[0], b) for b in bases],
     )
     assert_rows_bitwise(
-        run_pvm_cycles(params, drives, bases[0]),
+        strokes.measure(bases[0].projectors()),
         [run_pvm_cycle(p, d, bases[0]) for p, d in zip(params, drives)],
     )
     assert_rows_bitwise(
-        run_povm_cycles(params, drives[0], spec),
+        dilate(strokes_i_ii(params, drives[0]), 1.0 / np.array([x.beta_c for x in params])),
         [run_povm_cycle(p, drives[0], spec) for p in params],
     )
 
@@ -237,22 +244,27 @@ def hex_k(point):
 @example(rows=EDGE_OPTIMUM_ROWS[::-1], t_c=1.0)
 @example(rows=EDGE_OPTIMUM_ROWS[2:], t_c=1e-3)
 def test_stacked_optima_equal_single_calls(rows, t_c):
+    # each row's candidates, their values and the point of the chosen one equal the single call's
     params = [EngineParams(wz, g * wz, bc) for wz, g, bc, _, _ in rows]
     drives = [DriveSpec(p, alpha) for *_, p, alpha in rows]
-    both, points = optimize._dilation_candidates(params, drives, t_c, net=True)
-    gross_only, gross_points = optimize._dilation_candidates(params, drives, t_c, net=False)
+    both, vs = optimize._dilation_candidates(params, drives, t_c, net=True)
+    gross_only, gross_vs = optimize._dilation_candidates(params, drives, t_c, net=False)
     n = len(rows)
     assert both.w_total.shape == (2, n) and gross_only.w_total.shape == (n,)
-    assert len(points) == 2 * n and len(gross_points) == n
+    assert vs.shape == (2, n, 4, 4) and gross_vs.shape == (n, 4, 4)
     for i, (prm, drive) in enumerate(zip(params, drives)):
+        gross_v = optimize._dilation_candidates(prm, drive, t_c, net=False)[1]
+        net_vs = optimize._dilation_candidates(prm, drive, t_c, net=True)[1]
+        assert gross_vs[i].tobytes() == vs[0, i].tobytes() == gross_v.tobytes() == net_vs[0].tobytes()
+        assert vs[1, i].tobytes() == net_vs[1].tobytes()
         gross = optimize.optimize_povm_work(prm, drive)
         net = optimize.optimize_povm_net_work(prm, drive, t_c=t_c)
-        for value, point in ((both.w_total[0, i], points[i]), (gross_only.w_total[i], gross_points[i])):
+        for value in (both.w_total[0, i], gross_only.w_total[i]):
             assert float(value).hex() == gross.best_value.hex()
-            assert hex_k(point) == hex_k(gross.best_point)
+        assert hex_k(optimize._su4_point(vs[0, i])) == hex_k(gross.best_point)
         j = 1 if both.net_work[1, i] > both.net_work[0, i] else 0  # a tie keeps the gross-optimal one
         assert float(both.net_work[j, i]).hex() == net.best_value.hex()
-        assert hex_k(points[j * n + i]) == hex_k(net.best_point)
+        assert hex_k(optimize._su4_point(vs[j, i])) == hex_k(net.best_point)
 
 
 # The command line: with --deterministic, a report is a pure function of argv.
