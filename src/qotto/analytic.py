@@ -177,9 +177,7 @@ def povm_net_work_optimum(params: EngineParams, drive: DriveSpec, t_c: float | N
     H2((1 + tz)/2), and the zero-entropy one that only rotates the system:
     (tz/2)(a wx - wz) + max(D/2 - t_c ln2 H2((1 + tz)/2), tz D/2).
     """
-    if t_c is None:
-        t_c = 1.0 / params.beta_c
-    _check_finite_nonnegative("t_c", t_c)
+    t_c = _check_finite_nonnegative("t_c", 1.0 / params.beta_c if t_c is None else t_c)
     tz = params.tau_z
     d = discriminant(params, drive.p)
     cost = _reset_cost(t_c, params.beta_c * params.omega_z)

@@ -171,7 +171,7 @@ def cmd_cycle(args) -> RunReport:
         meta["aux_theta_x"], meta["aux_phi_x"] = aux_basis.theta_x, aux_basis.phi_x
         record = engine.run_povm_cycle(params, drive, povm, reset_temperature=args.t_c)
         if args.t_c is not None:
-            meta["t_c"] = args.t_c
+            meta["t_c"] = args.t_c + 0.0  # a -0 prints as 0, as the cycle takes it
     return RunReport(meta=meta, columns=RECORD_COLUMNS, rows=[tuple(getattr(record, c) for c in RECORD_COLUMNS)])
 
 
@@ -206,8 +206,7 @@ def cmd_fig3(args) -> RunReport:
     omega_x, omega_z = _PANELS[args.panel]
     spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
     params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c)
-    t_c = args.t_c if args.t_c is not None else 1.0 / args.beta_c
-    engine._check_finite_nonnegative("t_c", t_c)
+    t_c = engine._check_finite_nonnegative("t_c", args.t_c if args.t_c is not None else 1.0 / args.beta_c)
     rows = []
     for ps in spec.slices():
         # both candidates of every row in one pass; the net optimum is the better, a tie keeping the gross one
@@ -296,7 +295,7 @@ def cmd_optimize_povm(args) -> RunReport:
         p=args.p, objective="net" if args.net else "gross",
     )
     if args.net:
-        meta["t_c"] = t_c
+        meta["t_c"] = t_c + 0.0  # a -0 prints as 0, as the optimizer takes it
     columns = ("best_value", "evaluations", "converged") + tuple(
         f"k_{label}" for label in optimize.SU4_GENERATOR_LABELS
     )

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .qmat import ID2, KET_MINUS, KET_PLUS, SIGMA_X, SIGMA_Z
+from .qmat import KET_MINUS, KET_PLUS, SIGMA_X, SIGMA_Z
 
 LN2 = math.log(2.0)
 
@@ -45,9 +45,11 @@ TWO_PI = 2.0 * math.pi
 ENGINE_TOL = 1e-12
 
 
-def _check_finite_nonnegative(name: str, value: float) -> None:
+def _check_finite_nonnegative(name: str, value: float) -> float:
+    # The checked value, a -0.0 made +0.0 so that it prints as 0.
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value + 0.0
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,6 @@ class MeasurementBasis:
         return basis_projectors(self.theta_x, self.phi_x)
 
 
-def _plus_projector() -> np.ndarray:
-    return np.outer(KET_PLUS, KET_PLUS.conj())
-
-
 @dataclass(frozen=True, eq=False)
 class PovmSpec:
     """Two-outcome generalized measurement given as a dilation.
@@ -215,7 +213,7 @@ class PovmSpec:
     """
 
     joint_unitary: np.ndarray
-    aux_state: np.ndarray = field(default_factory=_plus_projector)
+    aux_state: np.ndarray = field(default_factory=lambda: np.outer(KET_PLUS, KET_PLUS.conj()))
     aux_basis: MeasurementBasis = MeasurementBasis(0.0, 0.0)
 
     def __post_init__(self):
@@ -344,9 +342,9 @@ def drive_unitary(drive: DriveSpec) -> np.ndarray:
 
 
 def _expect(h: np.ndarray, rho: np.ndarray):
-    # Tr(h rho) of one state or of a stack; + 0.0 turns -0.0 + -0.0 into +0.0, as ndarray.trace does.
-    x = (h @ rho).real
-    return x[..., 0, 0] + x[..., 1, 1] + 0.0
+    # Tr(h rho) = sum_jk (Re h_jk Re rho_jk + Im h_jk Im rho_jk) of Hermitian h and rho (or stacks), from their real
+    # views, so both need a contiguous trailing axis; + 0.0 turns a sum of -0.0 into +0.0, as ndarray.trace does.
+    return np.add.reduce(h.view(float) * rho.view(float), axis=(-2, -1)) + 0.0
 
 
 class Strokes(NamedTuple):
@@ -380,7 +378,7 @@ class Strokes(NamedTuple):
         return self.record(_gibbs(self.h2, beta_h))
 
     def measure(self, projectors: np.ndarray) -> CycleRecord:
-        """Stroke III as the non-selective projective measurement with an outcome projector stack (-3 axis)."""
+        """Stroke III as the non-selective measurement with a stack of rank-one outcome projectors (-3 axis)."""
         return self.record(_measure(self.rho1, projectors))
 
     def dilate(self, v: np.ndarray, aux_state, aux_projectors, reset_temperature) -> CycleRecord:
@@ -410,21 +408,23 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _measure(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    # Non-selective projective measurement sum_i P_i rho P_i over the outcome
-    # axis (-3) of a projector stack; leading axes of rho and the stack broadcast.
-    x = projectors @ rho[..., None, :, :] @ projectors
+    # Non-selective measurement sum_i P_i rho P_i = sum_i Tr(P_i rho) P_i over the outcome axis (-3) of a stack of
+    # rank-one projectors, traces as in _expect; leading axes of rho and the stack broadcast.
+    w = np.add.reduce(projectors.view(float) * rho.view(float)[..., None, :, :], axis=(-2, -1), keepdims=True)
+    x = w * projectors
     return x[..., 0, :, :] + x[..., 1, :, :]
 
 
 def _povm_stroke(rho: np.ndarray, v: np.ndarray, aux_state: np.ndarray, aux_projectors: np.ndarray):
-    # Rotate the dilated state by the joint unitary v (one per row or shared), measure the auxiliary
-    # with the joint projectors I (x) P_i, return the (system, auxiliary) marginals.
-    x = v @ _kron(rho, aux_state) @ v.conj().swapaxes(-1, -2)
-    return qmat._marginals(_measure(x, _kron(ID2, aux_projectors)))
+    # The (system, auxiliary) marginals of the dilated state rotated by v (one per row or shared) and measured
+    # with I (x) P_i, taken on the auxiliary marginal alone: Tr_s[(I x P) X (I x P)] = P Tr_s[X] P, and the
+    # system marginal is unchanged, sum_i Tr_a[(I x P_i) X (I x P_i)] = Tr_a[X (I x sum_i P_i)] = Tr_a[X].
+    system, aux = qmat._marginals(v @ _kron(rho, aux_state) @ v.conj().swapaxes(-1, -2))
+    return system, _measure(aux, aux_projectors)
 
 
 def pvm_stroke(rho, basis: MeasurementBasis) -> np.ndarray:
-    """Non-selective projective measurement: rho -> sum_i P_i rho P_i."""
+    """Non-selective projective measurement rho -> sum_i P_i rho P_i, taken as sum_i Tr(P_i rho) P_i (rank-one P_i)."""
     return _measure(qmat.validate_density_matrix(rho), basis.projectors())
 
 
@@ -434,6 +434,10 @@ def povm_stroke(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(system, aux_post)``, the marginals of the joint state after
     the auxiliary has been measured without post-selection.  The system
     marginal equals sum_i K_i rho K_i^dag for the induced Kraus family.
+    The auxiliary is measured on its marginal: its outcome projectors sum
+    to I, so the measurement leaves the system marginal of the rotated
+    state unchanged; the unitary alone sets the system's energy (the heat),
+    and the measurement only the auxiliary's entropy and so its reset cost.
     """
     r = qmat.validate_density_matrix(rho)
     if r.shape != (2, 2):
@@ -475,9 +479,9 @@ def run_povm_cycle(
     the entropy it gains, and the pure default pays T ln 2 S_post.
     ``aux_entropy`` reports S_post.
     """
-    if reset_temperature is None:
-        reset_temperature = 1.0 / params.beta_c
-    _check_finite_nonnegative("reset_temperature", reset_temperature)
+    reset_temperature = _check_finite_nonnegative(
+        "reset_temperature", 1.0 / params.beta_c if reset_temperature is None else reset_temperature
+    )
     return strokes_i_ii(params, drive).dilate(
         povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors(), reset_temperature
     )

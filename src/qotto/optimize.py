@@ -238,7 +238,5 @@ def optimize_povm_net_work(
     :func:`qotto.analytic.povm_net_work_optimum`.  ``cfg`` has no effect and
     is kept for existing callers.
     """
-    if t_c is None:
-        t_c = 1.0 / params.beta_c
-    engine._check_finite_nonnegative("t_c", t_c)
+    t_c = engine._check_finite_nonnegative("t_c", 1.0 / params.beta_c if t_c is None else t_c)
     return _optimize_dilation(params, drive, t_c=t_c, net=True)

@@ -35,8 +35,8 @@ KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square complex array with dimension 2 or 4."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce to a finite square C-ordered complex array with dimension 2 or 4, from any memory layout."""
+    a = np.asarray(m, dtype=complex, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] not in (2, 4):

@@ -523,16 +523,33 @@ class TestOutputPlumbing:
         assert "timestamp" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("cycle", "--engine", "povm", "--v0"),
+    ("optimize-povm", "--net", "--p", "0.8"),
+    ("fig3", "--grid-points", "3"),
+], ids=["cycle", "optimize-povm", "fig3"])
+def test_negative_zero_reset_temperature_is_zero(capsys, argv):
+    # -0 is accepted as the zero temperature and reported as 0, in the metadata and in every cost
+    code, out, _ = run_cli(capsys, *argv, "--t-c", "-0", "--deterministic")
+    assert code == 0
+    _, zero, _ = run_cli(capsys, *argv, "--t-c", "0", "--deterministic")
+    assert out == zero
+    assert "# t_c: 0.0\n" in out
+    assert not re.search(r"(?<![\de.])-0(\.0*)?(?![\d.e])", out)
+
+
 # sha256 of the --deterministic report of each command, each recorded before a
 # change to the code behind it; every printed number, first-law residuals
 # included, must keep its bytes.
 GOLDEN = [
-    ("8ecd220ec0229b846cf28eafc0600baf10678e07cf34f6d9387516ef8ed3dd49",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 8ecd220ec0229b84...)
+    ("9783af86a0f242e0a4558b93bf19a7a823853eab93fe665134b53c4fecb401b0",
      "fig2 --panel a --beta-c 0.7 --grid-points 41"),
-    ("5409fbd8c6949c93ec6a2545ab935d9dc497475a30b4e6bd1e23cbffda937859",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 5409fbd8c6949c93...)
+    ("b5984feffe05b9964cb0addaa50a62e3b2d73a7a3c44b7cf6b1c0987d68171d1",
      "fig2 --panel b --beta-c 3"),
-    # re-recorded when the reset cost became exact at low t_c, which moves w_a_min (before: fbe0a8ff7467e2b8...)
-    ("646f09717bd115e2a753b944258d3eff82128ca2216c25647870e699e547129a",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 646f09717bd115e2...)
+    ("7ed2f7291e665fa9a79c15c318414fa4286c3d47a54d6daf533eab53a81089cb",
      "fig4 --omega-x 4.5 --omega-z 1.5 --t-c-start 0.1 --t-c-stop 3 --grid-points 37"),
     ("6bf28e3f2d9a80c008a16f75143da14897d05c4df3254d2550b248a12d85665b",
      "table1 --omega-x 5 --beta-c 1.2 --beta-h 0.3"),
@@ -540,33 +557,36 @@ GOLDEN = [
      "cycle --engine conventional --beta-h 0.2 --p 0.7 --alpha 1"),
     ("54327b548d275b5cdb11f86d8f19f6b8ab33161d374bfe8bee23ed8aed1022c9",
      "cycle --engine pvm --p 0.8 --alpha 0.3 --theta 1.1 --phi 0.4"),
-    ("01b27782366039b7f92de9c906c6fb6ceec027125729e63c5e73d3ed771dd804",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 01b27782366039b7...)
+    ("81913f866aebdb6237fa71abaf2ee2553af0fa5c6da6669628aa5fa4270bb4bd",
      "cycle --engine povm --v0 --p 0.7 --theta 0.9 --phi 1.5 --t-c 0.5"),
-    # re-recorded when fig3 began to value its built unitaries; residuals move at rounding (before: 4c5eed128c9defbd...)
-    ("2ff314914dc1374d887f01710ca07c5662053c974a417a44dcb9d3d8b33b5d09",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 2ff314914dc1374d...)
+    ("43e189150d4409ae73a213938ec41ab7b5b552fdba8e352b58083531e0f1f8d8",
      "fig3 --panel b --grid-points 5"),
     ("b9ce8ab6dc7d44a4fdc459b43c448eea81c8da05fd445df2b4ed1631a3d810c0",
      "optimize-povm --omega-x 5 --p 0.8"),
     # re-recorded when net reports began to carry their t_c (before: 629e5667616a7db6...)
     ("9e779f41cabe8d86be4985702088627ac5c7cc74d14531d643fc7ab60e96e6bb",
      "optimize-povm --omega-x 5 --p 0.8 --net --t-c 0.5"),
-    # re-recorded when the reset cost became exact at low t_c, which moves w_a_min (before: ea4bd14de4ee541a...)
-    ("9e30346322eac07f9690218613bda7a6c918c406cec11ebf7be655947dcc21d5",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 9e30346322eac07f...)
+    ("0cb41cfd947faaef87703197615b916eb502e3174741a6ec4327a02c17181755",
      "fig4 --grid-points 7 --format json"),
     ("dbe1954a18c7cb60ec335b2446df36972fbfc275038a76296bbe4448c9be31bd",
      "table1 --format csv"),
-    ("497a2de16470ce449e79b4bb16240614a938166a475c9c8927090fc2e9c807ca",
+    # re-recorded for the rank-one stroke-III kernel; residuals and two 12th digits move (before: 497a2de16470ce44...)
+    ("c55e21a579718ccf7ccea42855fe92f71cd20fe8d675a8b50b3d7b3ffac49b96",
      "fig2 --panel b --beta-c 0.9 --grid-points 4100"),
-    ("7ad72e09706b62127dca08da108589d59a10613172d0ba40cae696ba25d9387c",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 7ad72e09706b6212...)
+    ("860917f69ff25acc78c116cccf5ab4f8ce13c41b85871e927682824a94bfb63f",
      "fig2 --format text"),
-    # re-recorded when the reset cost became exact at low t_c, which moves w_a_min (before: 8ad6d62774b05ee1...)
-    ("c0c98ea483385b7cc5b315cfffc5e141ba36f5299f5ad12baa8a3fcc38c9b4e9",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: c0c98ea483385b7c...)
+    ("fac00d69a27d0358c00cee92c985f755c906de1afa3fbd06f29a9e9eeb834bd0",
      "fig4 --grid-points 9 --format csv"),
-    # re-recorded when fig3 began to value its built unitaries; residuals move at rounding (before: 8d10b62f6b17aff6...)
-    ("6fdbf1d0e4aedfa838de1abdefda3573793e66824470e11955d7b9755e6a0689",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 6fdbf1d0e4aedfa8...)
+    ("5dcb13aa674a8ecfca67b83558bc4d1a9446cbaf1880e768bfeb2b3b71344b40",
      "fig3"),
-    # re-recorded when fig3 began to value its built unitaries; residuals move at rounding (before: 6ed79e3cc2c16a43...)
-    ("28af002ed2b893474f1646be671c08f061379b0978155ae978f4758eda4197ca",
+    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 28af002ed2b89347...)
+    ("0c6da7d152d540268864fd784bc8172491edada01788dcda7a876a23fbb2d146",
      "fig3 --panel b --beta-c 3 --t-c 0.4 --grid-points 23 --format json"),
     ("a66d5f27a45ee85cd91e07a4048d77e932010adf76a72ce5394f3b3098f5afb0",
      "optimize-povm --omega-x 4 --p 0.6 --net --t-c 0"),

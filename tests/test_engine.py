@@ -30,6 +30,43 @@ def random_su4(rng):
     return qmat._exp_i(0.5 * (m + m.conj().T))
 
 
+def haar_unitary(rng, n=4):
+    # QR of a complex Ginibre matrix, with R's diagonal phases moved into Q
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def random_density(rng, shape=()):
+    m = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+# The same matrix in the memory layouts a caller may pass: C order, a transposed view, Fortran order, a strided
+# view and a view with negative strides.
+LAYOUTS = (
+    np.ascontiguousarray,
+    lambda a: np.ascontiguousarray(a.T).T,
+    np.asfortranarray,
+    lambda a: np.kron(a, np.ones((2, 2)))[::2, ::2],
+    lambda a: np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1],
+)
+
+
+def matmul_measure(rho, projectors):
+    # sum_i P_i rho P_i in its matmul form, valid for projectors of any rank
+    x = projectors @ rho[..., None, :, :] @ projectors
+    return x[..., 0, :, :] + x[..., 1, :, :]
+
+
+def joint_povm_stroke(rho, v, aux_state, aux_projectors):
+    # the joint state rotated by v, measured with the joint projectors I (x) P_i, and both its marginals
+    x = v @ engine._kron(rho, aux_state) @ v.conj().swapaxes(-1, -2)
+    return qmat._marginals(matmul_measure(x, engine._kron(ID2, aux_projectors)))
+
+
 class TestParams:
     def test_rejects_inverted_gaps(self):
         with pytest.raises(ValueError):
@@ -217,7 +254,8 @@ class TestPvmStroke:
         basis = MeasurementBasis(theta_x=1.1, phi_x=0.4)
         pp, pm = basis.projectors()
         rho = 0.3 * pp + 0.7 * pm
-        np.testing.assert_allclose(pvm_stroke(rho, basis), rho, atol=1e-12)
+        for layout in LAYOUTS:
+            np.testing.assert_allclose(pvm_stroke(layout(rho), basis), rho, atol=1e-12)
 
     def test_computational_basis_zeroes_energy(self):
         # theta = pi/2 measures in {|0>, |1>}; the post-measurement state
@@ -233,12 +271,13 @@ class TestPvmStroke:
         rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
         u = drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
-        rho2 = pvm_stroke(rho1, MeasurementBasis(theta_x=0.0))
         h2 = hamiltonian_h2(P32)
         e1 = np.trace(h2 @ rho1).real
-        e2 = np.trace(h2 @ rho2).real
-        assert e2 == pytest.approx(e1, abs=1e-12)
-        assert e2 == pytest.approx(-0.5 * 3.0 * math.tanh(1.0), abs=1e-12)
+        for layout in LAYOUTS:
+            rho2 = pvm_stroke(layout(rho1), MeasurementBasis(theta_x=0.0))
+            e2 = np.trace(h2 @ rho2).real
+            assert e2 == pytest.approx(e1, abs=1e-12)
+            assert e2 == pytest.approx(-0.5 * 3.0 * math.tanh(1.0), abs=1e-12)
 
 
 class TestPovmSpec:
@@ -304,42 +343,64 @@ class TestPovmSpec:
 class TestPovmStroke:
     def test_identity_dilation_leaves_system(self):
         rng = np.random.default_rng(9)
-        povm = PovmSpec(joint_unitary=ID4, aux_basis=MeasurementBasis(0.0))
         for _ in range(10):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = m @ m.conj().T
             rho /= np.trace(rho).real
-            system, _ = povm_stroke(rho, povm)
-            np.testing.assert_allclose(system, rho, atol=1e-12)
+            for layout in LAYOUTS:
+                povm = PovmSpec(joint_unitary=layout(ID4), aux_basis=MeasurementBasis(0.0))
+                system, _ = povm_stroke(layout(rho), povm)
+                np.testing.assert_allclose(system, rho, atol=1e-12)
 
     def test_optimal_dilation_pins_plus(self):
-        povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
         rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
         u = drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
-        system, aux = povm_stroke(rho1, povm)
         plus, minus = np.outer(KET_PLUS, KET_PLUS.conj()), np.outer(KET_MINUS, KET_MINUS.conj())
-        np.testing.assert_allclose(system, plus, atol=1e-12)
-        e2 = np.trace(hamiltonian_h2(P32) @ system).real
-        assert e2 == pytest.approx(1.5, abs=1e-12)
-        # auxiliary keeps the thermal populations along its poles
         tz = math.tanh(1.0)
         expected_aux = 0.5 * (1.0 - tz) * plus + 0.5 * (1.0 + tz) * minus
-        np.testing.assert_allclose(aux, expected_aux, atol=1e-12)
+        for layout in LAYOUTS:
+            povm = PovmSpec(joint_unitary=layout(analytic.optimal_dilation_unitary()))
+            system, aux = povm_stroke(layout(rho1), povm)
+            np.testing.assert_allclose(system, plus, atol=1e-12)
+            e2 = np.trace(hamiltonian_h2(P32) @ system).real
+            assert e2 == pytest.approx(1.5, abs=1e-12)
+            # auxiliary keeps the thermal populations along its poles
+            np.testing.assert_allclose(aux, expected_aux, atol=1e-12)
 
     def test_matches_kraus_channel(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            spec = PovmSpec(
-                joint_unitary=random_su4(rng),
-                aux_basis=MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
-            )
+            v = random_su4(rng)
+            aux_basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = m @ m.conj().T
             rho /= np.trace(rho).real
-            system, _ = povm_stroke(rho, spec)
-            channel = sum(k @ rho @ k.conj().T for k in spec.kraus_operators())
-            np.testing.assert_allclose(system, channel, atol=1e-12)
+            for layout in LAYOUTS:
+                aux_state = layout(np.outer(KET_PLUS, KET_PLUS.conj()))
+                spec = PovmSpec(joint_unitary=layout(v), aux_state=aux_state, aux_basis=aux_basis)
+                system, _ = povm_stroke(layout(rho), spec)
+                channel = sum(k @ rho @ k.conj().T for k in spec.kraus_operators())
+                np.testing.assert_allclose(system, channel, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "aux",
+        [np.outer(KET_PLUS, KET_PLUS.conj()), np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]), 0.5 * ID2],
+        ids=["pure", "mixed", "maximally-mixed"],
+    )
+    def test_marginals_of_the_measured_joint_state(self, aux):
+        # measuring the auxiliary on its marginal gives both marginals of the joint state measured with I (x) P_i
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            spec = PovmSpec(
+                joint_unitary=haar_unitary(rng),
+                aux_state=aux,
+                aux_basis=MeasurementBasis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)),
+            )
+            rho = random_density(rng)
+            ref = joint_povm_stroke(rho, spec.joint_unitary, spec.aux_state, spec.aux_basis.projectors())
+            for got, want in zip(povm_stroke(rho, spec), ref):
+                assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_stored_arrays_are_immutable(self):
         povm = PovmSpec(joint_unitary=ID4)
@@ -514,6 +575,35 @@ class TestFirstLawAndUniversality:
             for rec in (conv, pvm, povm):
                 assert rec.q_h > 0.0
                 assert rec.eta == pytest.approx(eta0, abs=1e-10)
+
+
+class TestRankOneMeasurement:
+    """The kernel's sum_i Tr(P_i rho) P_i against sum_i P_i rho P_i in its matmul form."""
+
+    @staticmethod
+    def projector_stack(rng, n):
+        theta = rng.uniform(0.0, math.pi, n)
+        theta[rng.random(n) < 0.2] = 0.0  # the pole bases
+        theta[rng.random(n) < 0.2] = math.pi
+        return engine.basis_projectors(theta, rng.uniform(0.0, 2.0 * math.pi, n))
+
+    def test_matches_the_matmul_form(self):
+        rng = np.random.default_rng(40)
+        for k in range(600):
+            n = int(rng.integers(1, 17))
+            case = k % 4
+            if case == 0:  # one shared state against a stack of bases
+                rho, projectors = random_density(rng), self.projector_stack(rng, n)
+            elif case == 1:  # a stack of states against one shared basis
+                rho, projectors = random_density(rng, (n,)), self.projector_stack(rng, 1)[0]
+            elif case == 2:  # one basis per state
+                rho, projectors = random_density(rng, (n,)), self.projector_stack(rng, n)
+            else:  # one state, one basis
+                rho, projectors = random_density(rng), self.projector_stack(rng, 1)[0]
+            got = engine._measure(rho, projectors)
+            want = matmul_measure(rho, projectors)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestKernel:
