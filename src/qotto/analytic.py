@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis, _check_finite_nonnegative
+from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis
 
 
 def discriminant(params: EngineParams, p: float) -> float:
@@ -168,7 +168,7 @@ def povm_work_ceiling(params: EngineParams, drive: DriveSpec) -> float:
 
 
 def povm_net_work_optimum(params: EngineParams, drive: DriveSpec, t_c: float | None = None) -> float:
-    """Maximum work net of the reset cost at temperature t_c (default 1/beta_c) over all joint unitaries.
+    """Maximum work net of the reset cost at ``params.reset_temperature(t_c)`` over all joint unitaries.
 
     The binary entropy is the minimum of its tangent lines, so the net work
     is the maximum over tangents of objectives linear in the dilated state,
@@ -177,7 +177,7 @@ def povm_net_work_optimum(params: EngineParams, drive: DriveSpec, t_c: float | N
     H2((1 + tz)/2), and the zero-entropy one that only rotates the system:
     (tz/2)(a wx - wz) + max(D/2 - t_c ln2 H2((1 + tz)/2), tz D/2).
     """
-    t_c = _check_finite_nonnegative("t_c", 1.0 / params.beta_c if t_c is None else t_c)
+    t_c = params.reset_temperature(t_c)
     tz = params.tau_z
     d = discriminant(params, drive.p)
     cost = _reset_cost(t_c, params.beta_c * params.omega_z)
@@ -215,8 +215,9 @@ class AuxCostRecord(NamedTuple):
 def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRecord:
     """Auxiliary-reset cost ledger at cold-bath temperature t_c.
 
-    ``t_c`` defaults to 1/beta_c; when given it replaces the cold-bath
-    temperature in both the erasure cost and the optimal work, which is
+    The temperature is ``params.reset_temperature(t_c)`` and must also be
+    positive; a given t_c replaces the cold-bath temperature in both the
+    erasure cost and the optimal work, which is
     how the cost/advantage comparison is swept against temperature.
     ``min_cost`` is the erasure cost when the auxiliary is measured along
     its poles, t_c ln2 H2((1 + tz)/2); ``max_cost`` is the 1-bit ceiling
@@ -225,10 +226,9 @@ def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRe
     one, and ``t_c_bound`` = delta_w / ln 2 is the temperature below
     which even the worst-case reset cost cannot erase that advantage.
     """
-    if t_c is None:
-        t_c = 1.0 / params.beta_c
-    if not 0.0 < t_c < math.inf:
-        raise ValueError(f"t_c must be finite and positive, got {t_c}")
+    t_c = params.reset_temperature(t_c)
+    if t_c == 0.0:  # the cost divides by it
+        raise ValueError(f"t_c must be positive, got {t_c}")
     wz, wx = params.omega_z, params.omega_x
     tz = math.tanh(0.5 * wz / t_c)
     min_cost = _reset_cost(t_c, wz / t_c)

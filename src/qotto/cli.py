@@ -171,7 +171,7 @@ def cmd_cycle(args) -> RunReport:
         meta["aux_theta_x"], meta["aux_phi_x"] = aux_basis.theta_x, aux_basis.phi_x
         record = engine.run_povm_cycle(params, drive, povm, reset_temperature=args.t_c)
         if args.t_c is not None:
-            meta["t_c"] = args.t_c + 0.0  # a -0 prints as 0, as the cycle takes it
+            meta["t_c"] = params.reset_temperature(args.t_c)
     return RunReport(meta=meta, columns=RECORD_COLUMNS, rows=[tuple(getattr(record, c) for c in RECORD_COLUMNS)])
 
 
@@ -206,12 +206,12 @@ def cmd_fig3(args) -> RunReport:
     omega_x, omega_z = _PANELS[args.panel]
     spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
     params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c)
-    t_c = engine._check_finite_nonnegative("t_c", args.t_c if args.t_c is not None else 1.0 / args.beta_c)
+    t_c = params.reset_temperature(args.t_c)
     rows = []
     for ps in spec.slices():
-        # both candidates of every row in one pass; the net optimum is the better, a tie keeping the gross one
+        # both candidates of every row in one pass, and the net work of each row's winner
         rec, _ = optimize._dilation_candidates(params, [DriveSpec(p=p) for p in ps], t_c, net=True)
-        net = np.where(rec.net_work[1] > rec.net_work[0], rec.net_work[1], rec.net_work[0])
+        net = np.where(optimize._net_winner(rec), rec.net_work[1], rec.net_work[0])
         for p, w, w_net, res in zip(ps, rec.w_total[0].tolist(), net.tolist(), rec.first_law_residual[0].tolist()):
             rows.append((p, w, w - t_c * LN2, w_net, analytic.pvm_optimal(params, p).work, res, 1))
     return RunReport(
@@ -254,24 +254,25 @@ def cmd_table1(args) -> RunReport:
         omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c, beta_h=args.beta_h
     )
     eta0 = 1.0 - args.omega_z / args.omega_x
-    w_conv = analytic.conventional_record(params, 1.0).w_total
+    conv = analytic.conventional_record(params, 1.0)
     w_pvm = analytic.pvm_nonadiabatic_record(params, DriveSpec(1.0), MeasurementBasis(math.pi / 2.0)).w_total
     w_povm = analytic.povm_work_ceiling(params, DriveSpec(1.0))
     best = analytic.pvm_best_p(params)
     # povm_work_ceiling's closed form over its 1001-point p-grid, as one array expression
     wz, wx, p = args.omega_z, args.omega_x, np.linspace(0.5, 1.0, 1001)
     d = np.sqrt(np.maximum((wx - wz) ** 2 + 4.0 * wx * wz * (1.0 - p), 0.0))
-    povm_na = float(np.max(0.5 * params.tau_z * ((2.0 * p - 1.0) * wx - wz) + 0.5 * d))
+    ceiling = 0.5 * params.tau_z * ((2.0 * p - 1.0) * wx - wz) + 0.5 * d
     rows = [
         ("efficiency_adiabatic", eta0, eta0, eta0),
-        ("optimal_work_adiabatic", w_conv, w_pvm, w_povm),
-        # the two-bath work peaks at p = 1, so its non-adiabatic optimum is w_conv
-        ("optimal_work_nonadiabatic", w_conv, best.work, povm_na),
-        ("efficiency_at_optimal_work", eta0, best.eta, eta0 if params.gamma >= 2.0 else None),
+        ("optimal_work_adiabatic", conv.w_total, w_pvm, w_povm),
+        # the two-bath work peaks at p = 1, so its non-adiabatic optimum is its adiabatic one
+        ("optimal_work_nonadiabatic", conv.w_total, best.work, float(ceiling.max())),
+        # the gross-optimal dilation cycle runs at eta0 at p = 1, the grid's last point, and has no closed form inside
+        ("efficiency_at_optimal_work", conv.eta, best.eta, eta0 if ceiling.argmax() == p.size - 1 else None),
     ]
     meta = dict(
         omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
-        beta_h=args.beta_h, hierarchy_conv_le_pvm_lt_povm=str(bool(w_conv <= w_pvm < w_povm)),
+        beta_h=args.beta_h, hierarchy_conv_le_pvm_lt_povm=str(bool(conv.w_total <= w_pvm < w_povm)),
     )
     return RunReport(meta=meta, columns=("quantity", "conventional", "pvm", "povm"), rows=rows)
 
@@ -281,21 +282,19 @@ def cmd_optimize_povm(args) -> RunReport:
     drive = DriveSpec(p=args.p, alpha=0.0)
     if args.t_c is not None and not args.net:
         raise ValueError("--t-c requires --net")
-    t_c = 1.0 / args.beta_c if args.t_c is None else args.t_c
+    meta = dict(
+        omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
+        p=args.p, objective="net" if args.net else "gross",
+    )
     if args.net:
-        result = optimize.optimize_povm_net_work(params, drive, t_c=t_c)
+        meta["t_c"] = params.reset_temperature(args.t_c)
+        result = optimize.optimize_povm_net_work(params, drive, t_c=meta["t_c"])
     else:
         result = optimize.optimize_povm_work(params, drive)
     if args.su4_out:
         with open(args.su4_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("# generator coefficients, order: " + " ".join(optimize.SU4_GENERATOR_LABELS) + "\n")
             fh.write(" ".join(f"{v:.17g}" for v in result.best_point.k) + "\n")
-    meta = dict(
-        omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,
-        p=args.p, objective="net" if args.net else "gross",
-    )
-    if args.net:
-        meta["t_c"] = t_c + 0.0  # a -0 prints as 0, as the optimizer takes it
     columns = ("best_value", "evaluations", "converged") + tuple(
         f"k_{label}" for label in optimize.SU4_GENERATOR_LABELS
     )

@@ -13,10 +13,10 @@ kernel broadcast over a leading row axis, a single cycle being its 0-d case:
 shared), then one of the stroke-III methods of :class:`Strokes` (a hot
 bath, a projective measurement, or a dilation whose joint unitary may
 differ per row), and :meth:`CycleRecord.from_energies`, which gives a grid
-one record whose fields are arrays over the rows.  ``run_*_cycle`` checks
-one cycle's inputs and runs it; a grid calls the kernel directly with
-inputs its caller has already checked.  Inputs are checked when a spec
-type is built or a raw array enters a public function.
+one record whose fields are arrays over the rows.  ``run_*_cycle`` runs
+one cycle; a grid calls the kernel directly with inputs its caller has
+already checked.  Stroke III has no other entry, so inputs are checked when
+a spec type is built, and the reset temperature by one EngineParams method.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -43,13 +43,6 @@ TWO_PI = 2.0 * math.pi
 # Works and heats below this are treated as zero when deciding whether the
 # cycle ran as an engine, so rounding noise cannot fabricate an efficiency.
 ENGINE_TOL = 1e-12
-
-
-def _check_finite_nonnegative(name: str, value: float) -> float:
-    # The checked value, a -0.0 made +0.0 so that it prints as 0.
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return value + 0.0
 
 
 @dataclass(frozen=True)
@@ -91,6 +84,13 @@ class EngineParams:
             raise ValueError(f"beta_c * omega_x must be at most 1e300, got {self.beta_c} * {self.omega_x}")
         if self.beta_h is not None and not (0.0 <= self.beta_h < self.beta_c):
             raise ValueError(f"beta_h must satisfy 0 <= beta_h < beta_c, got {self.beta_h}")
+
+    def reset_temperature(self, t_c: float | None = None) -> float:
+        """The auxiliary's reset temperature: t_c (finite, >= 0, a -0 returned as 0), or 1/beta_c if None."""
+        t = 1.0 / self.beta_c if t_c is None else t_c
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t_c must be finite and nonnegative, got {t}")
+        return t + 0.0
 
     @property
     def v_z(self) -> float:
@@ -189,10 +189,6 @@ class MeasurementBasis:
             ph = 0.0
         return cls(theta_x=th, phi_x=ph)
 
-    def kets(self) -> np.ndarray:
-        """The two basis kets, one per row."""
-        return _basis_kets(self.theta_x, self.phi_x)
-
     def projectors(self) -> np.ndarray:
         """The two outcome projectors, stacked along the first axis."""
         return basis_projectors(self.theta_x, self.phi_x)
@@ -238,7 +234,7 @@ class PovmSpec:
         v4 = self.joint_unitary.reshape(2, 2, 2, 2)
         weights, states = qmat.hermitian_eig(self.aux_state)
         ops = []
-        for ket_out in self.aux_basis.kets():
+        for ket_out in _basis_kets(self.aux_basis.theta_x, self.aux_basis.phi_x):
             for w, phi in zip(weights, states.T):
                 if w <= 1e-14:
                     continue
@@ -287,7 +283,7 @@ class CycleRecord:
             e0, e1, e2, e3, aux_entropy, aux_reset_cost = map(float, cols)
         w1 = e1 - e0
         w2 = e3 - e2
-        w_total = -(w1 + w2)
+        w_total = 0.0 - (w1 + w2)  # a zero work is +0, where -(w1 + w2) gives -0
         q_h = e2 - e1
         q_c = e0 - e3
         runs = (q_h > ENGINE_TOL) & (w_total > ENGINE_TOL)  # the cycle runs as an engine
@@ -423,28 +419,6 @@ def _povm_stroke(rho: np.ndarray, v: np.ndarray, aux_state: np.ndarray, aux_proj
     return system, _measure(aux, aux_projectors)
 
 
-def pvm_stroke(rho, basis: MeasurementBasis) -> np.ndarray:
-    """Non-selective projective measurement rho -> sum_i P_i rho P_i, taken as sum_i Tr(P_i rho) P_i (rank-one P_i)."""
-    return _measure(qmat.validate_density_matrix(rho), basis.projectors())
-
-
-def povm_stroke(rho, povm: PovmSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Non-selective generalized measurement via the auxiliary dilation.
-
-    Returns ``(system, aux_post)``, the marginals of the joint state after
-    the auxiliary has been measured without post-selection.  The system
-    marginal equals sum_i K_i rho K_i^dag for the induced Kraus family.
-    The auxiliary is measured on its marginal: its outcome projectors sum
-    to I, so the measurement leaves the system marginal of the rotated
-    state unchanged; the unitary alone sets the system's energy (the heat),
-    and the measurement only the auxiliary's entropy and so its reset cost.
-    """
-    r = qmat.validate_density_matrix(rho)
-    if r.shape != (2, 2):
-        raise ValueError(f"rho must be 2x2, got {r.shape}")
-    return _povm_stroke(r, povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors())
-
-
 def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecord:
     """Two-bath cycle: stroke III thermalizes at the hot inverse temperature.
 
@@ -472,16 +446,17 @@ def run_povm_cycle(
     The auxiliary carries a trivial Hamiltonian, so its state changes cost
     no energy during the stroke itself; the only auxiliary cost is the work
     needed to return it to ``povm.aux_state``, paid against the bath at
-    ``reset_temperature`` (the cold-bath temperature 1/beta_c unless
-    overridden; it must be finite and nonnegative).  It is charged at the
+    ``params.reset_temperature(reset_temperature)``.  It is charged at the
     second-law minimum T ln 2 max(S_post - S_init, 0), S in bits (Reeb &
     Wolf, New J. Phys. 16, 103011 (2014)): a mixed auxiliary pays only for
     the entropy it gains, and the pure default pays T ln 2 S_post.
-    ``aux_entropy`` reports S_post.
+    ``aux_entropy`` reports S_post.  The auxiliary's outcome projectors sum
+    to I, so measuring it leaves the system marginal of the rotated state,
+    sum_i K_i rho K_i^dag for the induced Kraus family, unchanged: the joint
+    unitary alone sets the system's energy (the heat), and the measurement
+    only the auxiliary's entropy and so its reset cost.
     """
-    reset_temperature = _check_finite_nonnegative(
-        "reset_temperature", 1.0 / params.beta_c if reset_temperature is None else reset_temperature
-    )
+    reset_temperature = params.reset_temperature(reset_temperature)
     return strokes_i_ii(params, drive).dilate(
         povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors(), reset_temperature
     )

@@ -1,20 +1,21 @@
 """Work maximization over measurement bases and dilation unitaries.
 
 Both evaluate cycles through the engine's kernel
-(:func:`qotto.engine.strokes_i_ii` and the stroke-III functions).  The
+(:func:`qotto.engine.strokes_i_ii` and its stroke-III kernels).  The
 measurement-basis search scans a grid one theta-row of stacked
 projectors at a time, then polishes the best grid point by simplex
 refinement.  The dilation optima need no search: the gross work is
 linear in the dilated state, so a passive-state rearrangement of the
 eigenvectors of the driven state onto those of h2 - u h1 u^dag maximizes
 it (Allahverdyan, Balian & Nieuwenhuizen, EPL 67, 565 (2004)), and the
-net work is maximized by that unitary or by the zero-entropy one that
-only rotates the system, at any drive phase.  Each optimum is built
-explicitly and valued by simulating the cycle with that unitary, so
-results are reproducible bit for bit.  One strokes pass builds the
-candidates of one row or a stack, and one cycle pass values them, one
-joint unitary per row: an optimizer call is the one-row case of a
-``qotto fig3`` slice.  Only the winner of an optimizer call is turned
+net work is maximized by that unitary or, only where it nets strictly
+more, by the zero-entropy one that only rotates the system, at any drive
+phase.  Each optimum is built explicitly and valued by simulating the
+cycle with that unitary, so results are reproducible bit for bit.  One
+strokes pass builds the candidates of one row or a stack, and one cycle
+pass values them, one joint unitary per row: an optimizer call is the
+one-row case of a ``qotto fig3`` slice, which picks the same winners.
+Only the winner of an optimizer call is turned
 into generator coefficients, through its Hermitian logarithm; that
 point's unitary is the valued one up to a global phase and rounding, so
 re-simulating it reproduces the value to about 1e-14.
@@ -195,10 +196,16 @@ def _dilation_candidates(params, drives, t_c: float, net: bool) -> tuple[engine.
     return strokes.dilate(vs, _AUX.aux_state, _AUX_PROJECTORS, t_c), vs
 
 
+def _net_winner(record: engine.CycleRecord) -> np.ndarray:
+    # The candidate of each row of a net-work _dilation_candidates record that nets more: the zero-entropy
+    # one (1) only where its net work is strictly larger, so a tie keeps the gross-optimal one (0).
+    return (record.net_work[1] > record.net_work[0]).astype(int)
+
+
 def _optimize_dilation(params: EngineParams, drive: DriveSpec, t_c: float, net: bool) -> OptResult:
     record, vs = _dilation_candidates(params, drive, t_c, net)
     values = record.net_work.tolist() if net else [record.w_total]
-    j = 1 if net and values[1] > values[0] else 0  # a tie keeps the gross-optimal one
+    j = int(_net_winner(record)) if net else 0
     point = _su4_point(vs.reshape(-1, 4, 4)[j])  # only the winner is turned into coefficients
     return OptResult(best_value=values[j], best_point=point, evaluations=len(values), converged=True)
 
@@ -218,7 +225,7 @@ def optimize_povm_work(
     reproduces up to a global phase and rounding.  ``cfg`` has no effect
     and is kept for existing callers.
     """
-    return _optimize_dilation(params, drive, t_c=1.0 / params.beta_c, net=False)
+    return _optimize_dilation(params, drive, t_c=params.reset_temperature(), net=False)
 
 
 def optimize_povm_net_work(
@@ -227,7 +234,7 @@ def optimize_povm_net_work(
     t_c: float | None = None,
     cfg: OptimizerConfig | None = None,
 ) -> OptResult:
-    """Maximize work net of the auxiliary reset cost at temperature t_c (finite, >= 0).
+    """Maximize work net of the auxiliary reset cost at ``params.reset_temperature(t_c)``.
 
     The binary entropy is the minimum of its tangent lines, so the net work
     is the maximum, over those tangents, of objectives linear in the dilated
@@ -238,5 +245,4 @@ def optimize_povm_net_work(
     :func:`qotto.analytic.povm_net_work_optimum`.  ``cfg`` has no effect and
     is kept for existing callers.
     """
-    t_c = engine._check_finite_nonnegative("t_c", 1.0 / params.beta_c if t_c is None else t_c)
-    return _optimize_dilation(params, drive, t_c=t_c, net=True)
+    return _optimize_dilation(params, drive, t_c=params.reset_temperature(t_c), net=True)

@@ -458,7 +458,8 @@ class TestAuxCost:
 
     @pytest.mark.parametrize("t_c", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_finite_or_nonpositive_temperature(self, t_c):
-        with pytest.raises(ValueError, match="t_c must be finite and positive"):
+        match = "t_c must be positive" if t_c == 0.0 else "t_c must be finite and nonnegative"
+        with pytest.raises(ValueError, match=match):
             aux_cost_record(P32, t_c)
 
 

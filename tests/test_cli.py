@@ -18,6 +18,10 @@ from qotto.engine import DriveSpec, EngineParams
 TANH1 = math.tanh(1.0)
 
 
+# a printed negative zero: -0, -0.0, ... that is not part of a longer number
+NEGATIVE_ZERO = re.compile(r"(?<![\de.])-0(\.0*)?(?![\d.e])")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -419,6 +423,26 @@ class TestTable1Command:
         row = next(l for l in out.splitlines() if l.startswith("optimal_work_nonadiabatic"))
         assert row.split(",")[3] == f"{ceiling:.12g}"
 
+    @pytest.mark.parametrize("beta_c,conventional,povm", [("0.5", "", ""), ("1", "0.6", "0.6")])
+    def test_efficiency_at_optimal_work(self, capsys, beta_c, conventional, povm):
+        # at (omega_z, omega_x) = (2, 5) the dilation ceiling peaks at p = 1 exactly when gamma >= 1 + 1/tz, so
+        # at beta_c = 1 (1 + 1/tz = 2.31) but not at beta_c = 0.5 (3.16); there the two-bath cycle does no work
+        code, out, _ = run_cli(
+            capsys, "table1", "--omega-x", "5", "--omega-z", "2", "--beta-c", beta_c, "--deterministic",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert not NEGATIVE_ZERO.search(out)
+        table = {row.split(",")[0]: row.split(",")[1:] for row in out.splitlines() if not row.startswith("#")}
+        assert table["efficiency_at_optimal_work"][0::2] == [conventional, povm]
+        params = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=float(beta_c))
+        assert (params.gamma >= 1.0 + 1.0 / params.tau_z) == (povm != "")
+        if povm:  # the simulated gross optimum at p = 1 runs at eta0
+            rec, _ = optimize._dilation_candidates(params, DriveSpec(1.0), params.reset_temperature(), False)
+            assert rec.eta == pytest.approx(0.6, abs=1e-10)
+        else:
+            assert table["optimal_work_adiabatic"][0] == table["optimal_work_nonadiabatic"][0] == "0"
+
     def test_large_ratio_povm_efficiency(self, capsys):
         code, out, _ = run_cli(
             capsys, "table1", "--omega-x", "5", "--deterministic", "--format", "csv"
@@ -535,7 +559,75 @@ def test_negative_zero_reset_temperature_is_zero(capsys, argv):
     _, zero, _ = run_cli(capsys, *argv, "--t-c", "0", "--deterministic")
     assert out == zero
     assert "# t_c: 0.0\n" in out
-    assert not re.search(r"(?<![\de.])-0(\.0*)?(?![\d.e])", out)
+    assert not NEGATIVE_ZERO.search(out)
+
+
+def report(*argv):
+    # the RunReport a command builds, its numbers at full precision
+    args = cli._parser().parse_args([*argv, "--deterministic"])
+    return args.func(args)
+
+
+RESET_PARAMS = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=0.8)
+RESET_FLAGS = ("--omega-x", "5", "--omega-z", "2", "--beta-c", "0.8")
+
+
+def _cli_rows(*argv):
+    # a command's rows at reset temperature t (None: no --t-c), as a function of t
+    return lambda t: report(*argv, *(() if t is None else (f"--t-c={t!r}",))).rows
+
+
+# Every entry point that takes a reset temperature, as a function of it (None for the default), and whether it
+# also rejects 0.
+RESET_ENTRY_POINTS = {
+    "run_povm_cycle": (lambda t: engine.run_povm_cycle(
+        RESET_PARAMS, DriveSpec(0.8), engine.PovmSpec(joint_unitary=analytic.optimal_dilation_unitary()),
+        reset_temperature=t), False),
+    "optimize_povm_net_work": (lambda t: optimize.optimize_povm_net_work(RESET_PARAMS, DriveSpec(0.8), t_c=t), False),
+    "povm_net_work_optimum": (lambda t: analytic.povm_net_work_optimum(RESET_PARAMS, DriveSpec(0.8), t), False),
+    "aux_cost_record": (lambda t: analytic.aux_cost_record(RESET_PARAMS, t), True),
+    "cycle": (_cli_rows("cycle", "--engine", "povm", "--v0", "--p", "0.8", *RESET_FLAGS), False),
+    "fig3": (_cli_rows("fig3", "--panel", "b", "--beta-c", "0.8", "--grid-points", "5"), False),
+    "optimize-povm": (_cli_rows("optimize-povm", "--net", "--p", "0.8", *RESET_FLAGS), False),
+}
+
+
+@pytest.mark.parametrize("name", RESET_ENTRY_POINTS)
+def test_one_reset_temperature_rule(name):
+    # every entry point defaults to 1/beta_c, rejects what is not finite and >= 0, and takes -0 as 0;
+    # repr tells every float apart, -0.0 from 0.0 included
+    run, positive = RESET_ENTRY_POINTS[name]
+    assert repr(run(None)) == repr(run(1.0 / RESET_PARAMS.beta_c))
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match=f"t_c must be finite and nonnegative, got {bad}"):
+            run(bad)
+    if positive:
+        for zero in (0.0, -0.0):
+            with pytest.raises(ValueError, match="t_c must be positive, got 0.0"):
+                run(zero)
+    else:
+        assert repr(run(-0.0)) == repr(run(0.0))
+        assert "-0.0" not in repr(run(-0.0))
+
+
+def test_fig3_net_column_is_the_net_optimizer():
+    # each w_net_max equals optimize_povm_net_work's value at that row's drive, bit for bit, on either branch
+    rng = np.random.default_rng(17)
+    winners = set()
+    for _ in range(6):
+        panel = str(rng.choice(["a", "b"]))
+        beta_c = float(rng.uniform(0.3, 3.0))
+        for t_c in (None, 0.0, float(rng.uniform(0.0, 3.0))):
+            flags = () if t_c is None else (f"--t-c={t_c!r}",)
+            rows = report("fig3", "--panel", panel, "--beta-c", repr(beta_c), "--grid-points", "9", *flags).rows
+            omega_x, omega_z = cli._PANELS[panel]
+            params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=beta_c)
+            for p, _, _, w_net, *_ in rows:
+                net = optimize.optimize_povm_net_work(params, DriveSpec(p), t_c=t_c)
+                assert w_net.hex() == net.best_value.hex()
+                rec, _ = optimize._dilation_candidates(params, DriveSpec(p), params.reset_temperature(t_c), True)
+                winners.add(int(optimize._net_winner(rec)))
+    assert winners == {0, 1}
 
 
 # sha256 of the --deterministic report of each command, each recorded before a

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qotto import qmat
-from qotto.engine import MeasurementBasis, PovmSpec, povm_stroke
+from qotto.engine import MeasurementBasis, PovmSpec
 from qotto.qmat import (
     HADAMARD,
     ID2,
@@ -118,14 +118,6 @@ class TestPartialTrace:
         rho = random_density(rng, 4)
         for marginal in qmat._marginals(rho):
             np.testing.assert_allclose(np.trace(marginal), 1.0, atol=1e-12)
-
-    def test_rejects_invalid_input(self):
-        # raw states enter the marginals through povm_stroke, which checks them
-        povm = PovmSpec(joint_unitary=ID4)
-        with pytest.raises(ValueError):
-            povm_stroke(np.eye(2), povm)  # trace 2
-        with pytest.raises(ValueError):
-            povm_stroke(random_density(np.random.default_rng(0), 4), povm)
 
 
 class TestHermitianEig:
