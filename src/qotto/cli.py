@@ -134,16 +134,16 @@ def cmd_cycle(args) -> RunReport:
     )
     drive = DriveSpec(p=args.p, alpha=args.alpha)
     phi = 0.0 if args.phi is None else args.phi
-    meta = dict(
+    meta = dict(  # + 0.0 echoes a -0 angle or temperature as 0
         engine=args.engine, omega_z=args.omega_z, omega_x=args.omega_x,
-        beta_c=args.beta_c, p=args.p, alpha=args.alpha,
+        beta_c=args.beta_c, p=args.p, alpha=args.alpha + 0.0,
     )
     if args.engine == "conventional":
         if args.beta_h is None:
             raise ValueError("--engine conventional requires --beta-h")
         if args.v0 or args.su4_file or any(x is not None for x in (args.theta, args.phi, args.t_c)):
             raise ValueError("--theta/--phi/--v0/--su4-file/--t-c do not apply to the conventional engine")
-        meta["beta_h"] = args.beta_h
+        meta["beta_h"] = args.beta_h + 0.0
         record = engine.run_conventional_cycle(params, drive)
     elif args.engine == "pvm":
         if args.beta_h is not None:
@@ -153,7 +153,7 @@ def cmd_cycle(args) -> RunReport:
         if args.theta is None:
             raise ValueError("--engine pvm requires --theta")
         basis = MeasurementBasis(theta_x=args.theta, phi_x=phi)
-        meta["theta_x"], meta["phi_x"] = args.theta, phi
+        meta["theta_x"], meta["phi_x"] = args.theta + 0.0, phi + 0.0
         record = engine.run_pvm_cycle(params, drive, basis)
     else:  # povm
         if args.beta_h is not None:
@@ -168,7 +168,7 @@ def cmd_cycle(args) -> RunReport:
             meta["dilation"] = args.su4_file
         aux_basis = MeasurementBasis(theta_x=args.theta or 0.0, phi_x=phi)
         povm = PovmSpec(joint_unitary=joint, aux_basis=aux_basis)
-        meta["aux_theta_x"], meta["aux_phi_x"] = aux_basis.theta_x, aux_basis.phi_x
+        meta["aux_theta_x"], meta["aux_phi_x"] = aux_basis.theta_x + 0.0, aux_basis.phi_x + 0.0
         record = engine.run_povm_cycle(params, drive, povm, reset_temperature=args.t_c)
         if args.t_c is not None:
             meta["t_c"] = params.reset_temperature(args.t_c)
@@ -229,7 +229,6 @@ def cmd_fig4(args) -> RunReport:
     spec = SweepSpec("t_c", args.t_c_start, args.t_c_stop, args.grid_points)
     crossing = analytic.reset_crossing_temperature(params)
     povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
-    aux_projectors = povm.aux_basis.projectors()
     rows = []
     for t_cs in spec.slices():
         try:  # only the bound on beta_c * omega_x can fail, first at the coldest point
@@ -237,7 +236,7 @@ def cmd_fig4(args) -> RunReport:
         except ValueError as exc:
             raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
         cycles = engine.strokes_i_ii(colds, DriveSpec(p=1.0)).dilate(
-            povm.joint_unitary, povm.aux_state, aux_projectors, np.array(t_cs)  # each row resets at its t_c
+            povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors(), np.array(t_cs)  # each at its t_c
         )
         for t_c, res in zip(t_cs, cycles.first_law_residual.tolist()):
             rec = analytic.aux_cost_record(params, t_c)
@@ -263,7 +262,8 @@ def cmd_table1(args) -> RunReport:
     d = np.sqrt(np.maximum((wx - wz) ** 2 + 4.0 * wx * wz * (1.0 - p), 0.0))
     ceiling = 0.5 * params.tau_z * ((2.0 * p - 1.0) * wx - wz) + 0.5 * d
     rows = [
-        ("efficiency_adiabatic", eta0, eta0, eta0),
+        # eta0 is the two-bath cycle's efficiency only where it runs as an engine
+        ("efficiency_adiabatic", None if conv.eta is None else eta0, eta0, eta0),
         ("optimal_work_adiabatic", conv.w_total, w_pvm, w_povm),
         # the two-bath work peaks at p = 1, so its non-adiabatic optimum is its adiabatic one
         ("optimal_work_nonadiabatic", conv.w_total, best.work, float(ceiling.max())),

@@ -17,6 +17,12 @@ one record whose fields are arrays over the rows.  ``run_*_cycle`` runs
 one cycle; a grid calls the kernel directly with inputs its caller has
 already checked.  Stroke III has no other entry, so inputs are checked when
 a spec type is built, and the reset temperature by one EngineParams method.
+A spec's constants are computed once, on its first use, and kept read-only:
+EngineParams its Hamiltonians, stroke-I Gibbs state and energy e0 (and the
+hot Gibbs state of the two-bath cycle), DriveSpec its unitary and adjoint,
+MeasurementBasis its projectors.  A single spec passed to the kernel again
+reuses them; a list of specs is stacked anew on every call.  A copy or
+pickle of a spec carries only its fields.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -28,7 +34,8 @@ positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +50,11 @@ TWO_PI = 2.0 * math.pi
 # Works and heats below this are treated as zero when deciding whether the
 # cycle ran as an engine, so rounding noise cannot fabricate an efficiency.
 ENGINE_TOL = 1e-12
+
+
+def _fields_only(spec) -> dict:
+    # The state a spec pickles and copies with: its fields, so a copy computes its own read-only constants.
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 @dataclass(frozen=True)
@@ -63,6 +75,8 @@ class EngineParams:
     omega_x: float
     beta_c: float
     beta_h: float | None = None
+
+    __getstate__ = _fields_only
 
     def __post_init__(self):
         for name in ("omega_z", "omega_x", "beta_c", "beta_h"):
@@ -91,6 +105,16 @@ class EngineParams:
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t_c must be finite and nonnegative, got {t}")
         return t + 0.0
+
+    @cached_property
+    def _strokes_i_constants(self) -> tuple:
+        # (h1, h2, rho0, e0) of this spec, computed on first use and read-only.
+        return tuple(map(_read_only, _cold_constants(self)))
+
+    @cached_property
+    def _hot_state(self) -> np.ndarray:
+        # The stroke-III Gibbs state of the two-bath cycle, at h2 and beta_h, computed on first use and read-only.
+        return _read_only(_gibbs(self._strokes_i_constants[1], self.beta_h))
 
     @property
     def v_z(self) -> float:
@@ -126,11 +150,18 @@ class DriveSpec:
     p: float
     alpha: float = 0.0
 
+    __getstate__ = _fields_only
+
     def __post_init__(self):
         if not (0.5 <= self.p <= 1.0):
             raise ValueError(f"p must lie in [1/2, 1], got {self.p}")
         if not (0.0 <= self.alpha < TWO_PI):
             raise ValueError(f"alpha must lie in [0, 2*pi), got {self.alpha}")
+
+    @cached_property
+    def _unitaries(self) -> tuple:
+        # (u, u^dag) of this spec, computed on first use and read-only.
+        return tuple(map(_read_only, _drive_unitaries(self)))
 
 
 def _field(specs, name: str):
@@ -165,6 +196,8 @@ class MeasurementBasis:
     theta_x: float
     phi_x: float = 0.0
 
+    __getstate__ = _fields_only
+
     def __post_init__(self):
         if not (0.0 <= self.theta_x <= math.pi):
             raise ValueError(f"theta_x must lie in [0, pi], got {self.theta_x}")
@@ -189,9 +222,13 @@ class MeasurementBasis:
             ph = 0.0
         return cls(theta_x=th, phi_x=ph)
 
+    @cached_property
+    def _projectors(self) -> np.ndarray:
+        return _read_only(basis_projectors(self.theta_x, self.phi_x))
+
     def projectors(self) -> np.ndarray:
-        """The two outcome projectors, stacked along the first axis."""
-        return basis_projectors(self.theta_x, self.phi_x)
+        """The two outcome projectors, stacked along the first axis (computed on first use, read-only)."""
+        return self._projectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,15 +423,35 @@ class Strokes(NamedTuple):
         return self.record(rho2, aux_entropy, cost)
 
 
-def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
-    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II); either may be a list."""
+def _read_only(a):
+    # A cached constant of a spec, made read-only if it is an array (a numpy scalar is immutable already).
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
+    return a
+
+
+def _cold_constants(params) -> tuple:
+    # (h1, h2, rho0, e0): the Hamiltonians, the stroke-I Gibbs state and its energy, one row per spec of a list.
     h1 = hamiltonian_h1(params)
-    h2 = hamiltonian_h2(params)
     rho0 = _gibbs(h1, _field(params, "beta_c"))
+    return h1, hamiltonian_h2(params), rho0, _expect(h1, rho0)
+
+
+def _drive_unitaries(drive) -> tuple:
+    # (u, u^dag) of the drive, one row per spec of a list.
     u = drive_unitary(drive)
-    u_dag = u.conj().swapaxes(-1, -2)
+    return u, u.conj().swapaxes(-1, -2)
+
+
+def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
+    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II); either may be a list.
+
+    A single spec supplies the constants it computed on first use; a list is stacked anew.
+    """
+    h1, h2, rho0, e0 = _cold_constants(params) if isinstance(params, (list, tuple)) else params._strokes_i_constants
+    u, u_dag = _drive_unitaries(drive) if isinstance(drive, (list, tuple)) else drive._unitaries
     rho1 = u @ rho0 @ u_dag
-    return Strokes(rho1=rho1, e0=_expect(h1, rho0), e1=_expect(h2, rho1), h2=h2, uh1u=u @ h1 @ u_dag)
+    return Strokes(rho1=rho1, e0=e0, e1=_expect(h2, rho1), h2=h2, uh1u=u @ h1 @ u_dag)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -427,7 +484,7 @@ def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecor
     """
     if params.beta_h is None:
         raise ValueError("the conventional cycle requires beta_h")
-    return strokes_i_ii(params, drive).thermalize(params.beta_h)
+    return strokes_i_ii(params, drive).record(params._hot_state)
 
 
 def run_pvm_cycle(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:

@@ -120,7 +120,8 @@ def optimize_pvm_basis(
     def work(theta: float, phi: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        projectors = MeasurementBasis.wrapped(theta, phi).projectors()
+        basis = MeasurementBasis.wrapped(theta, phi)  # used once, so its projectors are not kept
+        projectors = engine.basis_projectors(basis.theta_x, basis.phi_x)
         return float(strokes.work(engine._measure(strokes.rho1, projectors)))
 
     thetas = np.linspace(0.0, math.pi, grid_size)
@@ -182,7 +183,6 @@ def _su4_point(v: np.ndarray) -> Su4Point:
 
 # The auxiliary of every dilation optimum, |+><+| measured at its poles, checked once here.
 _AUX = PovmSpec(joint_unitary=qmat.ID4)
-_AUX_PROJECTORS = _AUX.aux_basis.projectors()
 
 
 def _dilation_candidates(params, drives, t_c: float, net: bool) -> tuple[engine.CycleRecord, np.ndarray]:
@@ -193,7 +193,7 @@ def _dilation_candidates(params, drives, t_c: float, net: bool) -> tuple[engine.
     vs = _optimal_dilations(strokes, net)
     if not np.max(np.abs(vs.conj().swapaxes(-1, -2) @ vs - qmat.ID4)) <= qmat.UNITARY_TOL:  # NaN fails too
         raise ValueError(f"joint_unitary is not a finite unitary within {qmat.UNITARY_TOL}")
-    return strokes.dilate(vs, _AUX.aux_state, _AUX_PROJECTORS, t_c), vs
+    return strokes.dilate(vs, _AUX.aux_state, _AUX.aux_basis.projectors(), t_c), vs
 
 
 def _net_winner(record: engine.CycleRecord) -> np.ndarray:

@@ -435,6 +435,7 @@ class TestTable1Command:
         assert not NEGATIVE_ZERO.search(out)
         table = {row.split(",")[0]: row.split(",")[1:] for row in out.splitlines() if not row.startswith("#")}
         assert table["efficiency_at_optimal_work"][0::2] == [conventional, povm]
+        assert table["efficiency_adiabatic"] == [conventional, "0.6", "0.6"]  # eta0 only where the cycle runs
         params = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=float(beta_c))
         assert (params.gamma >= 1.0 + 1.0 / params.tau_z) == (povm != "")
         if povm:  # the simulated gross optimum at p = 1 runs at eta0
@@ -560,6 +561,20 @@ def test_negative_zero_reset_temperature_is_zero(capsys, argv):
     assert out == zero
     assert "# t_c: 0.0\n" in out
     assert not NEGATIVE_ZERO.search(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--engine", "conventional", "--beta-h", "{z}", "--alpha", "{z}"),
+    ("--engine", "pvm", "--theta", "{z}", "--phi", "{z}", "--alpha", "{z}"),
+    ("--engine", "povm", "--v0", "--theta", "{z}", "--phi", "{z}", "--alpha", "{z}"),
+], ids=["conventional", "pvm", "povm"])
+def test_negative_zero_cycle_metadata_is_zero(capsys, argv):
+    # a -0 angle or hot inverse temperature is echoed as 0 in the metadata, and the ledger is that of 0
+    code, out, _ = run_cli(capsys, "cycle", *(a.format(z="-0") for a in argv), "--deterministic")
+    assert code == 0
+    assert not NEGATIVE_ZERO.search(out)
+    _, zero, _ = run_cli(capsys, "cycle", *(a.format(z="0") for a in argv), "--deterministic")
+    assert out == zero
 
 
 def report(*argv):

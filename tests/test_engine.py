@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -654,3 +657,89 @@ class TestKernel:
         assert stack.shape == (3, 2, 2)
         for u, d in zip(stack, drives):
             np.testing.assert_array_equal(u, drive_unitary(d))
+
+
+def cycle_specs(p, theta):
+    # one (params, drive, basis, povm) point at a gap ratio of exactly 2, built afresh on every call
+    params = EngineParams(omega_z=1.5, omega_x=3.0, beta_c=0.7, beta_h=0.2)
+    basis = MeasurementBasis(theta, 0.9)
+    povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary(), aux_basis=MeasurementBasis(theta, 2.1))
+    return params, DriveSpec(p=p, alpha=1.3), basis, povm
+
+
+def three_cycles(params, drive, basis, povm):
+    return (
+        run_conventional_cycle(params, drive),
+        run_pvm_cycle(params, drive, basis),
+        run_povm_cycle(params, drive, povm),
+    )
+
+
+def ledger_hex(record):
+    # every CycleRecord field and property as float.hex, None kept
+    names = [f.name for f in dataclasses.fields(record)] + ["net_work", "first_law_residual"]
+    return {n: None if getattr(record, n) is None else float(getattr(record, n)).hex() for n in names}
+
+
+class TestSpecConstants:
+    """A frozen spec computes its stroke constants on first use and keeps them read-only."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_reused_spec_equals_fresh_spec(self, p, theta):
+        reused = cycle_specs(p, theta)
+        three_cycles(*reused)  # fills the caches
+        for again, fresh in zip(three_cycles(*reused), three_cycles(*cycle_specs(p, theta))):
+            assert ledger_hex(again) == ledger_hex(fresh)
+
+    def test_reused_specs_build_their_constants_once(self, monkeypatch):
+        specs = cycle_specs(0.8, 1.1)
+        three_cycles(*specs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a spec's constant rebuilt")
+
+        for name in ("_gibbs", "hamiltonian_h1", "hamiltonian_h2", "drive_unitary", "basis_projectors"):
+            monkeypatch.setattr(engine, name, forbidden)
+        three_cycles(*specs)
+
+    def test_cached_arrays_are_read_only(self):
+        params, drive, basis, povm = cycle_specs(0.8, 1.1)
+        three_cycles(params, drive, basis, povm)
+        h1, h2, rho0, e0 = params._strokes_i_constants
+        assert not isinstance(e0, np.ndarray)  # a numpy scalar, immutable
+        for a in (h1, h2, rho0, params._hot_state, *drive._unitaries, basis.projectors(), povm.aux_basis.projectors()):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        assert basis.projectors() is basis.projectors()
+
+    def test_replace_copy_and_pickle_give_a_fresh_cache(self):
+        params, drive, basis, _ = cycle_specs(0.8, 1.1)
+        run_pvm_cycle(params, drive, basis)
+        for spec, name, change in (
+            (params, "_strokes_i_constants", {"omega_z": 1.0}),
+            (drive, "_unitaries", {"p": 0.6}),
+            (basis, "_projectors", {"theta_x": 0.4}),
+        ):
+            assert name in vars(spec)
+            cached = getattr(spec, name)
+            other = dataclasses.replace(spec, **change)
+            assert name not in vars(other)
+            assert not np.array_equal(getattr(other, name)[0], cached[0])
+            copies = (dataclasses.replace(spec), copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec)))
+            for same in copies:
+                assert same == spec and name not in vars(same)
+                again = getattr(same, name)
+                for x, y in zip(*(z if isinstance(z, tuple) else (z,) for z in (again, cached))):
+                    assert x is not y and not x.flags.writeable
+                    np.testing.assert_array_equal(x, y)
+
+    def test_specs_compare_by_their_fields(self):
+        warm = cycle_specs(0.8, 1.1)
+        three_cycles(*warm)
+        cold = cycle_specs(0.8, 1.1)
+        for a, b in zip(warm[:3], cold[:3]):
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert warm[0] != dataclasses.replace(warm[0], beta_c=0.8)
+        assert warm[1] != dataclasses.replace(warm[1], alpha=0.0)
+        assert warm[2] != dataclasses.replace(warm[2], phi_x=0.0)
