@@ -70,15 +70,21 @@ class RunReport:
     rows: list
 
 
+def _unsigned_zero(value):
+    # A metadata value with a float zero of either sign as +0.0, so no report prints -0; _fmt and _json_value
+    # add the same 0.0 to the cells.
+    return value + 0.0 if isinstance(value, (float, np.floating)) else value
+
+
 def _fmt(value) -> str:
     if type(value) is float:
-        return f"{value:.12g}"
+        return f"{value + 0.0:.12g}"
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
+        return f"{float(value) + 0.0:.12g}"
     return str(value)
 
 
@@ -87,18 +93,20 @@ def _json_value(value):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
-    return float(f"{float(value):.12g}")
+    return float(f"{float(value) + 0.0:.12g}")
 
 
 def render_report(report: RunReport, fmt: str) -> str:
+    """The report as text, csv or json; every format prints a float zero, in metadata and cells, as 0."""
+    meta = {key: _unsigned_zero(value) for key, value in report.meta.items()}
     if fmt == "json":
         payload = {
-            "meta": report.meta,
+            "meta": meta,
             "columns": list(report.columns),
             "rows": [[_json_value(v) for v in row] for row in report.rows],
         }
         return json.dumps(payload, indent=2) + "\n"
-    lines = [f"# {key}: {value}" for key, value in report.meta.items()]
+    lines = [f"# {key}: {value}" for key, value in meta.items()]
     if fmt == "csv":
         lines.append(",".join(report.columns))
         lines.extend(",".join(_fmt(v) for v in row) for row in report.rows)
@@ -134,16 +142,16 @@ def cmd_cycle(args) -> RunReport:
     )
     drive = DriveSpec(p=args.p, alpha=args.alpha)
     phi = 0.0 if args.phi is None else args.phi
-    meta = dict(  # + 0.0 echoes a -0 angle or temperature as 0
+    meta = dict(
         engine=args.engine, omega_z=args.omega_z, omega_x=args.omega_x,
-        beta_c=args.beta_c, p=args.p, alpha=args.alpha + 0.0,
+        beta_c=args.beta_c, p=args.p, alpha=args.alpha,
     )
     if args.engine == "conventional":
         if args.beta_h is None:
             raise ValueError("--engine conventional requires --beta-h")
         if args.v0 or args.su4_file or any(x is not None for x in (args.theta, args.phi, args.t_c)):
             raise ValueError("--theta/--phi/--v0/--su4-file/--t-c do not apply to the conventional engine")
-        meta["beta_h"] = args.beta_h + 0.0
+        meta["beta_h"] = args.beta_h
         record = engine.run_conventional_cycle(params, drive)
     elif args.engine == "pvm":
         if args.beta_h is not None:
@@ -153,7 +161,7 @@ def cmd_cycle(args) -> RunReport:
         if args.theta is None:
             raise ValueError("--engine pvm requires --theta")
         basis = MeasurementBasis(theta_x=args.theta, phi_x=phi)
-        meta["theta_x"], meta["phi_x"] = args.theta + 0.0, phi + 0.0
+        meta["theta_x"], meta["phi_x"] = args.theta, phi
         record = engine.run_pvm_cycle(params, drive, basis)
     else:  # povm
         if args.beta_h is not None:
@@ -168,7 +176,7 @@ def cmd_cycle(args) -> RunReport:
             meta["dilation"] = args.su4_file
         aux_basis = MeasurementBasis(theta_x=args.theta or 0.0, phi_x=phi)
         povm = PovmSpec(joint_unitary=joint, aux_basis=aux_basis)
-        meta["aux_theta_x"], meta["aux_phi_x"] = aux_basis.theta_x + 0.0, aux_basis.phi_x + 0.0
+        meta["aux_theta_x"], meta["aux_phi_x"] = aux_basis.theta_x, aux_basis.phi_x
         record = engine.run_povm_cycle(params, drive, povm, reset_temperature=args.t_c)
         if args.t_c is not None:
             meta["t_c"] = params.reset_temperature(args.t_c)
@@ -235,9 +243,8 @@ def cmd_fig4(args) -> RunReport:
             colds = [EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / t_c) for t_c in t_cs]
         except ValueError as exc:
             raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
-        cycles = engine.strokes_i_ii(colds, DriveSpec(p=1.0)).dilate(
-            povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors(), np.array(t_cs)  # each at its t_c
-        )
+        # one stacked pass, each row reset at its own t_c
+        cycles = engine.strokes_i_ii(colds, DriveSpec(p=1.0)).dilate(povm.joint_unitary, povm, np.array(t_cs))
         for t_c, res in zip(t_cs, cycles.first_law_residual.tolist()):
             rec = analytic.aux_cost_record(params, t_c)
             rows.append((t_c, rec.delta_w, rec.min_cost, res))

@@ -20,9 +20,13 @@ a spec type is built, and the reset temperature by one EngineParams method.
 A spec's constants are computed once, on its first use, and kept read-only:
 EngineParams its Hamiltonians, stroke-I Gibbs state and energy e0 (and the
 hot Gibbs state of the two-bath cycle), DriveSpec its unitary and adjoint,
-MeasurementBasis its projectors.  A single spec passed to the kernel again
+MeasurementBasis its projectors.  PovmSpec computes its auxiliary's initial
+entropy S_init once, when it is built, and a dilation reads the auxiliary's
+entropy after the stroke off its outcome probabilities, so a cycle on specs
+already used runs no eigen-solver.  A single spec passed to the kernel again
 reuses them; a list of specs is stacked anew on every call.  A copy or
-pickle of a spec carries only its fields.
+pickle of a spec carries only its fields, and a PovmSpec is built anew from
+them.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -241,8 +245,10 @@ class PovmSpec:
     no check of its own: the outcome projectors sum to I, so
     sum_i K_i^dag K_i - I = Tr_a[(I x rho_a)(V^dag V - I)], and with V
     unitary within UNITARY_TOL and rho_a a density matrix the family
-    resolves the identity within 2 UNITARY_TOL elementwise.  Specs compare
-    by identity.
+    resolves the identity within 2 UNITARY_TOL elementwise.  The
+    auxiliary's von Neumann entropy S_init (bits) is computed once, from the
+    checked state.  Specs compare by identity; a copy or pickle is built
+    anew from the fields, so it is checked and read-only again.
     """
 
     joint_unitary: np.ndarray
@@ -260,6 +266,10 @@ class PovmSpec:
         rho_a.setflags(write=False)
         object.__setattr__(self, "joint_unitary", u)
         object.__setattr__(self, "aux_state", rho_a)
+        object.__setattr__(self, "_aux_entropy_init", float(qmat._entropy_bits(np.linalg.eigvalsh(rho_a))))
+
+    def __reduce__(self):
+        return PovmSpec, (self.joint_unitary, self.aux_state, self.aux_basis)
 
     def kraus_operators(self) -> list[np.ndarray]:
         """Induced system Kraus operators, one per (outcome, auxiliary eigenstate).
@@ -269,7 +279,7 @@ class PovmSpec:
         nonzero spectral weight, scaled by its square root.
         """
         v4 = self.joint_unitary.reshape(2, 2, 2, 2)
-        weights, states = qmat.hermitian_eig(self.aux_state)
+        weights, states = qmat._hermitian_eig(self.aux_state)
         ops = []
         for ket_out in _basis_kets(self.aux_basis.theta_x, self.aux_basis.phi_x):
             for w, phi in zip(weights, states.T):
@@ -414,13 +424,19 @@ class Strokes(NamedTuple):
         """Stroke III as the non-selective measurement with a stack of rank-one outcome projectors (-3 axis)."""
         return self.record(_measure(self.rho1, projectors))
 
-    def dilate(self, v: np.ndarray, aux_state, aux_projectors, reset_temperature) -> CycleRecord:
-        """Stroke III as the dilation of :func:`run_povm_cycle`, with one joint unitary v per row or one shared."""
-        rho2, aux_post = _povm_stroke(self.rho1, v, aux_state, aux_projectors)
-        aux_entropy = qmat._entropy_bits(aux_post)
-        gained = aux_entropy - qmat._entropy_bits(aux_state)
+    def dilate(self, v: np.ndarray, povm: PovmSpec, reset_temperature) -> CycleRecord:
+        """Stroke III as the dilation of :func:`run_povm_cycle`: the auxiliary of povm, rotated with the system by
+        v (one joint unitary per row, or one shared) and measured in povm's basis.
+
+        The outcome projectors sum to I, so the measurement leaves the system marginal of the rotated state
+        unchanged; they are rank one and orthonormal, so the measured auxiliary sum_i w_i P_i has the outcome
+        probabilities w_i = Tr(P_i rho_a) of its marginal rho_a as its spectrum, and S_post is their entropy.
+        """
+        system, aux = qmat._marginals(v @ _kron(self.rho1, povm.aux_state) @ v.conj().swapaxes(-1, -2))
+        aux_entropy = qmat._entropy_bits(_expect(povm.aux_basis.projectors(), aux[..., None, :, :]))
+        gained = aux_entropy - povm._aux_entropy_init
         cost = reset_temperature * LN2 * np.where(gained < 0.0, 0.0, gained)
-        return self.record(rho2, aux_entropy, cost)
+        return self.record(system, aux_entropy, cost)
 
 
 def _read_only(a):
@@ -468,14 +484,6 @@ def _measure(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     return x[..., 0, :, :] + x[..., 1, :, :]
 
 
-def _povm_stroke(rho: np.ndarray, v: np.ndarray, aux_state: np.ndarray, aux_projectors: np.ndarray):
-    # The (system, auxiliary) marginals of the dilated state rotated by v (one per row or shared) and measured
-    # with I (x) P_i, taken on the auxiliary marginal alone: Tr_s[(I x P) X (I x P)] = P Tr_s[X] P, and the
-    # system marginal is unchanged, sum_i Tr_a[(I x P_i) X (I x P_i)] = Tr_a[X (I x sum_i P_i)] = Tr_a[X].
-    system, aux = qmat._marginals(v @ _kron(rho, aux_state) @ v.conj().swapaxes(-1, -2))
-    return system, _measure(aux, aux_projectors)
-
-
 def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecord:
     """Two-bath cycle: stroke III thermalizes at the hot inverse temperature.
 
@@ -507,13 +515,14 @@ def run_povm_cycle(
     second-law minimum T ln 2 max(S_post - S_init, 0), S in bits (Reeb &
     Wolf, New J. Phys. 16, 103011 (2014)): a mixed auxiliary pays only for
     the entropy it gains, and the pure default pays T ln 2 S_post.
-    ``aux_entropy`` reports S_post.  The auxiliary's outcome projectors sum
-    to I, so measuring it leaves the system marginal of the rotated state,
-    sum_i K_i rho K_i^dag for the induced Kraus family, unchanged: the joint
-    unitary alone sets the system's energy (the heat), and the measurement
-    only the auxiliary's entropy and so its reset cost.
+    ``aux_entropy`` reports S_post as the Shannon entropy of the outcome
+    probabilities, which equals it: the outcome projectors are rank one, so
+    the measured auxiliary's spectrum is those probabilities.  S_init is the
+    one the spec computed when it was built.  The auxiliary's outcome
+    projectors sum to I, so measuring it leaves the system marginal of the
+    rotated state, sum_i K_i rho K_i^dag for the induced Kraus family,
+    unchanged: the joint unitary alone sets the system's energy (the heat),
+    and the measurement only the auxiliary's entropy and so its reset cost.
     """
     reset_temperature = params.reset_temperature(reset_temperature)
-    return strokes_i_ii(params, drive).dilate(
-        povm.joint_unitary, povm.aux_state, povm.aux_basis.projectors(), reset_temperature
-    )
+    return strokes_i_ii(params, drive).dilate(povm.joint_unitary, povm, reset_temperature)

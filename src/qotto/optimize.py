@@ -193,7 +193,7 @@ def _dilation_candidates(params, drives, t_c: float, net: bool) -> tuple[engine.
     vs = _optimal_dilations(strokes, net)
     if not np.max(np.abs(vs.conj().swapaxes(-1, -2) @ vs - qmat.ID4)) <= qmat.UNITARY_TOL:  # NaN fails too
         raise ValueError(f"joint_unitary is not a finite unitary within {qmat.UNITARY_TOL}")
-    return strokes.dilate(vs, _AUX.aux_state, _AUX.aux_basis.projectors(), t_c), vs
+    return strokes.dilate(vs, _AUX, t_c), vs
 
 
 def _net_winner(record: engine.CycleRecord) -> np.ndarray:

@@ -8,9 +8,11 @@ All functions are pure.  The public ones validate their input against
 the module constants HERMITIAN_TOL, DENSITY_TOL and UNITARY_TOL and raise
 ``ValueError`` on failure; ``hermitian_eig`` fixes eigenvector phases, so
 repeated calls on one input are identical.  The underscore helpers
-(exp(iG), the unitary logarithm, von Neumann entropy, marginals) skip
-validation: the engine and the optimizers call them only on matrices they
-built themselves from inputs checked when a spec type was constructed.
+(exp(iG), the unitary logarithm, marginals, and the Shannon entropy of
+probability vectors, which is a von Neumann entropy when given a density
+matrix's eigenvalues) skip validation: the engine and the optimizers call
+them only on arrays they built themselves from inputs checked when a spec
+type was constructed.
 """
 
 from __future__ import annotations
@@ -128,10 +130,9 @@ def _unitary_log(v: np.ndarray) -> np.ndarray:
     return (vecs * (2.0 * np.arctan(vals) - t)) @ vecs.conj().T
 
 
-def _entropy_bits(rho: np.ndarray) -> np.ndarray:
-    # Von Neumann entropy in bits, unchecked, elementwise on a stack; eigenvalues <= 0
-    # (zeros and rounding noise) enter as 1 log 1 = 0.
-    vals = np.linalg.eigvalsh(rho)
-    vals = np.where(vals > 0.0, vals, 1.0)
-    s = -(vals * np.log2(vals)).sum(axis=-1)
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    # Shannon entropy in bits of probability vectors along the last axis, unchecked, elementwise on a stack;
+    # entries <= 0 (zeros and rounding noise) enter as 1 log 1 = 0.
+    p = np.where(p > 0.0, p, 1.0)
+    s = -(p * np.log2(p)).sum(axis=-1)
     return np.where(s < 0.0, 0.0, s)

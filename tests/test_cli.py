@@ -577,6 +577,23 @@ def test_negative_zero_cycle_metadata_is_zero(capsys, argv):
     assert out == zero
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_negative_zero_table1_metadata_is_zero(capsys, fmt):
+    # a -0 hot inverse temperature is printed as 0 in every format, and the table is that of 0
+    code, out, _ = run_cli(capsys, "table1", "--beta-h", "-0", "--deterministic", "--format", fmt)
+    assert code == 0
+    assert not NEGATIVE_ZERO.search(out)
+    _, zero, _ = run_cli(capsys, "table1", "--beta-h", "0", "--deterministic", "--format", fmt)
+    assert out == zero
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_render_report_prints_every_float_zero_as_zero(fmt):
+    text = render_report(RunReport({"a": -0.0, "b": np.float64(-0.0)}, ("x", "y"), [(-0.0, np.float64(-0.0))]), fmt)
+    assert not NEGATIVE_ZERO.search(text)
+    assert text == render_report(RunReport({"a": 0.0, "b": np.float64(0.0)}, ("x", "y"), [(0.0, np.float64(0.0))]), fmt)
+
+
 def report(*argv):
     # the RunReport a command builds, its numbers at full precision
     args = cli._parser().parse_args([*argv, "--deterministic"])

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,15 +63,30 @@ def matmul_measure(rho, projectors):
     return x[..., 0, :, :] + x[..., 1, :, :]
 
 
+def dilation(rho, spec):
+    # Strokes.dilate of rho with a checked spec, as run_povm_cycle calls it: (the record it builds, the system
+    # marginal it hands to Strokes.record, the outcome probabilities it hands to qmat._entropy_bits)
+    with mock.patch.object(engine.Strokes, "record", autospec=True, side_effect=engine.Strokes.record) as record, \
+            mock.patch.object(qmat, "_entropy_bits", wraps=qmat._entropy_bits) as entropy:
+        rec = engine.Strokes(rho, 0.0, 0.0, ID2, ID2).dilate(spec.joint_unitary, spec, 1.0)
+    (_, system, *_), _ = record.call_args
+    (probabilities,), _ = entropy.call_args
+    return rec, system, probabilities
+
+
 def spec_stroke(rho, spec):
-    # the engine's dilation stroke with a checked spec, as run_povm_cycle calls it
-    return engine._povm_stroke(rho, spec.joint_unitary, spec.aux_state, spec.aux_basis.projectors())
+    # the system marginal and outcome probabilities of the engine's dilation stroke
+    return dilation(rho, spec)[1:]
 
 
 def joint_povm_stroke(rho, v, aux_state, aux_projectors):
-    # the joint state rotated by v, measured with the joint projectors I (x) P_i, and both its marginals
+    # the joint state rotated by v and measured with the joint projectors I (x) P_i: its (system, auxiliary)
+    # marginals and its outcome probabilities Tr[(I x P_i) X (I x P_i)]
     x = v @ engine._kron(rho, aux_state) @ v.conj().swapaxes(-1, -2)
-    return qmat._marginals(matmul_measure(x, engine._kron(ID2, aux_projectors)))
+    joint = engine._kron(ID2, aux_projectors)
+    branches = joint @ x[..., None, :, :] @ joint
+    return (*qmat._marginals(branches[..., 0, :, :] + branches[..., 1, :, :]),
+            np.trace(branches, axis1=-2, axis2=-1).real)
 
 
 class TestParams:
@@ -360,17 +376,16 @@ class TestPovmStroke:
         rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
         u = drive_unitary(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
-        plus, minus = np.outer(KET_PLUS, KET_PLUS.conj()), np.outer(KET_MINUS, KET_MINUS.conj())
+        plus = np.outer(KET_PLUS, KET_PLUS.conj())
         tz = math.tanh(1.0)
-        expected_aux = 0.5 * (1.0 - tz) * plus + 0.5 * (1.0 + tz) * minus
         for layout in LAYOUTS:
             povm = PovmSpec(joint_unitary=layout(analytic.optimal_dilation_unitary()))
-            system, aux = spec_stroke(rho1, povm)
+            system, probabilities = spec_stroke(rho1, povm)
             np.testing.assert_allclose(system, plus, atol=1e-12)
             e2 = np.trace(hamiltonian_h2(P32) @ system).real
             assert e2 == pytest.approx(1.5, abs=1e-12)
-            # auxiliary keeps the thermal populations along its poles
-            np.testing.assert_allclose(aux, expected_aux, atol=1e-12)
+            # auxiliary keeps the thermal populations along its poles, |+> then |->
+            np.testing.assert_allclose(probabilities, [0.5 * (1.0 - tz), 0.5 * (1.0 + tz)], atol=1e-12)
 
     def test_matches_kraus_channel(self):
         rng = np.random.default_rng(10)
@@ -393,7 +408,8 @@ class TestPovmStroke:
         ids=["pure", "mixed", "maximally-mixed"],
     )
     def test_marginals_of_the_measured_joint_state(self, aux):
-        # measuring the auxiliary on its marginal gives both marginals of the joint state measured with I (x) P_i
+        # the rotated state's marginals give the system marginal and outcome probabilities of the joint state
+        # measured with I (x) P_i
         rng = np.random.default_rng(42)
         for _ in range(100):
             spec = PovmSpec(
@@ -402,9 +418,30 @@ class TestPovmStroke:
                 aux_basis=MeasurementBasis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)),
             )
             rho = random_density(rng)
-            ref = joint_povm_stroke(rho, spec.joint_unitary, spec.aux_state, spec.aux_basis.projectors())
-            for got, want in zip(spec_stroke(rho, spec), ref):
+            system, _, probabilities = joint_povm_stroke(
+                rho, spec.joint_unitary, spec.aux_state, spec.aux_basis.projectors()
+            )
+            for got, want in zip(spec_stroke(rho, spec), (system, probabilities)):
                 assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("aux", [
+        np.outer(KET_PLUS, KET_PLUS.conj()), np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]), 0.5 * ID2,
+    ], ids=["pure", "mixed", "maximally-mixed"])
+    def test_entropy_of_the_outcome_probabilities_is_s_post(self, aux):
+        # the measured auxiliary sum_i w_i P_i has spectrum w, so the Shannon entropy of w the engine reports is
+        # the von Neumann entropy of that state, taken here from its eigenvalues
+        rng = np.random.default_rng(43)
+        for j in range(200):
+            theta = {0: 0.0, 1: math.pi}.get(j % 4, rng.uniform(0.0, math.pi))  # both poles, and in between
+            spec = PovmSpec(
+                joint_unitary=haar_unitary(rng),
+                aux_state=aux,
+                aux_basis=MeasurementBasis(theta, rng.uniform(0.0, 2.0 * math.pi)),
+            )
+            rho = random_density(rng)
+            _, measured, _ = joint_povm_stroke(rho, spec.joint_unitary, spec.aux_state, spec.aux_basis.projectors())
+            s_post = qmat._entropy_bits(np.linalg.eigvalsh(measured))
+            assert abs(dilation(rho, spec)[0].aux_entropy - s_post) <= 1e-14
 
     def test_stored_arrays_are_immutable(self):
         povm = PovmSpec(joint_unitary=ID4)
@@ -733,6 +770,30 @@ class TestSpecConstants:
                 for x, y in zip(*(z if isinstance(z, tuple) else (z,) for z in (again, cached))):
                     assert x is not y and not x.flags.writeable
                     np.testing.assert_array_equal(x, y)
+        # a PovmSpec is built anew from its fields: checked, read-only and with its own S_init
+        povm = PovmSpec(analytic.optimal_dilation_unitary(), np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]), basis)
+        ledger = ledger_hex(run_povm_cycle(params, drive, povm))
+        for same in (dataclasses.replace(povm), copy.copy(povm), copy.deepcopy(povm), pickle.loads(pickle.dumps(povm))):
+            assert same is not povm and same.aux_basis == povm.aux_basis
+            for x, y in ((same.joint_unitary, povm.joint_unitary), (same.aux_state, povm.aux_state)):
+                assert x is not y and not x.flags.writeable
+                np.testing.assert_array_equal(x, y)
+            assert vars(same)["_aux_entropy_init"] == povm._aux_entropy_init > 0.0
+            assert ledger_hex(run_povm_cycle(params, drive, same)) == ledger
+
+    def test_cycles_on_built_specs_run_no_eigen_solver(self, monkeypatch):
+        params, drive, basis, povm = cycle_specs(0.8, 1.1)
+        mixed = dataclasses.replace(povm, aux_state=np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+        first = [three_cycles(params, drive, basis, x) for x in (povm, mixed)]  # fills the caches
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigen-solver ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        for x, records in zip((povm, mixed), first):
+            again = three_cycles(params, drive, basis, x)
+            assert [ledger_hex(r) for r in again] == [ledger_hex(r) for r in records]
 
     def test_specs_compare_by_their_fields(self):
         warm = cycle_specs(0.8, 1.1)

@@ -178,7 +178,7 @@ def test_grid_rows_equal_single_cycles(rows, povm):
     strokes = strokes_i_ii(params, drives)
 
     def dilate(strokes, reset_temperature):
-        return strokes.dilate(spec.joint_unitary, spec.aux_state, spec.aux_basis.projectors(), reset_temperature)
+        return strokes.dilate(spec.joint_unitary, spec, reset_temperature)
 
     assert_rows_bitwise(
         strokes.thermalize(np.array([x.beta_h for x in params])),

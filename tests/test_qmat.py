@@ -256,11 +256,12 @@ class TestUnitaryLog:
 
 
 def von_neumann_entropy(rho):
-    return float(_entropy_bits(rho))
+    return float(_entropy_bits(np.linalg.eigvalsh(rho)))
 
 
 class TestVonNeumannEntropy:
-    # qmat._entropy_bits is the unchecked entropy of the auxiliary states.
+    # qmat._entropy_bits, the unchecked Shannon entropy of probability vectors, gives the von Neumann entropy of a
+    # state from its spectrum.
     def test_pure_state(self):
         assert von_neumann_entropy(np.outer(KET_PLUS, KET_PLUS.conj())) == pytest.approx(0.0, abs=1e-12)
 
@@ -298,8 +299,8 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_rejects_invalid(self):
-        # the kernel takes entropies of PovmSpec.aux_state and of the stroke output,
-        # so a state that is not a density matrix is refused when the spec is built
+        # the spec takes the entropy of its aux_state when it is built, and refuses a state that is not a
+        # density matrix
         for aux in (np.diag([0.8, 0.3]), np.array([[0.5, 0.5], [0.0, 0.5]])):
             with pytest.raises(ValueError, match="aux_state"):
                 PovmSpec(joint_unitary=ID4, aux_state=aux)
