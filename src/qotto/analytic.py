@@ -189,10 +189,10 @@ def povm_net_work_optimum(params: EngineParams, drive: DriveSpec, t_c: float | N
 def rearrangement_energy_bound(h, rho) -> float:
     """max over unitaries U of Tr(h U rho U^dag) = sum of ascending-sorted eigenvalue products."""
     hm = qmat.validate_hermitian(h, name="h")
-    rm = qmat.validate_density_matrix(rho, name="rho")
+    rm, rho_spectrum = qmat._density_spectrum(rho, name="rho")
     if hm.shape != rm.shape:
         raise ValueError(f"dimension mismatch: {hm.shape} vs {rm.shape}")
-    return float(np.sort(np.linalg.eigvalsh(hm)) @ np.sort(np.linalg.eigvalsh(rm)))
+    return float(np.linalg.eigvalsh(hm) @ rho_spectrum)  # eigvalsh sorts ascending
 
 
 def _reset_cost(t_c: float, x: float) -> float:

@@ -20,13 +20,15 @@ a spec type is built, and the reset temperature by one EngineParams method.
 A spec's constants are computed once, on its first use, and kept read-only:
 EngineParams its Hamiltonians, stroke-I Gibbs state and energy e0 (and the
 hot Gibbs state of the two-bath cycle), DriveSpec its unitary and adjoint,
-MeasurementBasis its projectors.  PovmSpec computes its auxiliary's initial
-entropy S_init once, when it is built, and a dilation reads the auxiliary's
-entropy after the stroke off its outcome probabilities, so a cycle on specs
-already used runs no eigen-solver.  A single spec passed to the kernel again
-reuses them; a list of specs is stacked anew on every call.  A copy or
-pickle of a spec carries only its fields, and a PovmSpec is built anew from
-them.
+MeasurementBasis its projectors.  A single spec passed to the kernel again
+reuses them; a list of specs is stacked anew on every call.  PovmSpec's
+default auxiliary |+><+| and its initial entropy S_init are checked and
+computed once, at import; a given auxiliary is checked with one
+eigen-solve, which also yields its S_init, when the spec is built.  A
+dilation reads the auxiliary's entropy after the stroke off its outcome
+probabilities, so a cycle on specs already used runs no eigen-solver.  A
+copy or pickle of a spec carries only its fields, and a PovmSpec is built
+anew from them.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -59,6 +61,13 @@ ENGINE_TOL = 1e-12
 def _fields_only(spec) -> dict:
     # The state a spec pickles and copies with: its fields, so a copy computes its own read-only constants.
     return {f.name: getattr(spec, f.name) for f in fields(spec)}
+
+
+def _read_only(a):
+    # An array a spec keeps, made read-only (a numpy scalar, such as a cached e0, is immutable already).
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -235,6 +244,20 @@ class MeasurementBasis:
         return self._projectors
 
 
+def _checked_aux_state(aux_state) -> tuple[np.ndarray, float]:
+    # An auxiliary state checked as a 2x2 density matrix, copied read-only, with its von Neumann entropy S_init in
+    # bits from the spectrum of the check's one eigen-solve.
+    rho_a, spectrum = qmat._density_spectrum(aux_state, name="aux_state")
+    if rho_a.shape != (2, 2):
+        raise ValueError(f"aux_state must be 2x2, got {rho_a.shape}")
+    return _read_only(rho_a.copy()), float(qmat._entropy_bits(spectrum))
+
+
+# PovmSpec's default auxiliary |+><+| and its S_init, checked once, here; eigvalsh gives its spectrum as [0, 1 - eps],
+# so S_init is 3.2e-16 rather than 0, and every ledger keeps those bits.
+_PLUS_STATE, _PLUS_ENTROPY = _checked_aux_state(np.outer(KET_PLUS, KET_PLUS.conj()))
+
+
 @dataclass(frozen=True, eq=False)
 class PovmSpec:
     """Two-outcome generalized measurement given as a dilation.
@@ -245,28 +268,33 @@ class PovmSpec:
     no check of its own: the outcome projectors sum to I, so
     sum_i K_i^dag K_i - I = Tr_a[(I x rho_a)(V^dag V - I)], and with V
     unitary within UNITARY_TOL and rho_a a density matrix the family
-    resolves the identity within 2 UNITARY_TOL elementwise.  The
-    auxiliary's von Neumann entropy S_init (bits) is computed once, from the
-    checked state.  Specs compare by identity; a copy or pickle is built
-    anew from the fields, so it is checked and read-only again.
+    resolves the identity within 2 UNITARY_TOL elementwise.  The default
+    auxiliary is one read-only module constant, checked once, at import,
+    together with its von Neumann entropy S_init (bits), so a spec built
+    with it checks only its joint unitary.  A given auxiliary is checked
+    with one eigen-solve, whose spectrum also yields its S_init.
+    ``aux_basis`` must be a MeasurementBasis.  Specs compare by identity; a
+    copy or pickle is built anew from the fields, so it is checked and
+    read-only again.
     """
 
     joint_unitary: np.ndarray
-    aux_state: np.ndarray = field(default_factory=lambda: np.outer(KET_PLUS, KET_PLUS.conj()))
+    aux_state: np.ndarray = field(default_factory=lambda: _PLUS_STATE)
     aux_basis: MeasurementBasis = MeasurementBasis(0.0, 0.0)
 
     def __post_init__(self):
         u = qmat.validate_unitary(self.joint_unitary, name="joint_unitary").copy()
         if u.shape != (4, 4):
             raise ValueError(f"joint_unitary must be 4x4, got {u.shape}")
-        rho_a = qmat.validate_density_matrix(self.aux_state, name="aux_state").copy()
-        if rho_a.shape != (2, 2):
-            raise ValueError(f"aux_state must be 2x2, got {rho_a.shape}")
-        u.setflags(write=False)
-        rho_a.setflags(write=False)
-        object.__setattr__(self, "joint_unitary", u)
+        if self.aux_state is _PLUS_STATE:
+            rho_a, s_init = _PLUS_STATE, _PLUS_ENTROPY
+        else:
+            rho_a, s_init = _checked_aux_state(self.aux_state)
+        if not isinstance(self.aux_basis, MeasurementBasis):
+            raise ValueError(f"aux_basis must be a MeasurementBasis, got {type(self.aux_basis).__name__}")
+        object.__setattr__(self, "joint_unitary", _read_only(u))
         object.__setattr__(self, "aux_state", rho_a)
-        object.__setattr__(self, "_aux_entropy_init", float(qmat._entropy_bits(np.linalg.eigvalsh(rho_a))))
+        object.__setattr__(self, "_aux_entropy_init", s_init)
 
     def __reduce__(self):
         return PovmSpec, (self.joint_unitary, self.aux_state, self.aux_basis)
@@ -437,13 +465,6 @@ class Strokes(NamedTuple):
         gained = aux_entropy - povm._aux_entropy_init
         cost = reset_temperature * LN2 * np.where(gained < 0.0, 0.0, gained)
         return self.record(system, aux_entropy, cost)
-
-
-def _read_only(a):
-    # A cached constant of a spec, made read-only if it is an array (a numpy scalar is immutable already).
-    if isinstance(a, np.ndarray):
-        a.setflags(write=False)
-    return a
 
 
 def _cold_constants(params) -> tuple:

@@ -95,7 +95,7 @@ class OptResult:
 def su4_from_point(pt: Su4Point) -> np.ndarray:
     """Exponentiate the generator combination into a 4x4 unitary."""
     # The generator combination is Hermitian by construction, so it is not re-checked.
-    return qmat._exp_i(np.tensordot(pt.k, _GENERATOR_STACK, axes=1))
+    return qmat._exp_i((pt.k @ _GENERATOR_STACK.reshape(15, 16)).reshape(4, 4))
 
 
 def optimize_pvm_basis(

@@ -7,12 +7,16 @@ operators use row-major Kronecker ordering, system factor first, so a
 All functions are pure.  The public ones validate their input against
 the module constants HERMITIAN_TOL, DENSITY_TOL and UNITARY_TOL and raise
 ``ValueError`` on failure; ``hermitian_eig`` fixes eigenvector phases, so
-repeated calls on one input are identical.  The underscore helpers
-(exp(iG), the unitary logarithm, marginals, and the Shannon entropy of
-probability vectors, which is a von Neumann entropy when given a density
-matrix's eigenvalues) skip validation: the engine and the optimizers call
-them only on arrays they built themselves from inputs checked when a spec
-type was constructed.
+repeated calls on one input are identical.  ``_density_spectrum`` is
+``validate_density_matrix`` that also returns the spectrum its one
+eigen-solve found, so a caller that needs a checked state's eigenvalues
+(a PovmSpec's given auxiliary for its initial entropy, the rearrangement
+bound) solves once.  The other underscore helpers (exp(iG), the unitary
+logarithm, marginals, and the Shannon entropy of probability vectors,
+which is a von Neumann entropy when given a density matrix's eigenvalues)
+skip validation: the engine and the optimizers call them only on arrays
+they built themselves from inputs checked when a spec type was
+constructed.
 """
 
 from __future__ import annotations
@@ -57,17 +61,23 @@ def validate_hermitian(m, name: str = "matrix") -> np.ndarray:
 
 def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
     """Check Hermiticity, unit trace and positive semidefiniteness (to DENSITY_TOL)."""
+    return _density_spectrum(rho, name)[0]
+
+
+def _density_spectrum(rho, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
+    # validate_density_matrix that also returns the ascending eigenvalues its positivity check solved for.
     a = validate_hermitian(rho, name)
     if abs(np.trace(a) - 1.0) > DENSITY_TOL:
         raise ValueError(f"{name} trace is {np.trace(a).real}, expected 1 within {DENSITY_TOL}")
-    if np.linalg.eigvalsh(a).min() < -DENSITY_TOL:
+    vals = np.linalg.eigvalsh(a)
+    if vals.min() < -DENSITY_TOL:
         raise ValueError(f"{name} has an eigenvalue below -{DENSITY_TOL}")
-    return a
+    return a, vals
 
 
 def validate_unitary(u, name: str = "u") -> np.ndarray:
     a = as_matrix(u, name)
-    if np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) > UNITARY_TOL:
+    if np.max(np.abs(a.conj().T @ a - (ID2 if a.shape[0] == 2 else ID4))) > UNITARY_TOL:
         raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
     return a
 

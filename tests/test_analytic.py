@@ -395,6 +395,28 @@ class TestRearrangementBound:
         with pytest.raises(ValueError):
             rearrangement_energy_bound(qmat.SIGMA_Z, qmat.ID4 / 4.0)
 
+    def test_one_eigen_solve_per_matrix(self, monkeypatch):
+        # the density check's spectrum of rho is the one the bound uses: two eigvalsh calls, the same bits
+        rng = np.random.default_rng(35)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for n in (2, 4) * 25:
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = 0.5 * (m + m.conj().T)
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            want = float(np.sort(eigvalsh(h)) @ np.sort(eigvalsh(rho)))
+            calls.clear()
+            assert rearrangement_energy_bound(h, rho).hex() == want.hex()
+            assert calls == [(n, n), (n, n)]
+
 
 class TestAuxCost:
     def test_reference_values(self):

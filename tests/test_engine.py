@@ -359,6 +359,82 @@ class TestPovmSpec:
         assert a != b
         assert len({a, b, a}) == 2
 
+    @pytest.mark.parametrize("aux_basis", [(0.1, 0.2), None, "plus"])
+    def test_rejects_an_aux_basis_that_is_not_a_basis(self, aux_basis):
+        with pytest.raises(ValueError, match="aux_basis must be a MeasurementBasis"):
+            PovmSpec(joint_unitary=ID4, aux_basis=aux_basis)
+
+
+def count_eigen_solves(monkeypatch) -> dict:
+    # Count calls of np.linalg.eigh and eigvalsh from here on, passing them through.
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+MIXED_AUX = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+
+
+class TestAuxiliaryCheck:
+    """The default auxiliary is checked once, at import; a given one with one eigen-solve."""
+
+    def test_default_auxiliary_runs_no_eigen_solver(self, monkeypatch):
+        v = analytic.optimal_dilation_unitary()
+        calls = count_eigen_solves(monkeypatch)
+        spec = PovmSpec(joint_unitary=v, aux_basis=MeasurementBasis(0.4, 1.0))
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+        assert spec.aux_state is engine._PLUS_STATE
+        assert spec._aux_entropy_init == engine._PLUS_ENTROPY
+
+    @pytest.mark.parametrize(
+        "aux", [np.outer(KET_PLUS, KET_PLUS.conj()), MIXED_AUX, 0.5 * ID2], ids=["pure", "mixed", "maximally-mixed"]
+    )
+    def test_given_auxiliary_runs_one_eigen_solve(self, monkeypatch, aux):
+        v = analytic.optimal_dilation_unitary()
+        want = float(qmat._entropy_bits(np.linalg.eigvalsh(aux)))
+        calls = count_eigen_solves(monkeypatch)
+        spec = PovmSpec(joint_unitary=v, aux_state=aux)
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+        assert spec._aux_entropy_init.hex() == want.hex()
+
+    def test_default_constant_equals_an_equal_distinct_state(self):
+        params = EngineParams(omega_z=1.5, omega_x=3.0, beta_c=0.7)
+        rng = np.random.default_rng(20)
+        plus = np.outer(KET_PLUS, KET_PLUS.conj())
+        assert plus is not engine._PLUS_STATE
+        np.testing.assert_array_equal(plus, engine._PLUS_STATE)
+        # eigvalsh gives |+><+| the spectrum [0, 1 - eps], so S_init is not 0 and keeps its bits
+        assert engine._PLUS_ENTROPY.hex() == (3.2034265038149176e-16).hex()
+        for _ in range(20):
+            v = random_su4(rng)
+            basis = MeasurementBasis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0.0, 2.0 * math.pi))
+            default = PovmSpec(joint_unitary=v, aux_basis=basis)
+            given = PovmSpec(joint_unitary=v, aux_state=plus, aux_basis=basis)
+            assert given.aux_state is not engine._PLUS_STATE
+            assert given._aux_entropy_init.hex() == default._aux_entropy_init.hex()
+            assert ledger_hex(run_povm_cycle(params, drive, given)) == ledger_hex(run_povm_cycle(params, drive, default))
+
+    def test_default_constant_is_read_only(self):
+        assert not engine._PLUS_STATE.flags.writeable
+        with pytest.raises(ValueError):
+            engine._PLUS_STATE[...] = 0.0
+
+    def test_copies_of_a_default_spec_reproduce_the_ledger(self):
+        params, drive, _, _ = cycle_specs(0.8, 1.1)
+        spec = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary(), aux_basis=MeasurementBasis(1.1, 2.1))
+        ledger = ledger_hex(run_povm_cycle(params, drive, spec))
+        for same in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert same is not spec and not same.aux_state.flags.writeable
+            np.testing.assert_array_equal(same.aux_state, engine._PLUS_STATE)
+            assert same._aux_entropy_init.hex() == engine._PLUS_ENTROPY.hex()
+            assert ledger_hex(run_povm_cycle(params, drive, same)) == ledger
+
 
 class TestPovmStroke:
     def test_identity_dilation_leaves_system(self):

@@ -66,6 +66,18 @@ class TestGenerators:
             u = su4_from_point(Su4Point(rng.uniform(-math.pi, math.pi, 15)))
             np.testing.assert_allclose(u.conj().T @ u, qmat.ID4, atol=1e-10)
 
+    def test_matches_the_tensordot_form(self):
+        # the generator combination as one matrix product gives the tensordot form's unitary bit for bit,
+        # so unitaries read from coefficient files (cycle --su4-file) keep their values
+        rng = np.random.default_rng(44)
+        for scale in (0.01, 1.0, math.pi, 50.0):
+            for _ in range(250):
+                point = Su4Point(rng.uniform(-scale, scale, 15))
+                want = qmat._exp_i(np.tensordot(point.k, optimize._GENERATOR_STACK, axes=1))
+                got = su4_from_point(point)
+                assert got.shape == (4, 4)
+                np.testing.assert_array_equal(got.view(float), want.view(float))
+
     def test_point_validation(self):
         with pytest.raises(ValueError):
             Su4Point(np.zeros(14))
