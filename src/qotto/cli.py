@@ -55,10 +55,9 @@ class SweepSpec:
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
-    def slices(self) -> list[list[float]]:
-        """values() as floats, in consecutive slices of at most GRID_SLICE points."""
-        v = self.values().tolist()
-        return [v[i:i + GRID_SLICE] for i in range(0, len(v), GRID_SLICE)]
+    def slices(self) -> list[np.ndarray]:
+        """values() in consecutive slices of at most GRID_SLICE points, the arrays a grid passes to the kernel."""
+        return np.split(self.values(), range(GRID_SLICE, self.points, GRID_SLICE))
 
 
 @dataclass(frozen=True)
@@ -71,21 +70,32 @@ class RunReport:
 
 
 def _unsigned_zero(value):
-    # A metadata value with a float zero of either sign as +0.0, so no report prints -0; _fmt and _json_value
-    # add the same 0.0 to the cells.
+    # A value with a float zero of either sign as +0.0, so no report prints -0.
     return value + 0.0 if isinstance(value, (float, np.floating)) else value
 
 
-def _fmt(value) -> str:
-    if type(value) is float:
-        return f"{value + 0.0:.12g}"
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value) + 0.0:.12g}"
-    return str(value)
+@functools.lru_cache(maxsize=256)
+def _row_template(fmt: str, columns: tuple, types: tuple) -> str:
+    # The %-template of a row of these cell types, a csv line or text's "column = cell" lines: floats at 12
+    # significant digits, integers whole, None empty.
+    cells = ["%.12g" if issubclass(t, (float, np.floating)) else "%.0s" if t is type(None)
+             else "%d" if issubclass(t, (int, np.integer)) and t is not bool else "%s" for t in types]
+    if fmt == "csv":
+        return ",".join(cells)
+    return "\n".join(f"{col.replace('%', '%%')} = {cell}" for col, cell in zip(columns, cells))
+
+
+def _row_lines(report: RunReport, fmt: str) -> list[str]:
+    # Each row through its template.  %.12g prints "-0" for -0.0 alone, its exponents having two digits, so a row
+    # that printed a -0 cell is printed again with its float zeros unsigned.
+    columns, lines = tuple(report.columns), []
+    for row in map(tuple, report.rows):
+        template = _row_template(fmt, columns, tuple(map(type, row)))
+        line = template % row
+        if "-0," in line or "-0\n" in line or line.endswith("-0"):
+            line = template % tuple(map(_unsigned_zero, row))
+        lines.append(line)
+    return lines
 
 
 def _json_value(value):
@@ -108,14 +118,9 @@ def render_report(report: RunReport, fmt: str) -> str:
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"# {key}: {value}" for key, value in meta.items()]
     if fmt == "csv":
-        lines.append(",".join(report.columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in report.rows)
-    else:  # key/value text
-        for row in report.rows:
-            lines.extend(f"{col} = {_fmt(v)}" for col, v in zip(report.columns, row))
-            lines.append("")
-        while lines and lines[-1] == "":
-            lines.pop()
+        lines += [",".join(report.columns), *_row_lines(report, fmt)]
+    elif report.rows:  # key/value text, a blank line between rows
+        lines.append("\n\n".join(_row_lines(report, fmt)))
     return "\n".join(lines) + "\n"
 
 
@@ -186,6 +191,11 @@ def cmd_cycle(args) -> RunReport:
 _PANELS = {"a": (3.0, 2.0), "b": (5.0, 2.0)}
 
 
+def _drive_grid(params: EngineParams, ps: np.ndarray) -> engine.Strokes:
+    # Strokes I-II of params at every drive probability of a p-grid already checked by its SweepSpec, at phase 0.
+    return engine._strokes(params._strokes_i_constants, engine._drive_unitaries(ps, 0.0))
+
+
 def cmd_fig2(args) -> RunReport:
     omega_x, omega_z = _PANELS[args.panel]
     spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
@@ -193,16 +203,13 @@ def cmd_fig2(args) -> RunReport:
     if not args.beta_c > 0.2:
         raise ValueError(f"--beta-c must exceed 0.2, the fixed hot inverse temperature of the w_conv_bh02 column, "
                          f"got {args.beta_c}")
+    hot = engine._gibbs(params._strokes_i_constants[1], np.array([[0.2], [0.0]]))  # the two columns' hot baths
     rows = []
     for ps in spec.slices():
-        strokes = engine.strokes_i_ii(params, [DriveSpec(p=p) for p in ps])  # the columns differ only in stroke III
-        columns = (
-            strokes.thermalize(0.2),
-            strokes.thermalize(0.0),
-            strokes.measure(engine.basis_projectors(analytic.pvm_optimal_theta(params, ps), 0.0)),
-        )
-        residual = functools.reduce(np.maximum, (r.first_law_residual for r in columns))
-        rows += zip(ps, *(r.w_total.tolist() for r in columns), residual.tolist())
+        strokes = _drive_grid(params, ps)  # the columns differ only in stroke III: one (3, n) stack of its outputs
+        measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal_theta(params, ps), 0.0))
+        rec = strokes.record(np.concatenate((np.broadcast_to(hot, (2,) + measured.shape), measured[None])))
+        rows += zip(ps.tolist(), *rec.w_total.tolist(), rec.first_law_residual.max(axis=0).tolist())
     return RunReport(
         meta=dict(panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c),
         columns=("p", "w_conv_bh02", "w_conv_bh0", "w_pvm_max", "first_law_residual"),
@@ -218,10 +225,10 @@ def cmd_fig3(args) -> RunReport:
     rows = []
     for ps in spec.slices():
         # both candidates of every row in one pass, and the net work of each row's winner
-        rec, _ = optimize._dilation_candidates(params, [DriveSpec(p=p) for p in ps], t_c, net=True)
-        net = np.where(optimize._net_winner(rec), rec.net_work[1], rec.net_work[0])
-        for p, w, w_net, res in zip(ps, rec.w_total[0].tolist(), net.tolist(), rec.first_law_residual[0].tolist()):
-            rows.append((p, w, w - t_c * LN2, w_net, analytic.pvm_optimal(params, p).work, res, 1))
+        rec, _ = optimize._dilation_candidates(_drive_grid(params, ps), t_c, net=True)
+        nets = np.where(optimize._net_winner(rec), rec.net_work[1], rec.net_work[0])
+        cells = zip(ps.tolist(), rec.w_total[0].tolist(), nets.tolist(), rec.first_law_residual[0].tolist())
+        rows += [(p, w, w - t_c * LN2, net, analytic.pvm_optimal(params, p).work, res, 1) for p, w, net, res in cells]
     return RunReport(
         meta=dict(panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c, t_c=t_c),
         columns=(
@@ -235,17 +242,18 @@ def cmd_fig3(args) -> RunReport:
 def cmd_fig4(args) -> RunReport:
     params = EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0)
     spec = SweepSpec("t_c", args.t_c_start, args.t_c_stop, args.grid_points)
+    try:  # only the bound on beta_c * omega_x can fail, and first at the coldest point, which checks every row
+        EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / spec.start)
+    except ValueError as exc:
+        raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
     crossing = analytic.reset_crossing_temperature(params)
-    povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
+    v0, adiabatic = analytic.optimal_dilation_unitary(), engine._drive_unitaries(1.0, 0.0)
     rows = []
     for t_cs in spec.slices():
-        try:  # only the bound on beta_c * omega_x can fail, first at the coldest point
-            colds = [EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / t_c) for t_c in t_cs]
-        except ValueError as exc:
-            raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
-        # one stacked pass, each row reset at its own t_c
-        cycles = engine.strokes_i_ii(colds, DriveSpec(p=1.0)).dilate(povm.joint_unitary, povm, np.array(t_cs))
-        for t_c, res in zip(t_cs, cycles.first_law_residual.tolist()):
+        # one stacked pass from the shared h1 and an array of cold inverse temperatures, each row reset at its own t_c
+        strokes = engine._strokes(engine._cold_constants(args.omega_z, args.omega_x, 1.0 / t_cs), adiabatic)
+        cycles = strokes.dilate(v0, optimize._AUX, t_cs)
+        for t_c, res in zip(t_cs.tolist(), cycles.first_law_residual.tolist()):
             rec = analytic.aux_cost_record(params, t_c)
             rows.append((t_c, rec.delta_w, rec.min_cost, res))
     return RunReport(

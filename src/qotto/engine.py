@@ -9,32 +9,32 @@ projective measurement on the auxiliary.
 
 Every cycle, grid and optimizer objective runs through one unchecked
 kernel broadcast over a leading row axis, a single cycle being its 0-d case:
-:func:`strokes_i_ii` (a list of specs gives one row each, a single spec is
-shared), then one of the stroke-III methods of :class:`Strokes` (a hot
-bath, a projective measurement, or a dilation whose joint unitary may
-differ per row), and :meth:`CycleRecord.from_energies`, which gives a grid
-one record whose fields are arrays over the rows.  ``run_*_cycle`` runs
-one cycle; a grid calls the kernel directly with inputs its caller has
-already checked.  Stroke III has no other entry, so inputs are checked when
-a spec type is built, and the reset temperature by one EngineParams method.
-A spec's constants are computed once, on its first use, and kept read-only:
-EngineParams its Hamiltonians, stroke-I Gibbs state and energy e0 (and the
-hot Gibbs state of the two-bath cycle), DriveSpec its unitary and adjoint,
-MeasurementBasis its projectors.  A single spec passed to the kernel again
-reuses them; a list of specs is stacked anew on every call.  PovmSpec's
-default auxiliary |+><+| and its initial entropy S_init are checked and
-computed once, at import; a given auxiliary is checked with one
+one stroke-I/II setup from the constants that :func:`_cold_constants` and
+:func:`_drive_unitaries` compute at field values that broadcast (a spec
+passes its own fields, a grid arrays of the swept ones, checked once by its
+caller), then a stroke-III method of :class:`Strokes` (a projective
+measurement, a dilation whose joint unitary may differ per row, or the
+record of any output state, such as hot Gibbs states), then
+:meth:`CycleRecord.from_energies`, which gives a grid one record whose
+fields are arrays over the rows.  :func:`strokes_i_ii` is the setup's spec
+entry and ``run_*_cycle`` runs one cycle; stroke III has no other entry,
+so inputs are checked when a spec type is built, and the reset temperature
+by one EngineParams method.  A spec's constants are computed once, on its
+first use, and kept read-only: EngineParams its Hamiltonians, stroke-I
+Gibbs state and energy e0 (and the two-bath cycle's hot Gibbs state),
+DriveSpec its unitary and adjoint, MeasurementBasis its projectors.
+PovmSpec's default auxiliary |+><+| and its initial entropy S_init are
+checked and computed once, at import; a given auxiliary is checked with one
 eigen-solve, which also yields its S_init, when the spec is built.  A
 dilation reads the auxiliary's entropy after the stroke off its outcome
 probabilities, so a cycle on specs already used runs no eigen-solver.  A
-copy or pickle of a spec carries only its fields, and a PovmSpec is built
-anew from them.
+copy or pickle of a spec carries only its fields (a PovmSpec is built anew).
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
 when the cycle delivers work.  Efficiency is w_total / q_h and is left
 undefined (None, or NaN in a grid's column) unless both q_h and w_total are
-positive.
+positive, each above ENGINE_TOL times the largest |e_i| of its cycle.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ LN2 = math.log(2.0)
 
 TWO_PI = 2.0 * math.pi
 
-# Works and heats below this are treated as zero when deciding whether the
-# cycle ran as an engine, so rounding noise cannot fabricate an efficiency.
+# Works and heats below this times the cycle's largest |e_i| are treated as zero when deciding whether it ran as
+# an engine, so rounding noise cannot fabricate an efficiency at any scale of the energies.
 ENGINE_TOL = 1e-12
 
 
@@ -122,7 +122,7 @@ class EngineParams:
     @cached_property
     def _strokes_i_constants(self) -> tuple:
         # (h1, h2, rho0, e0) of this spec, computed on first use and read-only.
-        return tuple(map(_read_only, _cold_constants(self)))
+        return tuple(map(_read_only, _cold_constants(self.omega_z, self.omega_x, self.beta_c)))
 
     @cached_property
     def _hot_state(self) -> np.ndarray:
@@ -174,14 +174,7 @@ class DriveSpec:
     @cached_property
     def _unitaries(self) -> tuple:
         # (u, u^dag) of this spec, computed on first use and read-only.
-        return tuple(map(_read_only, _drive_unitaries(self)))
-
-
-def _field(specs, name: str):
-    # A field of one spec, or an array of it over a list or tuple of specs.
-    if isinstance(specs, (list, tuple)):
-        return np.array([getattr(x, name) for x in specs], dtype=float)
-    return getattr(specs, name)
+        return tuple(map(_read_only, _drive_unitaries(self.p, self.alpha)))
 
 
 def _basis_kets(theta, phi) -> np.ndarray:
@@ -352,7 +345,8 @@ class CycleRecord:
         is an array of that shape.
         """
         cols = (e0, e1, e2, e3, aux_entropy, aux_reset_cost)
-        if any(getattr(c, "ndim", 0) for c in cols):
+        stacked = any(getattr(c, "ndim", 0) for c in cols)
+        if stacked:
             e0, e1, e2, e3, aux_entropy, aux_reset_cost = np.broadcast_arrays(*(np.asarray(c, float) for c in cols))
         else:
             e0, e1, e2, e3, aux_entropy, aux_reset_cost = map(float, cols)
@@ -361,8 +355,9 @@ class CycleRecord:
         w_total = 0.0 - (w1 + w2)  # a zero work is +0, where -(w1 + w2) gives -0
         q_h = e2 - e1
         q_c = e0 - e3
-        runs = (q_h > ENGINE_TOL) & (w_total > ENGINE_TOL)  # the cycle runs as an engine
-        if isinstance(runs, bool):
+        tol = ENGINE_TOL * (np.maximum.reduce if stacked else max)((abs(e0), abs(e1), abs(e2), abs(e3)))
+        runs = (q_h > tol) & (w_total > tol)  # the cycle runs as an engine, each row at the scale of its energies
+        if not stacked:
             eta = w_total / q_h if runs else None
         else:
             eta = np.divide(w_total, q_h, out=np.full_like(q_h, np.nan), where=runs)
@@ -383,13 +378,13 @@ class CycleRecord:
 
 
 def hamiltonian_h1(params: EngineParams) -> np.ndarray:
-    """Stroke-I/IV Hamiltonian (omega_z / 2) sigma_z; a list of params gives one per row."""
-    return np.multiply.outer(0.5 * _field(params, "omega_z"), SIGMA_Z)
+    """Stroke-I/IV Hamiltonian (omega_z / 2) sigma_z (computed on first use, read-only)."""
+    return params._strokes_i_constants[0]
 
 
 def hamiltonian_h2(params: EngineParams) -> np.ndarray:
-    """Stroke-II/III Hamiltonian (omega_x / 2) sigma_x; a list of params gives one per row."""
-    return np.multiply.outer(0.5 * _field(params, "omega_x"), SIGMA_X)
+    """Stroke-II/III Hamiltonian (omega_x / 2) sigma_x (computed on first use, read-only)."""
+    return params._strokes_i_constants[1]
 
 
 def _gibbs(h: np.ndarray, beta) -> np.ndarray:
@@ -402,14 +397,8 @@ def _gibbs(h: np.ndarray, beta) -> np.ndarray:
 
 
 def drive_unitary(drive: DriveSpec) -> np.ndarray:
-    """Drive-stroke unitary mapping |0> to sqrt(p)|+> + e^{i alpha} sqrt(1-p)|->; one per row for a list."""
-    p = _field(drive, "p")
-    rp, rq = np.sqrt(p), np.sqrt(1.0 - p)
-    phase = np.exp(1.0j * _field(drive, "alpha"))
-    u = np.empty(rp.shape + (2, 2), dtype=complex)
-    u[..., 0, 0], u[..., 0, 1] = rp + phase * rq, rq - phase * rp
-    u[..., 1, 0], u[..., 1, 1] = rp - phase * rq, rq + phase * rp
-    return u / math.sqrt(2.0)
+    """Drive-stroke unitary mapping |0> to sqrt(p)|+> + e^{i alpha} sqrt(1-p)|-> (computed on first use, read-only)."""
+    return drive._unitaries[0]
 
 
 def _expect(h: np.ndarray, rho: np.ndarray):
@@ -444,10 +433,6 @@ class Strokes(NamedTuple):
         """The ledger of the cycle through rho2: one record, with array fields for a stack."""
         return CycleRecord.from_energies(self.e0, self.e1, *self.energies(rho2), aux_entropy, aux_reset_cost)
 
-    def thermalize(self, beta_h) -> CycleRecord:
-        """Stroke III as a hot bath at beta_h (one per row, or shared)."""
-        return self.record(_gibbs(self.h2, beta_h))
-
     def measure(self, projectors: np.ndarray) -> CycleRecord:
         """Stroke III as the non-selective measurement with a stack of rank-one outcome projectors (-3 axis)."""
         return self.record(_measure(self.rho1, projectors))
@@ -467,28 +452,36 @@ class Strokes(NamedTuple):
         return self.record(system, aux_entropy, cost)
 
 
-def _cold_constants(params) -> tuple:
-    # (h1, h2, rho0, e0): the Hamiltonians, the stroke-I Gibbs state and its energy, one row per spec of a list.
-    h1 = hamiltonian_h1(params)
-    rho0 = _gibbs(h1, _field(params, "beta_c"))
-    return h1, hamiltonian_h2(params), rho0, _expect(h1, rho0)
+def _cold_constants(omega_z, omega_x, beta_c) -> tuple:
+    # (h1, h2, rho0, e0), the Hamiltonians (omega_z / 2) sigma_z and (omega_x / 2) sigma_x, the stroke-I Gibbs state
+    # and its energy, at field values that broadcast over leading axes, unchecked.
+    h1 = np.multiply.outer(0.5 * omega_z, SIGMA_Z)
+    rho0 = _gibbs(h1, beta_c)
+    return h1, np.multiply.outer(0.5 * omega_x, SIGMA_X), rho0, _expect(h1, rho0)
 
 
-def _drive_unitaries(drive) -> tuple:
-    # (u, u^dag) of the drive, one row per spec of a list.
-    u = drive_unitary(drive)
+def _drive_unitaries(p, alpha) -> tuple:
+    # (u, u^dag) of the drives at p and alpha, which broadcast over leading axes, unchecked; u maps |0> to
+    # sqrt(p)|+> + e^{i alpha} sqrt(1-p)|->.
+    rp, rq, phase = np.sqrt(p), np.sqrt(1.0 - p), np.exp(1.0j * alpha)
+    prq, prp = phase * rq, phase * rp
+    u = np.empty(np.shape(prq) + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 0, 1] = rp + prq, rq - prp
+    u[..., 1, 0], u[..., 1, 1] = rp - prq, rq + prp
+    u /= math.sqrt(2.0)
     return u, u.conj().swapaxes(-1, -2)
 
 
-def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
-    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II); either may be a list.
-
-    A single spec supplies the constants it computed on first use; a list is stacked anew.
-    """
-    h1, h2, rho0, e0 = _cold_constants(params) if isinstance(params, (list, tuple)) else params._strokes_i_constants
-    u, u_dag = _drive_unitaries(drive) if isinstance(drive, (list, tuple)) else drive._unitaries
+def _strokes(cold: tuple, unitaries: tuple) -> Strokes:
+    # The one stroke-I/II setup, from the tuples of _cold_constants and _drive_unitaries, whose leading axes broadcast.
+    (h1, h2, rho0, e0), (u, u_dag) = cold, unitaries
     rho1 = u @ rho0 @ u_dag
     return Strokes(rho1=rho1, e0=e0, e1=_expect(h2, rho1), h2=h2, uh1u=u @ h1 @ u_dag)
+
+
+def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
+    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II), with the constants the specs keep."""
+    return _strokes(params._strokes_i_constants, drive._unitaries)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -185,11 +185,10 @@ def _su4_point(v: np.ndarray) -> Su4Point:
 _AUX = PovmSpec(joint_unitary=qmat.ID4)
 
 
-def _dilation_candidates(params, drives, t_c: float, net: bool) -> tuple[engine.CycleRecord, np.ndarray]:
-    # The optimal dilations of every row of (params, drives) in one strokes pass and one cycle pass: the
-    # record of the gross-optimal ones, or for net work one of shape (2,) + rows (gross-optimal, then
-    # zero-entropy), and the joint unitaries it values, in that order.
-    strokes = engine.strokes_i_ii(params, drives)
+def _dilation_candidates(strokes: engine.Strokes, t_c: float, net: bool) -> tuple[engine.CycleRecord, np.ndarray]:
+    # The optimal dilations of every row of strokes in one cycle pass: the record of the gross-optimal ones, or
+    # for net work one of shape (2,) + rows (gross-optimal, then zero-entropy), and the joint unitaries it
+    # values, in that order.
     vs = _optimal_dilations(strokes, net)
     if not np.max(np.abs(vs.conj().swapaxes(-1, -2) @ vs - qmat.ID4)) <= qmat.UNITARY_TOL:  # NaN fails too
         raise ValueError(f"joint_unitary is not a finite unitary within {qmat.UNITARY_TOL}")
@@ -203,7 +202,7 @@ def _net_winner(record: engine.CycleRecord) -> np.ndarray:
 
 
 def _optimize_dilation(params: EngineParams, drive: DriveSpec, t_c: float, net: bool) -> OptResult:
-    record, vs = _dilation_candidates(params, drive, t_c, net)
+    record, vs = _dilation_candidates(engine.strokes_i_ii(params, drive), t_c, net)
     values = record.net_work.tolist() if net else [record.w_total]
     j = int(_net_winner(record)) if net else 0
     point = _su4_point(vs.reshape(-1, 4, 4)[j])  # only the winner is turned into coefficients

@@ -73,7 +73,7 @@ class TestSweepSpec:
         spec = SweepSpec("t_c", 0.1, 3.0, 2 * cli.GRID_SLICE + 3)
         slices = spec.slices()
         assert [len(s) for s in slices] == [cli.GRID_SLICE, cli.GRID_SLICE, 3]
-        assert sum(slices, []) == spec.values().tolist()
+        assert np.concatenate(slices).tolist() == spec.values().tolist()
 
 
 class TestCycleCommand:
@@ -224,7 +224,8 @@ class TestColdTemperatureOverflow:
         "cycle --engine povm --v0 --omega-x 5 --beta-c 2e299",
         "fig4 --omega-x 1e150 --grid-points 3",
         "optimize-povm --omega-x 1e150 --p 0.7 --net",
-    ], ids=["table1", "cycle", "fig4", "optimize-povm"])
+        "fig4 --t-c-stop 1.7976931348623157e308 --grid-points 3",  # the grid reads t_c, not 1/(1/t_c) = inf
+    ], ids=["table1", "cycle", "fig4", "optimize-povm", "fig4-hottest"])
     def test_runs_at_the_bounds(self, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -306,12 +307,13 @@ class TestStackedRows:
         monkeypatch.setattr(analytic, "pvm_optimal", forbidden)
         return counts
 
-    def test_fig2_builds_three_records_per_slice(self, capsys, built):
+    def test_fig2_builds_one_record_per_slice(self, capsys, built):
+        # its three columns are one (3, n) stack: two hot baths and the measurement
         for points, slices in ((101, 1), (cli.GRID_SLICE + 4, 2)):
             built.update(CycleRecord=0)
             code, _, _ = run_cli(capsys, "fig2", "--grid-points", str(points), "--deterministic")
             assert code == 0
-            assert built == {"CycleRecord": 3 * slices, "MeasurementBasis": 0}
+            assert built == {"CycleRecord": slices, "MeasurementBasis": 0}
 
     def test_fig4_builds_one_record(self, capsys, built):
         code, _, _ = run_cli(capsys, "fig4", "--deterministic")
@@ -320,34 +322,54 @@ class TestStackedRows:
 
 
 class TestOneStrokesPassPerSlice:
-    """fig2 and fig3 run strokes I-II once per slice; fig3 builds no PovmSpec."""
+    """fig2, fig3 and fig4 run the one stroke-I/II setup once per slice and build no PovmSpec."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"strokes_i_ii": 0, "PovmSpec": 0}
-        strokes, init = engine.strokes_i_ii, engine.PovmSpec.__init__
+        counts = {"_strokes": 0, "PovmSpec": 0}
+        strokes, init = engine._strokes, engine.PovmSpec.__init__
 
         def counted_strokes(*args):
-            counts["strokes_i_ii"] += 1
+            counts["_strokes"] += 1
             return strokes(*args)
 
         def counted_init(self, *args, **kwargs):
             counts["PovmSpec"] += 1
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "strokes_i_ii", counted_strokes)
+        monkeypatch.setattr(engine, "_strokes", counted_strokes)
         monkeypatch.setattr(engine.PovmSpec, "__init__", counted_init)
         return counts
 
-    @pytest.mark.parametrize("command", ["fig2", "fig3"])
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
     def test_one_strokes_pass_per_slice(self, capsys, monkeypatch, counts, command):
         monkeypatch.setattr(cli, "GRID_SLICE", 4)
         for points, slices in ((4, 1), (9, 3), (21, 6)):
-            counts.update(strokes_i_ii=0)
+            counts.update(_strokes=0)
             code, _, _ = run_cli(capsys, command, "--grid-points", str(points), "--deterministic")
             assert code == 0
-            assert counts["strokes_i_ii"] == slices
+            assert counts["_strokes"] == slices
         assert counts["PovmSpec"] == 0
+
+    @pytest.mark.parametrize("command,built", [
+        ("fig2", {"EngineParams": 1, "DriveSpec": 0}),
+        ("fig3", {"EngineParams": 1, "DriveSpec": 0}),
+        ("fig4", {"EngineParams": 2, "DriveSpec": 0}),  # its parameters, and the check at the coldest t_c
+    ])
+    def test_specs_built_do_not_grow_with_the_grid(self, capsys, monkeypatch, command, built):
+        # a grid enters the kernel as arrays checked once by its SweepSpec, never as one spec per row
+        counts = dict.fromkeys(built, 0)
+        for cls in (engine.EngineParams, engine.DriveSpec):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for points in (2, 101, cli.GRID_SLICE + 4):
+            counts.update(dict.fromkeys(built, 0))
+            code, _, _ = run_cli(capsys, command, "--grid-points", str(points), "--deterministic")
+            assert code == 0
+            assert counts == built, points
 
     def test_fig3_slices_keep_the_bytes(self, capsys, monkeypatch):
         for argv in (("fig3",), ("fig3", "--panel", "b", "--beta-c", "3", "--t-c", "0.4", "--grid-points", "23")):
@@ -380,6 +402,39 @@ class TestFig4Command:
         params = EngineParams(1.0, 1.3e9, 1.0)
         assert crossing == f"# crossing_temperature: {analytic.reset_crossing_temperature(params):.12g}"
         assert float(crossing.split(":")[1]) == pytest.approx(analytic.aux_cost_record(params).t_c_bound, rel=1e-9)
+
+    @pytest.mark.parametrize("flags,message", [
+        ("--t-c-start 1e-308",
+         "t_c must be warmer than 1e-308 at omega_x = 5.0: beta_c * omega_x must be at most 1e300, got 1e+308 * 5.0"),
+        ("--t-c-start 1e-300 --omega-x 1e10",
+         "t_c must be warmer than 1e-300 at omega_x = 10000000000.0: beta_c * omega_x must be at most 1e300, "
+         "got 9.999999999999999e+299 * 10000000000.0"),
+    ])
+    def test_too_cold_message(self, capsys, flags, message):
+        # the grid is checked once, at its coldest point, and says what a check of every row said
+        code, out, err = run_cli(capsys, "fig4", *flags.split(), "--deterministic")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_rows_are_the_scalar_closed_form_to_the_printed_byte(self, capsys):
+        # every printed cost, advantage and crossing is f"{x:.12g}" of the scalar closed form at that t_c
+        rng = np.random.default_rng(21)
+        for points in (2, 80, 80, 173, cli.GRID_SLICE + 4):
+            omega_z = float(rng.uniform(1.0, 3.0))
+            omega_x = omega_z * float(rng.uniform(1.1, 4.0))
+            start, stop = float(rng.uniform(0.05, 0.2)), float(rng.uniform(2.0, 5.0))
+            code, out, _ = run_cli(capsys, "fig4", f"--omega-x={omega_x!r}", f"--omega-z={omega_z!r}",
+                                   f"--t-c-start={start!r}", f"--t-c-stop={stop!r}", f"--grid-points={points}",
+                                   "--deterministic")
+            assert code == 0
+            params = EngineParams(omega_z, omega_x, 1.0)
+            lines = out.splitlines()
+            assert f"# crossing_temperature: {analytic.reset_crossing_temperature(params):.12g}" in lines
+            rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+            grid = np.linspace(start, stop, points).tolist()
+            assert len(rows) == points
+            for t_c, row in zip(grid, rows):
+                rec = analytic.aux_cost_record(params, t_c)
+                assert row[:3] == [f"{t_c:.12g}", f"{rec.delta_w:.12g}", f"{rec.min_cost:.12g}"]
 
     @pytest.mark.parametrize("flag", ["--t-c-stop", "--t-c-start"])
     def test_rejects_non_finite_range(self, capsys, flag):
@@ -439,10 +494,22 @@ class TestTable1Command:
         params = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=float(beta_c))
         assert (params.gamma >= 1.0 + 1.0 / params.tau_z) == (povm != "")
         if povm:  # the simulated gross optimum at p = 1 runs at eta0
-            rec, _ = optimize._dilation_candidates(params, DriveSpec(1.0), params.reset_temperature(), False)
+            strokes = engine.strokes_i_ii(params, DriveSpec(1.0))
+            rec, _ = optimize._dilation_candidates(strokes, params.reset_temperature(), False)
             assert rec.eta == pytest.approx(0.6, abs=1e-10)
         else:
             assert table["optimal_work_adiabatic"][0] == table["optimal_work_nonadiabatic"][0] == "0"
+
+    def test_efficiencies_do_not_depend_on_the_unit(self, capsys):
+        # gaps of 1e-12 with inverse temperatures of 1e12 keep the efficiencies of unit gaps
+        def efficiencies(*flags):
+            code, out, _ = run_cli(capsys, "table1", *flags, "--deterministic", "--format", "csv")
+            assert code == 0
+            return [line for line in out.splitlines() if line.startswith("efficiency")]
+
+        unit = efficiencies()
+        assert unit[0] == "efficiency_adiabatic,0.333333333333,0.333333333333,0.333333333333"
+        assert efficiencies("--omega-x", "3e-12", "--omega-z", "2e-12", "--beta-c", "1e12", "--beta-h", "2e11") == unit
 
     def test_large_ratio_povm_efficiency(self, capsys):
         code, out, _ = run_cli(
@@ -657,7 +724,8 @@ def test_fig3_net_column_is_the_net_optimizer():
             for p, _, _, w_net, *_ in rows:
                 net = optimize.optimize_povm_net_work(params, DriveSpec(p), t_c=t_c)
                 assert w_net.hex() == net.best_value.hex()
-                rec, _ = optimize._dilation_candidates(params, DriveSpec(p), params.reset_temperature(t_c), True)
+                strokes = engine.strokes_i_ii(params, DriveSpec(p))
+                rec, _ = optimize._dilation_candidates(strokes, params.reset_temperature(t_c), True)
                 winners.add(int(optimize._net_winner(rec)))
     assert winners == {0, 1}
 
@@ -714,6 +782,11 @@ GOLDEN = [
      "fig3 --panel b --beta-c 3 --t-c 0.4 --grid-points 23 --format json"),
     ("a66d5f27a45ee85cd91e07a4048d77e932010adf76a72ce5394f3b3098f5afb0",
      "optimize-povm --omega-x 4 --p 0.6 --net --t-c 0"),
+    # recorded while grids still entered the kernel as lists of specs; both cross GRID_SLICE
+    ("b34fd9478daff72be458a607d303f253220b0fe9cb82dbc4309c70fee661fc2f",
+     "fig4 --grid-points 4100"),
+    ("cbae48111b94542bf0a8a8d96e0563497045faccb31afde126ee8e42f4041407",
+     "fig3 --grid-points 4100"),
 ]
 
 

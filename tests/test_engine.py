@@ -755,21 +755,32 @@ class TestKernel:
             np.testing.assert_array_equal(row, single)
 
     def test_grid_rows_must_agree(self):
-        drives = [DriveSpec(p=0.6), DriveSpec(p=0.7)]
-        strokes = engine.strokes_i_ii(P32, drives)
+        unitaries = engine._drive_unitaries(np.array([0.6, 0.7]), 0.0)
+        strokes = engine._strokes(P32._strokes_i_constants, unitaries)
         with pytest.raises(ValueError):
             strokes.measure(engine.basis_projectors(np.ones(3), 0.0))
         with pytest.raises(ValueError):
-            strokes.thermalize(np.full(3, 0.2))
+            strokes.record(engine._gibbs(strokes.h2, np.full(3, 0.2)))
         with pytest.raises(ValueError):
-            engine.strokes_i_ii([EngineParams(2.0, 3.0, 1.0, beta_h=0.2)] * 3, drives)
+            engine._strokes(engine._cold_constants(np.full(3, 2.0), 3.0, 1.0), unitaries)
 
     def test_stacked_drive_unitaries(self):
         drives = [DriveSpec(p=0.5), DriveSpec(p=0.8, alpha=1.2), DriveSpec(p=1.0, alpha=5.0)]
-        stack = drive_unitary(drives)
-        assert stack.shape == (3, 2, 2)
-        for u, d in zip(stack, drives):
+        stack, stack_dag = engine._drive_unitaries(np.array([d.p for d in drives]), np.array([d.alpha for d in drives]))
+        assert stack.shape == stack_dag.shape == (3, 2, 2)
+        for u, u_dag, d in zip(stack, stack_dag, drives):
             np.testing.assert_array_equal(u, drive_unitary(d))
+            np.testing.assert_array_equal(u_dag, d._unitaries[1])
+
+    def test_stacked_cold_constants(self):
+        # gaps and cold inverse temperatures broadcast: one shared h1 with an array of beta_c, as fig4 runs
+        specs = [EngineParams(2.0, 5.0, 1.0 / t) for t in (0.05, 0.7, 4.0)]
+        h1, h2, rho0, e0 = engine._cold_constants(2.0, 5.0, 1.0 / np.array([0.05, 0.7, 4.0]))
+        assert h1.shape == h2.shape == (2, 2) and rho0.shape == (3, 2, 2) and e0.shape == (3,)
+        for i, spec in enumerate(specs):
+            single = spec._strokes_i_constants
+            assert h1.tobytes() == single[0].tobytes() and h2.tobytes() == single[1].tobytes()
+            assert rho0[i].tobytes() == single[2].tobytes() and float(e0[i]).hex() == float(single[3]).hex()
 
 
 def cycle_specs(p, theta):
@@ -812,7 +823,8 @@ class TestSpecConstants:
         def forbidden(*args, **kwargs):
             raise AssertionError("a spec's constant rebuilt")
 
-        for name in ("_gibbs", "hamiltonian_h1", "hamiltonian_h2", "drive_unitary", "basis_projectors"):
+        for name in ("_gibbs", "_cold_constants", "_drive_unitaries", "hamiltonian_h1", "hamiltonian_h2", "drive_unitary",
+                     "basis_projectors"):
             monkeypatch.setattr(engine, name, forbidden)
         three_cycles(*specs)
 
@@ -880,3 +892,73 @@ class TestSpecConstants:
         assert warm[0] != dataclasses.replace(warm[0], beta_c=0.8)
         assert warm[1] != dataclasses.replace(warm[1], alpha=0.0)
         assert warm[2] != dataclasses.replace(warm[2], phi_x=0.0)
+
+
+# Seeded points (omega_z, omega_x, beta_c, beta_h, p, alpha, theta, phi); the third drives at p = 1/2, where the
+# two-bath and projective cycles run as no engine.
+SCALE_POINTS = [
+    (2.0, 3.0, 1.0, 0.2, 1.0, 0.0, 0.5 * math.pi, 0.0),
+    (1.5, 4.2, 0.7, 0.1, 0.8, 1.3, 1.1, 0.4),
+    (2.0, 5.0, 3.0, 2.5, 0.5, 0.0, 0.0, 0.0),
+    (1.0, 1.9, 0.4, 0.05, 0.93, 4.0, 2.5, 5.9),
+]
+SCALED_FIELDS = ("e0", "e1", "e2", "e3", "w1", "w2", "w_total", "q_c", "q_h", "aux_reset_cost", "net_work",
+                 "first_law_residual")
+
+
+def scaled_records(point, s):
+    # the simulated cycles and the closed forms at energies scaled by s and inverse temperatures by 1/s
+    wz, wx, bc, bh, p, alpha, theta, phi = point
+    params = EngineParams(s * wz, s * wx, bc / s, beta_h=bh / s)
+    drive, basis = DriveSpec(p, alpha), MeasurementBasis(theta, phi)
+    povm = PovmSpec(joint_unitary=random_su4(np.random.default_rng(7)), aux_basis=MeasurementBasis(phi / 2.0))
+    return {
+        "conventional": run_conventional_cycle(params, drive),
+        "pvm": run_pvm_cycle(params, drive, basis),
+        "povm": run_povm_cycle(params, drive, povm),
+        "povm v0": run_povm_cycle(params, drive, PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())),
+        "conventional closed form": analytic.conventional_record(params, p),
+        "pvm closed form": analytic.pvm_nonadiabatic_record(params, drive, basis),
+    }
+
+
+def scaled_grid_rows(point, s):
+    # one fig2-shaped and one fig4-shaped grid record through the array path, at the same scaling
+    wz, wx, bc, bh, *_ = point
+    params = EngineParams(s * wz, s * wx, bc / s)
+    ps, t_cs = np.linspace(0.5, 1.0, 7), s * np.linspace(0.05, 4.0, 7)
+    strokes = engine._strokes(params._strokes_i_constants, engine._drive_unitaries(ps, 0.0))
+    measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal_theta(params, ps), 0.0))
+    hot = engine._gibbs(strokes.h2, np.array([[bh / s], [0.0]]))
+    fig2 = strokes.record(np.concatenate((np.broadcast_to(hot, (2,) + measured.shape), measured[None])))
+    strokes = engine._strokes(engine._cold_constants(s * wz, s * wx, 1.0 / t_cs), engine._drive_unitaries(1.0, 0.0))
+    fig4 = strokes.dilate(analytic.optimal_dilation_unitary(), PovmSpec(joint_unitary=ID4), t_cs)
+    return {"fig2": fig2, "fig4": fig4}
+
+
+def hexes(value):
+    return None if value is None else [float(x).hex() for x in np.ravel(value)]
+
+
+class TestEnergyScale:
+    """A ledger scales with its energies: scaling the gaps by s and beta by 1/s scales every energy by s."""
+
+    @pytest.mark.parametrize("point", SCALE_POINTS)
+    def test_efficiency_does_not_depend_on_the_unit(self, point):
+        unit = scaled_records(point, 1.0)
+        for s in (2.0**-60, 2.0**60):
+            for name, rec in scaled_records(point, s).items():
+                assert hexes(rec.eta) == hexes(unit[name].eta), (name, s)
+
+    @pytest.mark.parametrize("k", [-40, -10, 10, 40])
+    @pytest.mark.parametrize("point", SCALE_POINTS)
+    def test_every_field_scales_exactly(self, point, k):
+        # s = 2^k scales without rounding, so every energy field is s times the unit one bit for bit
+        s = 2.0**k
+        for unit, scaled in ((scaled_records(point, 1.0), scaled_records(point, s)),
+                             (scaled_grid_rows(point, 1.0), scaled_grid_rows(point, s))):
+            for name in unit:
+                for f in SCALED_FIELDS:
+                    assert hexes(getattr(scaled[name], f)) == hexes(s * np.asarray(getattr(unit[name], f))), (name, f)
+                for f in ("eta", "aux_entropy"):
+                    assert hexes(getattr(scaled[name], f)) == hexes(getattr(unit[name], f)), (name, f)

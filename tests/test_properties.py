@@ -25,6 +25,10 @@ from qotto.engine import (
     EngineParams,
     MeasurementBasis,
     PovmSpec,
+    _cold_constants,
+    _drive_unitaries,
+    _gibbs,
+    _strokes,
     basis_projectors,
     run_conventional_cycle,
     run_povm_cycle,
@@ -100,10 +104,10 @@ def test_pvm_cycle_matches_closed_form(omega_z, gamma, beta_c, hot_fraction, p, 
     assert_ledgers_equal(sim, analytic.pvm_nonadiabatic_record(params, drive, basis))
 
 
-# Grid rows: strokes_i_ii on lists of specs, then a stroke-III method,
-# returns one record of columns, and row i of every column is the single
-# cycle on that row's specs, bit for bit; a grid's eta is NaN exactly where
-# the single cycle's is None.
+# Grid rows: the stroke-I/II setup on arrays of the swept fields, then a
+# stroke-III method, returns one record of columns, and row i of every column
+# is the single cycle on that row's specs, bit for bit; a grid's eta is NaN
+# exactly where the single cycle's is None.
 grid_row = st.tuples(
     st.floats(0.2, 4.0),  # omega_z
     st.floats(1.05, 4.0),  # gamma
@@ -135,6 +139,12 @@ EDGE_DILATIONS = [
     ([0.0] * 15, 1.0, 0.0, 0.0),
     ([-1.0, 2.0, 0.5] * 5, 0.0, math.pi, 1.0),
 ]
+
+
+def grid_arrays(rows):
+    # the fields of the rows as arrays: omega_z, omega_x, beta_c, beta_h, p, alpha, theta, phi
+    wz, g, bc, h, p, alpha, theta, phi = map(np.array, zip(*rows))
+    return wz, g * wz, bc, h * bc, p, alpha, theta, phi
 
 
 def grid_specs(rows):
@@ -172,16 +182,16 @@ def assert_rows_bitwise(grid, singles):
 @example(rows=EDGE_ROWS[1:3], povm=EDGE_DILATIONS[2])
 def test_grid_rows_equal_single_cycles(rows, povm):
     params, drives, bases = grid_specs(rows)
+    omega_z, omega_x, beta_c, beta_h, p, alpha, thetas, phis = grid_arrays(rows)
     spec = povm_spec(*povm)
-    thetas = np.array([b.theta_x for b in bases])
-    phis = np.array([b.phi_x for b in bases])
-    strokes = strokes_i_ii(params, drives)
+    unitaries = _drive_unitaries(p, alpha)
+    strokes = _strokes(_cold_constants(omega_z, omega_x, beta_c), unitaries)
 
     def dilate(strokes, reset_temperature):
         return strokes.dilate(spec.joint_unitary, spec, reset_temperature)
 
     assert_rows_bitwise(
-        strokes.thermalize(np.array([x.beta_h for x in params])),
+        strokes.record(_gibbs(strokes.h2, beta_h)),
         [run_conventional_cycle(p, d) for p, d in zip(params, drives)],
     )
     assert_rows_bitwise(
@@ -189,16 +199,16 @@ def test_grid_rows_equal_single_cycles(rows, povm):
         [run_pvm_cycle(p, d, b) for p, d, b in zip(params, drives, bases)],
     )
     assert_rows_bitwise(
-        dilate(strokes, 1.0 / np.array([x.beta_c for x in params])),
+        dilate(strokes, 1.0 / beta_c),
         [run_povm_cycle(p, d, spec) for p, d in zip(params, drives)],
     )
     assert_rows_bitwise(
         dilate(strokes, 0.7),
         [run_povm_cycle(p, d, spec, reset_temperature=0.7) for p, d in zip(params, drives)],
     )
-    # a single spec is shared by every row, as fig2 shares its parameters and fig4 its drive
+    # a field shared by every row broadcasts: fig2 shares its parameters' constants, fig4 its gaps and drive
     assert_rows_bitwise(
-        strokes_i_ii(params[0], drives).measure(basis_projectors(thetas, phis)),
+        _strokes(params[0]._strokes_i_constants, unitaries).measure(basis_projectors(thetas, phis)),
         [run_pvm_cycle(params[0], d, b) for d, b in zip(drives, bases)],
     )
     assert_rows_bitwise(
@@ -210,8 +220,8 @@ def test_grid_rows_equal_single_cycles(rows, povm):
         [run_pvm_cycle(p, d, bases[0]) for p, d in zip(params, drives)],
     )
     assert_rows_bitwise(
-        dilate(strokes_i_ii(params, drives[0]), 1.0 / np.array([x.beta_c for x in params])),
-        [run_povm_cycle(p, drives[0], spec) for p in params],
+        dilate(_strokes(_cold_constants(omega_z[0], omega_x[0], beta_c), drives[0]._unitaries), 1.0 / beta_c),
+        [run_povm_cycle(EngineParams(omega_z[0], omega_x[0], bc), drives[0], spec) for bc in beta_c.tolist()],
     )
 
 
@@ -247,14 +257,16 @@ def test_stacked_optima_equal_single_calls(rows, t_c):
     # each row's candidates, their values and the point of the chosen one equal the single call's
     params = [EngineParams(wz, g * wz, bc) for wz, g, bc, _, _ in rows]
     drives = [DriveSpec(p, alpha) for *_, p, alpha in rows]
-    both, vs = optimize._dilation_candidates(params, drives, t_c, net=True)
-    gross_only, gross_vs = optimize._dilation_candidates(params, drives, t_c, net=False)
+    omega_z, gamma, beta_c, p, alpha = map(np.array, zip(*rows))
+    strokes = _strokes(_cold_constants(omega_z, gamma * omega_z, beta_c), _drive_unitaries(p, alpha))
+    both, vs = optimize._dilation_candidates(strokes, t_c, net=True)
+    gross_only, gross_vs = optimize._dilation_candidates(strokes, t_c, net=False)
     n = len(rows)
     assert both.w_total.shape == (2, n) and gross_only.w_total.shape == (n,)
     assert vs.shape == (2, n, 4, 4) and gross_vs.shape == (n, 4, 4)
     for i, (prm, drive) in enumerate(zip(params, drives)):
-        gross_v = optimize._dilation_candidates(prm, drive, t_c, net=False)[1]
-        net_vs = optimize._dilation_candidates(prm, drive, t_c, net=True)[1]
+        gross_v = optimize._dilation_candidates(strokes_i_ii(prm, drive), t_c, net=False)[1]
+        net_vs = optimize._dilation_candidates(strokes_i_ii(prm, drive), t_c, net=True)[1]
         assert gross_vs[i].tobytes() == vs[0, i].tobytes() == gross_v.tobytes() == net_vs[0].tobytes()
         assert vs[1, i].tobytes() == net_vs[1].tobytes()
         gross = optimize.optimize_povm_work(prm, drive)
