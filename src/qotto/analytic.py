@@ -7,6 +7,11 @@ parameters.  They share only the ledger arithmetic of
 routes; the test suite checks the two against each other.  Works and
 heats are in units of the reference energy, entropies in bits, and the
 erasure cost carries an explicit ln 2.
+
+Each closed form that a grid evaluates is one numpy expression over its
+swept field, p or t_c, a float or an array of any shape (a grid passes
+each slice of its values once): an array gives arrays, and a float, the
+0-d case of the same expression, floats, as CycleRecord.from_energies does.
 """
 
 from __future__ import annotations
@@ -17,22 +22,34 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis
+from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis, _read_only
 
 
-def discriminant(params: EngineParams, p: float) -> float:
-    arg = (params.omega_x - params.omega_z) ** 2 + 4.0 * params.omega_x * params.omega_z * (1.0 - p)
-    return math.sqrt(max(arg, 0.0))  # clamp guards rounding at the adiabatic boundary
+def _out(value):
+    # A 0-d result as a float, an array one as it is.
+    return value if getattr(value, "ndim", 0) else float(value)
 
 
-def conventional_record(params: EngineParams, p: float) -> CycleRecord:
+def _checked_p(p):
+    # p, each value in [1/2, 1] (a NaN is not); [()] makes a 0-d array a numpy float, whose arithmetic is cheaper.
+    p = np.asarray(p, dtype=float)[()]
+    if not ((p >= 0.5) & (p <= 1.0)).all():
+        raise ValueError(f"p must lie in [1/2, 1], got {p}")
+    return p
+
+
+def discriminant(params: EngineParams, p) -> float | np.ndarray:
+    wz, wx = params.omega_z, params.omega_x
+    arg = (wx - wz) ** 2 + 4.0 * wx * wz * (1.0 - np.asarray(p, float)[()])
+    return _out(np.sqrt(np.maximum(arg, 0.0)))  # clamp guards rounding at the adiabatic boundary
+
+
+def conventional_record(params: EngineParams, p) -> CycleRecord:
     """Two-bath cycle ledger for transition probability p (reversed stroke-IV drive)."""
     if params.beta_h is None:
         raise ValueError("the conventional cycle requires beta_h")
-    if not (0.5 <= p <= 1.0):
-        raise ValueError(f"p must lie in [1/2, 1], got {p}")
-    tz, tx = params.tau_z, params.tau_x
-    wz, wx = params.omega_z, params.omega_x
+    p = _checked_p(p)
+    tz, tx, wz, wx = params.tau_z, params.tau_x, params.omega_z, params.omega_x
     e0 = -0.5 * wz * tz
     e1 = 0.5 * wx * tz * (1.0 - 2.0 * p)
     e2 = -0.5 * wx * tx
@@ -40,9 +57,7 @@ def conventional_record(params: EngineParams, p: float) -> CycleRecord:
     return CycleRecord.from_energies(e0, e1, e2, e3)
 
 
-def pvm_nonadiabatic_record(
-    params: EngineParams, drive: DriveSpec, basis: MeasurementBasis
-) -> CycleRecord:
+def pvm_nonadiabatic_record(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:
     """Projective-measurement cycle ledger at arbitrary drive.
 
     a = 2p - 1 and b = 2 sqrt(p(1-p)) encode the drive, mu the overlap
@@ -64,54 +79,48 @@ def pvm_nonadiabatic_record(
 
 
 class PvmOptimum(NamedTuple):
-    work: float
-    basis: MeasurementBasis
-    heat: float
-    eta: float
+    work: float | np.ndarray
+    theta: float | np.ndarray
+    heat: float | np.ndarray
+    eta: float | np.ndarray
+
+    @property
+    def basis(self) -> MeasurementBasis:
+        """The optimal basis of a single drive: polar angle theta, phi_x = 0."""
+        return MeasurementBasis(theta_x=self.theta)
 
 
-def _optimal_theta(wz: float, wx: float, p: float) -> float:
-    # The angle of pvm_optimal_theta at one p, through math.atan2: np.arctan2 can differ from it in the last ulp.
-    a = 2.0 * p - 1.0
-    b = 2.0 * math.sqrt(p * (1.0 - p))
-    x = math.atan2(-(b * (wx - 2.0 * a * wz)), -(wz * (b * b - a * a) + a * wx))
-    return 0.5 * (x + 2.0 * math.pi if x < 0.0 else x)
-
-
-def pvm_optimal_theta(params: EngineParams, ps) -> np.ndarray:
-    """Polar angles theta_x of the work-optimal bases at phi_x = 0, one per p of a 1-d array.
+def pvm_optimal_theta(params: EngineParams, p) -> float | np.ndarray:
+    """Polar angle theta_x of the work-optimal basis at phi_x = 0, for p or an array of them.
 
     With a = 2p - 1 and b = 2 sqrt(p(1-p)), the angle is fixed by
     cos(2 theta) = -A/hypot(A, B), sin(2 theta) = -B/hypot(A, B), where
     A = wz(b^2 - a^2) + a wx and B = b(wx - 2 a wz); it lies in [0, pi].
-    Each angle equals ``pvm_optimal(params, p).basis.theta_x`` bit for bit.
     """
-    ps = np.asarray(ps, dtype=float)
-    if ps.ndim != 1 or not np.all((ps >= 0.5) & (ps <= 1.0)):
-        raise ValueError(f"p must lie in [1/2, 1] along a 1-d array, got {ps}")
-    return np.array([_optimal_theta(params.omega_z, params.omega_x, p) for p in ps.tolist()])
+    p = _checked_p(p)
+    wz, wx = params.omega_z, params.omega_x
+    a = 2.0 * p - 1.0
+    b = 2.0 * np.sqrt(p * (1.0 - p))
+    x = np.arctan2(-(b * (wx - 2.0 * a * wz)), -(wz * (b * b - a * a) + a * wx))
+    return _out(0.5 * (x + (x < 0.0) * (2.0 * math.pi)))
 
 
-def pvm_optimal(params: EngineParams, p: float) -> PvmOptimum:
-    """Work-maximizing measurement basis and value for the drive at p with phase 0.
+def pvm_optimal(params: EngineParams, p) -> PvmOptimum:
+    """Work-maximizing measurement basis and value for the drive at p (or an array of them) with phase 0.
 
     The maximum over (theta_x, phi_x) is (tz/4)(D - wz + wx(2p - 1)),
-    attained at phi_x = 0 and the angle of :func:`pvm_optimal_theta`.  The
-    heat entering during the measurement stroke at that basis is
+    attained at phi_x = 0 and the angle theta of :func:`pvm_optimal_theta`.
+    The heat entering during the measurement stroke at that basis is
     wx tz (a D + wx - a wz) / (4 D).  For a drive phase alpha the work
     depends on phi_x only through alpha - phi_x, so the optimal basis is
     shifted to phi_x = alpha with the same work and heat.
     """
-    if not (0.5 <= p <= 1.0):
-        raise ValueError(f"p must lie in [1/2, 1], got {p}")
-    tz = params.tau_z
-    wz, wx = params.omega_z, params.omega_x
-    a = 2.0 * p - 1.0
-    d = discriminant(params, p)
+    theta = pvm_optimal_theta(params, p)
+    tz, wz, wx = params.tau_z, params.omega_z, params.omega_x
+    a, d = 2.0 * np.asarray(p, float)[()] - 1.0, discriminant(params, p)
     work = 0.25 * tz * (d - wz + a * wx)
-    basis = MeasurementBasis(theta_x=_optimal_theta(wz, wx, p))
     heat = wx * tz * (a * d + wx - a * wz) / (4.0 * d)
-    return PvmOptimum(work=work, basis=basis, heat=heat, eta=work / heat)
+    return PvmOptimum(*map(_out, (work, theta, heat, work / heat)))
 
 
 class PvmBestP(NamedTuple):
@@ -124,66 +133,57 @@ def pvm_best_p(params: EngineParams) -> PvmBestP:
     """Transition probability maximizing the optimal projective-cycle work.
 
     For compression ratio gamma < 2 the maximum sits strictly inside the
-    non-adiabatic region at p = 1/2 + gamma/4 with efficiency 1/2; for
-    gamma >= 2 it sits at the adiabatic endpoint p = 1.
+    non-adiabatic region at p = 1/2 + gamma/4, where D = wz, with work
+    wx^2 tz / (8 wz) and efficiency 1/2; for gamma >= 2 it sits at the
+    adiabatic endpoint p = 1.
     """
-    tz = params.tau_z
-    wz, wx = params.omega_z, params.omega_x
-    if params.gamma < 2.0:
-        return PvmBestP(
-            p_star=0.5 + 0.25 * wx / wz,
-            work=wx * wx * tz / (8.0 * wz),
-            eta=0.5,
-        )
-    return PvmBestP(p_star=1.0, work=0.5 * tz * (wx - wz), eta=1.0 - wz / wx)
+    p_star = min(0.5 + 0.25 * params.gamma, 1.0)
+    best = pvm_optimal(params, p_star)
+    return PvmBestP(p_star=p_star, work=best.work, eta=best.eta)
 
 
-# Permutation whose matrix in the product eigenbasis of sigma_x (x) sigma_x
-# swaps the middle two basis states; it moves the support of the dilated
-# thermal state onto the high-energy eigenspace of the measurement-stroke
-# Hamiltonian.
-_SWAP_MIDDLE = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+# The work-optimal adiabatic joint unitary, built once, read-only: in the product eigenbasis of sigma_x (x) sigma_x
+# it swaps the middle two basis states, moving the dilated thermal state onto the high-energy eigenspace of h2.
+_HH = np.kron(qmat.HADAMARD, qmat.HADAMARD)
+_V0 = _read_only(_HH @ np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex) @ _HH)
 
 
 def optimal_dilation_unitary() -> np.ndarray:
-    """The work-optimal adiabatic joint unitary, in the computational product basis."""
-    t = np.kron(qmat.HADAMARD, qmat.HADAMARD)
-    return t @ _SWAP_MIDDLE @ t
+    """The work-optimal adiabatic joint unitary, in the computational product basis (one read-only array)."""
+    return _V0
 
 
-def povm_work_ceiling(params: EngineParams, drive: DriveSpec) -> float:
+def povm_work_ceiling(params: EngineParams, drive) -> float | np.ndarray:
     """Maximum gross work of the dilation cycle over all joint unitaries.
 
-    With a pure auxiliary the drive strokes fix w1, and the remaining
-    dependence on the joint unitary is linear in the post-measurement
-    state, so the maximum follows from pairing sorted eigenvalues (see
+    ``drive`` is a DriveSpec, or its p as a float or an array.  With a pure
+    auxiliary the drive strokes fix w1, and the remaining dependence on the
+    joint unitary is linear in the post-measurement state, so the maximum
+    follows from pairing sorted eigenvalues (see
     :func:`rearrangement_energy_bound`): (tz/2)(a wx - wz) + D/2.  At
     p = 1 this reduces to the adiabatic optimum (1/2)(wx - wz)(1 + tz).
     """
-    tz = params.tau_z
-    a = 2.0 * drive.p - 1.0
-    return 0.5 * tz * (a * params.omega_x - params.omega_z) + 0.5 * discriminant(params, drive.p)
+    p = drive.p if isinstance(drive, DriveSpec) else _checked_p(drive)  # a DriveSpec checked its p
+    a = 2.0 * p - 1.0
+    return _out(0.5 * params.tau_z * (a * params.omega_x - params.omega_z) + 0.5 * discriminant(params, p))
 
 
-def povm_net_work_optimum(params: EngineParams, drive: DriveSpec, t_c: float | None = None) -> float:
+def povm_net_work_optimum(params: EngineParams, drive, t_c: float | None = None) -> float | np.ndarray:
     """Maximum work net of the reset cost at ``params.reset_temperature(t_c)`` over all joint unitaries.
 
-    The binary entropy is the minimum of its tangent lines, so the net work
-    is the maximum over tangents of objectives linear in the dilated state,
-    each maximized by a rearrangement.  Two candidates remain: the
-    gross-optimal unitary, whose auxiliary keeps the entropy
-    H2((1 + tz)/2), and the zero-entropy one that only rotates the system:
+    ``drive`` is as in :func:`povm_work_ceiling`.  The binary entropy is the
+    minimum of its tangent lines, so the net work is the maximum over
+    tangents of objectives linear in the dilated state, each maximized by a
+    rearrangement.  Two candidates remain: the gross-optimal unitary, whose
+    auxiliary keeps the entropy H2((1 + tz)/2), and the zero-entropy one
+    that only rotates the system:
     (tz/2)(a wx - wz) + max(D/2 - t_c ln2 H2((1 + tz)/2), tz D/2).
     """
-    t_c = params.reset_temperature(t_c)
-    tz = params.tau_z
-    d = discriminant(params, drive.p)
-    cost = _reset_cost(t_c, params.beta_c * params.omega_z)
-    return 0.5 * tz * ((2.0 * drive.p - 1.0) * params.omega_x - params.omega_z) + max(
-        0.5 * d - cost, 0.5 * tz * d
-    )
+    cost = _reset_cost(params.reset_temperature(t_c), params.beta_c * params.omega_z)
+    p = drive.p if isinstance(drive, DriveSpec) else _checked_p(drive)  # a DriveSpec checked its p
+    tz, d = params.tau_z, discriminant(params, p)
+    drive_work = 0.5 * tz * ((2.0 * p - 1.0) * params.omega_x - params.omega_z)
+    return _out(drive_work + np.maximum(0.5 * d - cost, 0.5 * tz * d))
 
 
 def rearrangement_energy_bound(h, rho) -> float:
@@ -195,30 +195,31 @@ def rearrangement_energy_bound(h, rho) -> float:
     return float(np.linalg.eigvalsh(hm) @ rho_spectrum)  # eigvalsh sorts ascending
 
 
-def _reset_cost(t_c: float, x: float) -> float:
+def _reset_cost(t_c, x):
     # t_c ln2 H2(q): the cost of resetting an auxiliary left with pole populations q and 1 - q, where
-    # q = (1 - tz)/2 = 1/(1 + e^x) is the smaller, x = beta omega_z.  q is formed directly, with
-    # -q ln q = q (x + ln(1 + e^-x)) and -(1 - q) ln(1 - q) through log1p, so no term cancels as q -> 0.
-    e = math.exp(-x)
-    q = e / (1.0 + e)
-    return t_c * (q * (x + math.log1p(e)) - (1.0 - q) * math.log1p(-q))
+    # q = (1 - tz)/2 = 1/(1 + e^x) is the smaller, x = beta omega_z.  With ln q = -x - ln(1 + e^-x) and
+    # ln(1 - q) = -ln(1 + e^-x), ln2 H2(q) = q x + ln(1 + e^-x): two positive terms, q formed directly and the
+    # logarithm through log1p, so nothing cancels as q -> 0.
+    e = np.exp(-x)
+    return t_c * (e / (1.0 + e) * x + np.log1p(e))
 
 
 class AuxCostRecord(NamedTuple):
-    min_cost: float
-    max_cost: float
-    net_work_v0: float
+    min_cost: float | np.ndarray
+    max_cost: float | np.ndarray
+    net_work_v0: float | np.ndarray
     delta_w: float
     t_c_bound: float
 
 
-def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRecord:
-    """Auxiliary-reset cost ledger at cold-bath temperature t_c.
+def aux_cost_record(params: EngineParams, t_c: float | np.ndarray | None = None) -> AuxCostRecord:
+    """Auxiliary-reset cost ledger at cold-bath temperature t_c, a float or an array.
 
-    The temperature is ``params.reset_temperature(t_c)`` and must also be
-    positive; a given t_c replaces the cold-bath temperature in both the
-    erasure cost and the optimal work, which is
-    how the cost/advantage comparison is swept against temperature.
+    The temperature is ``params.reset_temperature(t_c)``, which checks an
+    array through its least and greatest value, and must also be positive;
+    a given t_c replaces the cold-bath temperature in both the erasure cost
+    and the optimal work, which is how the cost/advantage comparison is
+    swept against temperature.
     ``min_cost`` is the erasure cost when the auxiliary is measured along
     its poles, t_c ln2 H2((1 + tz)/2); ``max_cost`` is the 1-bit ceiling
     t_c ln 2.  ``delta_w`` = (wx - wz)/2 is the temperature-independent
@@ -226,19 +227,18 @@ def aux_cost_record(params: EngineParams, t_c: float | None = None) -> AuxCostRe
     one, and ``t_c_bound`` = delta_w / ln 2 is the temperature below
     which even the worst-case reset cost cannot erase that advantage.
     """
-    t_c = params.reset_temperature(t_c)
-    if t_c == 0.0:  # the cost divides by it
-        raise ValueError(f"t_c must be positive, got {t_c}")
-    wz, wx = params.omega_z, params.omega_x
-    tz = math.tanh(0.5 * wz / t_c)
-    min_cost = _reset_cost(t_c, wz / t_c)
-    return AuxCostRecord(
-        min_cost=min_cost,
-        max_cost=t_c * LN2,
-        net_work_v0=0.5 * (wx - wz) * (1.0 + tz) - min_cost,
-        delta_w=0.5 * (wx - wz),
-        t_c_bound=0.5 * (wx - wz) / LN2,
-    )
+    t_c = np.asarray(params.reset_temperature(t_c) if t_c is None else t_c, dtype=float) + 0.0
+    for extreme in (t_c.min(), t_c.max()):  # a NaN is both
+        params.reset_temperature(float(extreme))
+    if not t_c.min() > 0.0:  # the cost divides by it
+        raise ValueError(f"t_c must be positive, got {t_c.min()}")
+    # x = omega_z / t_c, held at 1e300 where it would overflow: from x of about 745 on, q and so the cost are 0, as in
+    # the limit t_c -> 0, where 0 * inf would make them NaN
+    x = params.omega_z / np.maximum(t_c, 1e-300 * params.omega_z)
+    min_cost = _reset_cost(t_c, x)
+    delta_w = 0.5 * (params.omega_x - params.omega_z)
+    net_work_v0 = delta_w * (1.0 + np.tanh(0.5 * x)) - min_cost
+    return AuxCostRecord(*map(_out, (min_cost, t_c * LN2, net_work_v0)), delta_w=delta_w, t_c_bound=delta_w / LN2)
 
 
 def reset_crossing_temperature(params: EngineParams) -> float:

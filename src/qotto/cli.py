@@ -227,8 +227,9 @@ def cmd_fig3(args) -> RunReport:
         # both candidates of every row in one pass, and the net work of each row's winner
         rec, _ = optimize._dilation_candidates(_drive_grid(params, ps), t_c, net=True)
         nets = np.where(optimize._net_winner(rec), rec.net_work[1], rec.net_work[0])
-        cells = zip(ps.tolist(), rec.w_total[0].tolist(), nets.tolist(), rec.first_law_residual[0].tolist())
-        rows += [(p, w, w - t_c * LN2, net, analytic.pvm_optimal(params, p).work, res, 1) for p, w, net, res in cells]
+        cells = zip(ps.tolist(), rec.w_total[0].tolist(), nets.tolist(), analytic.pvm_optimal(params, ps).work.tolist(),
+                    rec.first_law_residual[0].tolist())
+        rows += [(p, w, w - t_c * LN2, net, w_pvm, res, 1) for p, w, net, w_pvm, res in cells]
     return RunReport(
         meta=dict(panel=args.panel, omega_x=omega_x, omega_z=omega_z, beta_c=args.beta_c, t_c=t_c),
         columns=(
@@ -252,10 +253,9 @@ def cmd_fig4(args) -> RunReport:
     for t_cs in spec.slices():
         # one stacked pass from the shared h1 and an array of cold inverse temperatures, each row reset at its own t_c
         strokes = engine._strokes(engine._cold_constants(args.omega_z, args.omega_x, 1.0 / t_cs), adiabatic)
-        cycles = strokes.dilate(v0, optimize._AUX, t_cs)
-        for t_c, res in zip(t_cs.tolist(), cycles.first_law_residual.tolist()):
-            rec = analytic.aux_cost_record(params, t_c)
-            rows.append((t_c, rec.delta_w, rec.min_cost, res))
+        residuals = strokes.dilate(v0, optimize._AUX, t_cs).first_law_residual
+        rec = analytic.aux_cost_record(params, t_cs)
+        rows += zip(t_cs.tolist(), [rec.delta_w] * t_cs.size, rec.min_cost.tolist(), residuals.tolist())
     return RunReport(
         meta=dict(omega_x=args.omega_x, omega_z=args.omega_z, crossing_temperature=f"{crossing:.12g}"),
         columns=("t_c", "delta_w", "w_a_min", "first_law_residual"),
@@ -270,12 +270,9 @@ def cmd_table1(args) -> RunReport:
     eta0 = 1.0 - args.omega_z / args.omega_x
     conv = analytic.conventional_record(params, 1.0)
     w_pvm = analytic.pvm_nonadiabatic_record(params, DriveSpec(1.0), MeasurementBasis(math.pi / 2.0)).w_total
-    w_povm = analytic.povm_work_ceiling(params, DriveSpec(1.0))
     best = analytic.pvm_best_p(params)
-    # povm_work_ceiling's closed form over its 1001-point p-grid, as one array expression
-    wz, wx, p = args.omega_z, args.omega_x, np.linspace(0.5, 1.0, 1001)
-    d = np.sqrt(np.maximum((wx - wz) ** 2 + 4.0 * wx * wz * (1.0 - p), 0.0))
-    ceiling = 0.5 * params.tau_z * ((2.0 * p - 1.0) * wx - wz) + 0.5 * d
+    ceiling = analytic.povm_work_ceiling(params, np.linspace(0.5, 1.0, 1001))  # its last point is p = 1
+    w_povm = float(ceiling[-1])
     rows = [
         # eta0 is the two-bath cycle's efficiency only where it runs as an engine
         ("efficiency_adiabatic", None if conv.eta is None else eta0, eta0, eta0),
@@ -283,7 +280,7 @@ def cmd_table1(args) -> RunReport:
         # the two-bath work peaks at p = 1, so its non-adiabatic optimum is its adiabatic one
         ("optimal_work_nonadiabatic", conv.w_total, best.work, float(ceiling.max())),
         # the gross-optimal dilation cycle runs at eta0 at p = 1, the grid's last point, and has no closed form inside
-        ("efficiency_at_optimal_work", conv.eta, best.eta, eta0 if ceiling.argmax() == p.size - 1 else None),
+        ("efficiency_at_optimal_work", conv.eta, best.eta, eta0 if ceiling.argmax() == ceiling.size - 1 else None),
     ]
     meta = dict(
         omega_x=args.omega_x, omega_z=args.omega_z, beta_c=args.beta_c,

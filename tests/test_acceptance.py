@@ -244,10 +244,16 @@ def test_criterion_11_mixed_auxiliary_ceiling():
 
 
 def test_criterion_12_optimized_orderings():
-    """On an 11-point drive grid the optimized net work dominates the projective optimum."""
+    """On an 11-point drive grid the optimized net work dominates the projective optimum.
+
+    The ledger counts the energy the joint unitary injects as the measurement heat q_h (the quantum-heat
+    convention), so the zero-entropy candidate U (x) I, which rotates the system alone, counts as fuel: where it
+    wins, the net work is twice the projective optimum.
+    """
     start = time.monotonic()
     t_c = 1.0
     cap = t_c * math.log(2.0)
+    rotations = 0
     for p in np.linspace(0.5, 1.0, 11):
         drive = DriveSpec(p=float(p))
         gross = optimize_povm_work(P52, drive)
@@ -256,7 +262,10 @@ def test_criterion_12_optimized_orderings():
         assert net.best_value > w_pvm
         assert gross.best_value + 1e-9 >= net.best_value
         assert net.best_value >= gross.best_value - cap - 1e-9
+        rotations += abs(net.best_value - 2.0 * w_pvm) <= 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 900.0
     print(f"criterion 12 PASS: gross >= net >= gross - t_c ln 2 and net > projective "
-          f"optimum at all 11 drives, {elapsed:.0f}s")
+          f"optimum at all 11 drives, {elapsed:.0f}s; the joint unitary's energy counts as the "
+          f"heat q_h, so the system-only rotation U (x) I counts as fuel, and it wins {rotations} "
+          f"of 11 drives at twice the projective optimum")

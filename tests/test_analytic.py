@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qotto import analytic, engine, qmat
+from qotto import analytic, engine, optimize, qmat
 from qotto.analytic import (
     aux_cost_record,
     conventional_record,
@@ -242,13 +242,16 @@ class TestPvmOptimal:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             pvm_optimal(P32, 0.3)
-        for p in (0.3, 0.7, [0.7, 1.01], [0.7, math.nan], [[0.7]]):
-            with pytest.raises(ValueError, match="p must lie in"):
-                analytic.pvm_optimal_theta(P32, p)
+        for p in (0.3, 1.01, [0.7, 1.01], [0.7, math.nan], [[0.7, 0.4]]):
+            for f in (pvm_optimal, analytic.pvm_optimal_theta):
+                with pytest.raises(ValueError, match="p must lie in"):
+                    f(P32, p)
+        # a float is the 0-d case of the array form, and an array of any shape is taken whole
+        assert analytic.pvm_optimal_theta(P32, 0.7) == analytic.pvm_optimal_theta(P32, [[0.7]])[0, 0]
 
     def test_slice_angles_equal_single_optima(self):
-        # one call for a grid of p gives every row's pvm_optimal angle bit
-        # for bit, and both equal the scalar formula through math.atan2
+        # one call for a grid of p gives every row's pvm_optimal angle bit for bit, and both lie within one ulp of
+        # the scalar formula through math.atan2, which np.arctan2 may round the other way
         def scalar_theta(params, p):
             wz, wx = params.omega_z, params.omega_x
             a = 2.0 * p - 1.0
@@ -263,7 +266,8 @@ class TestPvmOptimal:
             assert angles.shape == (len(grid),)
             singles = [pvm_optimal(params, p).basis.theta_x for p in grid]
             assert [a.hex() for a in angles.tolist()] == [t.hex() for t in singles]
-            assert [t.hex() for t in singles] == [scalar_theta(params, p).hex() for p in grid]
+            for t, p in zip(singles, grid):
+                assert abs(t - scalar_theta(params, p)) <= math.ulp(t)
 
 
 class TestPvmBestP:
@@ -310,6 +314,18 @@ class TestPovmOptimal:
         in_x_basis = t @ optimal_dilation_unitary() @ t
         perm = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         np.testing.assert_allclose(in_x_basis, perm, atol=1e-12)
+
+    def test_v0_is_one_read_only_constant(self):
+        # built once, at import, bit for bit the product of the Hadamard pair around the swap of the middle states
+        t = np.kron(qmat.HADAMARD, qmat.HADAMARD)
+        perm = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+        v0 = optimal_dilation_unitary()
+        assert v0 is optimal_dilation_unitary()
+        assert v0.dtype == complex and v0.shape == (4, 4)
+        assert v0.tobytes() == (t @ perm @ t).tobytes()
+        assert not v0.flags.writeable
+        with pytest.raises(ValueError):
+            v0[0, 0] = 0.0
 
     def test_cold_limit(self):
         params = EngineParams(2.0, 3.0, 200.0)
@@ -474,6 +490,21 @@ class TestAuxCost:
         assert checked > 700
         assert aux_cost_record(P52, 0.05).min_cost == pytest.approx(8.709126223347777e-18, rel=1e-13)
 
+    @pytest.mark.parametrize("t_c", [1e-310, 5e-324])
+    def test_temperature_too_small_for_its_reciprocal(self, t_c):
+        # omega_z / t_c overflows; the pole population q and so the cost are 0 there, their limit as t_c -> 0
+        for params in (P52, EngineParams(1e-12, 2e-12, 1.0), EngineParams(1e150 / 3.0, 1e150, 1e-151)):
+            rec = aux_cost_record(params, t_c)
+            delta_w = 0.5 * (params.omega_x - params.omega_z)
+            assert (rec.min_cost, rec.net_work_v0, rec.max_cost) == (0.0, 2.0 * delta_w, t_c * math.log(2.0))
+            grid = np.array([t_c, 1e-300, 1e-30, 0.05, 1.0, 4.0])
+            rows = aux_cost_record(params, grid)
+            for i, t in enumerate(grid.tolist()):
+                single = aux_cost_record(params, t)
+                for name in ("min_cost", "max_cost", "net_work_v0"):
+                    assert getattr(rows, name)[i].hex() == getattr(single, name).hex(), (name, t)
+            assert np.all(np.isfinite(rows.min_cost)) and np.all(np.isfinite(rows.net_work_v0))
+
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             aux_cost_record(P32, 0.0)
@@ -515,6 +546,100 @@ class TestNetWorkOptimum:
             povm_net_work_optimum(P32, DriveSpec(p=1.0), t_c)
 
 
+class TestArrayForms:
+    """Every closed form a grid evaluates takes its swept field as an array, each value bit for bit its scalar call."""
+
+    # p in {1/2, 1}, a gap ratio of exactly 2, and seeded points; fig4's default t_c range
+    PARAMS = (P32, P52, EngineParams(2.0, 4.0, 1.0), EngineParams(0.3, 3.7, 2.0), EngineParams(1.0, 1.0 + 1e-9, 0.4))
+    P_GRID = [0.5, 1.0, 0.875, *np.linspace(0.5, 1.0, 101).tolist(),
+              *np.random.default_rng(41).uniform(0.5, 1.0, 200).tolist()]
+    T_GRID = [*np.linspace(0.05, 4.0, 80).tolist(), *np.random.default_rng(42).uniform(1e-3, 10.0, 50).tolist(), 1e-310]
+
+    @staticmethod
+    def assert_rows(grid, singles, shape):
+        assert isinstance(grid, np.ndarray) and grid.shape == shape
+        assert all(type(x) is float for x in singles)
+        assert [x.hex() for x in grid.ravel().tolist()] == [x.hex() for x in singles]
+
+    @pytest.mark.parametrize("shape", [(304,), (16, 19)])
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_p_forms(self, params, shape):
+        ps = np.reshape(self.P_GRID, shape)
+        hot = EngineParams(params.omega_z, params.omega_x, params.beta_c, beta_h=0.3 * params.beta_c)
+        cases = [
+            (analytic.discriminant(params, ps), [analytic.discriminant(params, p) for p in self.P_GRID]),
+            (analytic.pvm_optimal_theta(params, ps), [analytic.pvm_optimal_theta(params, p) for p in self.P_GRID]),
+            (povm_work_ceiling(params, ps), [povm_work_ceiling(params, DriveSpec(p)) for p in self.P_GRID]),
+            (povm_work_ceiling(params, ps), [povm_work_ceiling(params, p) for p in self.P_GRID]),
+        ]
+        opt = pvm_optimal(params, ps)
+        singles = [pvm_optimal(params, p) for p in self.P_GRID]
+        cases += [(getattr(opt, f), [getattr(x, f) for x in singles]) for f in analytic.PvmOptimum._fields]
+        for t_c in (None, 0.0, 0.7):
+            cases.append((povm_net_work_optimum(params, ps, t_c),
+                          [povm_net_work_optimum(params, DriveSpec(p), t_c) for p in self.P_GRID]))
+        conv = conventional_record(hot, ps)
+        singles = [conventional_record(hot, p) for p in self.P_GRID]
+        cases += [(getattr(conv, f), [getattr(x, f) for x in singles])
+                  for f in ("e0", "e1", "e2", "e3", "w1", "w2", "w_total", "q_c", "q_h")]
+        for grid, single in cases:
+            self.assert_rows(grid, single, shape)
+
+    @pytest.mark.parametrize("shape", [(131,), (1, 131)])
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_t_c_forms(self, params, shape):
+        rows = aux_cost_record(params, np.reshape(self.T_GRID, shape))
+        singles = [aux_cost_record(params, t) for t in self.T_GRID]
+        for name in ("min_cost", "max_cost", "net_work_v0"):
+            self.assert_rows(getattr(rows, name), [getattr(x, name) for x in singles], shape)
+        for name in ("delta_w", "t_c_bound"):
+            assert {getattr(x, name).hex() for x in singles} == {float(getattr(rows, name)).hex()}
+
+    def test_a_grid_is_checked_whole(self):
+        for bad in ([0.6, 0.4], [0.7, math.nan], [1.0, 1.5]):
+            for f in (pvm_optimal, povm_work_ceiling, conventional_record, povm_net_work_optimum):
+                with pytest.raises(ValueError, match="p must lie in"):
+                    f(EngineParams(2.0, 3.0, 1.0, beta_h=0.2), np.array(bad))
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=f"t_c must be finite and nonnegative, got {bad}"):
+                aux_cost_record(P32, np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError, match="t_c must be positive, got 0.0"):
+            aux_cost_record(P32, np.array([1.0, -0.0, 2.0]))
+
+
+class TestOptimaScale:
+    """Scaling the gaps and the reset temperature by s = 2^k and beta by 1/s scales every optimum by s exactly."""
+
+    # (omega_z, omega_x, beta_c, p, t_c): p in {1/2, 1}, a gap ratio of 2 and seeded points
+    POINTS = [(2.0, 3.0, 1.0, 0.875, 1.0), (2.0, 4.0, 1.0, 0.5, 0.3), (1.0, 2.5, 3.0, 1.0, 2.0),
+              *[(wz, wz * g, bc, p, t) for wz, g, bc, p, t in np.random.default_rng(43).uniform(
+                  [0.2, 1.05, 0.1, 0.5, 0.0], [4.0, 4.0, 4.0, 1.0, 3.0], (5, 5)).tolist()]]
+
+    @staticmethod
+    def optima(point, s):
+        wz, wx, bc, p, t_c = point
+        params, drive, ps = EngineParams(s * wz, s * wx, bc / s), DriveSpec(p), np.array([0.5, p, 1.0])
+        opt, grid = pvm_optimal(params, p), pvm_optimal(params, ps)
+        best = pvm_best_p(params)
+        scaled = [opt.work, opt.heat, grid.work, grid.heat, best.work, povm_work_ceiling(params, drive),
+                  povm_work_ceiling(params, ps), povm_net_work_optimum(params, drive, s * t_c),
+                  povm_net_work_optimum(params, ps, s * t_c),
+                  optimize.optimize_povm_work(params, drive).best_value,
+                  optimize.optimize_povm_net_work(params, drive, t_c=s * t_c).best_value]
+        kept = [opt.theta, opt.eta, grid.theta, grid.eta, best.p_star, best.eta]
+        return scaled, kept
+
+    @pytest.mark.parametrize("k", [-40, -10, 10, 40])
+    @pytest.mark.parametrize("point", POINTS)
+    def test_optima_scale_exactly(self, point, k):
+        s = 2.0**k
+        unit, scaled = self.optima(point, 1.0), self.optima(point, s)
+        for u, x in zip(unit[0], scaled[0]):
+            assert [v.hex() for v in np.ravel(x).tolist()] == [(s * v).hex() for v in np.ravel(u).tolist()]
+        for u, x in zip(unit[1], scaled[1]):
+            assert [v.hex() for v in np.ravel(x).tolist()] == [v.hex() for v in np.ravel(u).tolist()]
+
+
 class TestCrossingTemperature:
     def test_reference_value(self):
         t_ad = reset_crossing_temperature(P52)
@@ -528,6 +653,14 @@ class TestCrossingTemperature:
             for t in np.linspace(0.05, t_ad * (1.0 - 1e-6), 25):
                 below = aux_cost_record(params, float(t))
                 assert below.delta_w > below.min_cost
+
+    @pytest.mark.parametrize("params", [P52, P32, EngineParams(1e-12, 2e-12, 1.0), EngineParams(1.0, 1.3e9, 1.0),
+                                        EngineParams(1.0, 1.0 + 1e-9, 1.0)])
+    def test_crossing_is_bracketed_to_adjacent_floats(self, params):
+        # the returned temperature is the first float whose cost reaches delta_w: the float below it falls short
+        t_ad = reset_crossing_temperature(params)
+        rec = aux_cost_record(params, np.array([math.nextafter(t_ad, 0.0), t_ad]))
+        assert rec.min_cost[0] < rec.delta_w <= rec.min_cost[1]
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 2.5, 4.0])
     def test_crossing_at_every_scale(self, gamma):

@@ -322,7 +322,7 @@ class TestStackedRows:
 
 
 class TestOneStrokesPassPerSlice:
-    """fig2, fig3 and fig4 run the one stroke-I/II setup once per slice and build no PovmSpec."""
+    """fig2, fig3 and fig4 run the one stroke-I/II setup and each closed form once per slice and build no PovmSpec."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -350,6 +350,25 @@ class TestOneStrokesPassPerSlice:
             assert code == 0
             assert counts["_strokes"] == slices
         assert counts["PovmSpec"] == 0
+
+    @pytest.mark.parametrize("command,closed_form", [
+        ("fig2", "pvm_optimal_theta"), ("fig3", "pvm_optimal"), ("fig4", "aux_cost_record"),
+    ])
+    def test_one_closed_form_call_per_slice(self, capsys, monkeypatch, command, closed_form):
+        # a column of closed-form values is one array call per slice, never one call per row
+        calls, f = [], getattr(analytic, closed_form)
+
+        def counted(params, x, *args):
+            calls.append(np.shape(x))
+            return f(params, x, *args)
+
+        monkeypatch.setattr(analytic, closed_form, counted)
+        monkeypatch.setattr(cli, "GRID_SLICE", 4)
+        for points, sizes in ((4, [4]), (9, [4, 4, 1]), (21, [4] * 5 + [1])):
+            calls.clear()
+            code, _, _ = run_cli(capsys, command, "--grid-points", str(points), "--deterministic")
+            assert code == 0
+            assert calls == [(n,) for n in sizes]
 
     @pytest.mark.parametrize("command,built", [
         ("fig2", {"EngineParams": 1, "DriveSpec": 0}),
@@ -734,11 +753,13 @@ def test_fig3_net_column_is_the_net_optimizer():
 # change to the code behind it; every printed number, first-law residuals
 # included, must keep its bytes.
 GOLDEN = [
-    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 8ecd220ec0229b84...)
-    ("9783af86a0f242e0a4558b93bf19a7a823853eab93fe665134b53c4fecb401b0",
+    # re-recorded for the array optimal angle, np.arctan2 where it was math.atan2: 1 of 41 first-law residuals
+    # move at rounding (before: 9783af86a0f242e0...)
+    ("ef651ebbe13687c8ec4494c44c75aa8dec8f5f506a7db3a0de77967f3d46a4a4",
      "fig2 --panel a --beta-c 0.7 --grid-points 41"),
-    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 5409fbd8c6949c93...)
-    ("b5984feffe05b9964cb0addaa50a62e3b2d73a7a3c44b7cf6b1c0987d68171d1",
+    # re-recorded for the array optimal angle, np.arctan2 where it was math.atan2: 6 of 101 first-law residuals
+    # move at rounding (before: b5984feffe05b996...)
+    ("71d52d22e3f8af721f241fe210057c8daba8adcfca077a959a2fe24418d641c6",
      "fig2 --panel b --beta-c 3"),
     # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 646f09717bd115e2...)
     ("7ed2f7291e665fa9a79c15c318414fa4286c3d47a54d6daf533eab53a81089cb",
@@ -765,11 +786,13 @@ GOLDEN = [
      "fig4 --grid-points 7 --format json"),
     ("dbe1954a18c7cb60ec335b2446df36972fbfc275038a76296bbe4448c9be31bd",
      "table1 --format csv"),
-    # re-recorded for the rank-one stroke-III kernel; residuals and two 12th digits move (before: 497a2de16470ce44...)
-    ("c55e21a579718ccf7ccea42855fe92f71cd20fe8d675a8b50b3d7b3ffac49b96",
+    # re-recorded for the array optimal angle, np.arctan2 where it was math.atan2: 110 of 4100 first-law residuals
+    # move at rounding (before: c55e21a579718ccf...)
+    ("b1fb23a734bc81758d9bd50d0150122da8067e87fceae6f10c6b31c571c916cf",
      "fig2 --panel b --beta-c 0.9 --grid-points 4100"),
-    # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 7ad72e09706b6212...)
-    ("860917f69ff25acc78c116cccf5ab4f8ce13c41b85871e927682824a94bfb63f",
+    # re-recorded for the array optimal angle, np.arctan2 where it was math.atan2: 4 of 101 first-law residuals
+    # move at rounding (before: 860917f69ff25acc...)
+    ("5fbe734aefc127060ccf66f095ec71a369d2c5c8fa7968298c7f2fd03bd85f9c",
      "fig2 --format text"),
     # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: c0c98ea483385b7c...)
     ("fac00d69a27d0358c00cee92c985f755c906de1afa3fbd06f29a9e9eeb834bd0",

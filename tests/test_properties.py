@@ -1,6 +1,7 @@
 """Property tests: the simulated ledgers equal their closed forms everywhere,
-and every row of a stacked grid equals the single cycle on its specs, as
-every row of stacked dilation optima equals the single optimizer call.
+to 1e-10 and, at every scale of the gaps, to 16 eps omega_x; every row of a
+stacked grid equals the single cycle on its specs, as every row of stacked
+dilation optima equals the single optimizer call.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same inputs.  The explicit examples pin the edges the
@@ -102,6 +103,74 @@ def test_pvm_cycle_matches_closed_form(omega_z, gamma, beta_c, hot_fraction, p, 
     basis = MeasurementBasis(theta, phi)
     sim = run_pvm_cycle(params, drive, basis)
     assert_ledgers_equal(sim, analytic.pvm_nonadiabatic_record(params, drive, basis))
+
+
+# The same two ledgers over every scale EngineParams accepts, held to a bound relative to it beside the absolute
+# TOL above, which cannot tell rounding from an error at small gaps and fails at large ones: the routes differ by
+# rounding alone, a few ulp of omega_x, so every field lies within 16 eps omega_x.  omega_x runs over
+# [1e-300, 1e150] and gamma over [1 + 1e-9, 1e4], with beta_c omega_z in [0.05, 1e3].  Gaps below the smallest
+# normal float (2.2e-308) are left out on purpose: there eps omega_x itself underflows, so no relative bound holds.
+REL_TOL = 16.0 * np.finfo(float).eps
+scale_inputs = dict(
+    omega_x=st.floats(math.log(1e-300), math.log(1e150)).map(lambda x: min(math.exp(x), 1e150)),
+    gamma_minus_1=st.floats(math.log(1e-9), math.log(1e4 - 1.0)).map(math.exp),
+    beta_omega=st.floats(math.log(0.05), math.log(1e3)).map(math.exp),
+    hot_fraction=st.floats(0.0, 0.95),
+    p=st.floats(0.5, 1.0),
+    alpha=angle,
+    theta=st.floats(0.0, math.pi),
+    phi=angle,
+)
+# (omega_z, omega_x, beta_c) = (1e-300, 3e-300, 1e299) and the ends of both ranges
+SCALE_EDGES = [
+    dict(omega_x=3e-300, gamma_minus_1=2.0, beta_omega=0.1, hot_fraction=0.5, p=0.7, alpha=1.0, theta=1.0, phi=0.3),
+    dict(omega_x=1e150, gamma_minus_1=1e4 - 1.0, beta_omega=1e3, hot_fraction=0.9, p=0.5, alpha=0.0, theta=0.5,
+         phi=0.0),
+    dict(omega_x=1e-12, gamma_minus_1=1e-9, beta_omega=0.05, hot_fraction=0.0, p=1.0, alpha=2.0, theta=math.pi,
+         phi=4.0),
+    dict(omega_x=1e100, gamma_minus_1=1e-9, beta_omega=1e3, hot_fraction=0.95, p=0.75, alpha=0.5, theta=0.0,
+         phi=0.5),
+]
+
+
+def scaled_params(omega_x, gamma_minus_1, beta_omega, hot_fraction):
+    omega_z = omega_x / (1.0 + gamma_minus_1)
+    beta_c = beta_omega / omega_z
+    return EngineParams(omega_z, omega_x, beta_c, beta_h=hot_fraction * beta_c)
+
+
+def assert_ledgers_within_scale(sim, ref, omega_x):
+    for name in FIELDS:
+        assert abs(getattr(sim, name) - getattr(ref, name)) <= REL_TOL * omega_x, name
+
+
+def with_scale_edges(test):
+    for kwargs in SCALE_EDGES:
+        test = example(**kwargs)(test)
+    return test
+
+
+@PROPERTY_SETTINGS
+@given(**scale_inputs)
+@with_scale_edges
+def test_conventional_cycle_matches_closed_form_at_every_scale(
+    omega_x, gamma_minus_1, beta_omega, hot_fraction, p, alpha, theta, phi
+):
+    params = scaled_params(omega_x, gamma_minus_1, beta_omega, hot_fraction)
+    sim = run_conventional_cycle(params, DriveSpec(p, alpha))
+    assert_ledgers_within_scale(sim, analytic.conventional_record(params, p), omega_x)
+
+
+@PROPERTY_SETTINGS
+@given(**scale_inputs)
+@with_scale_edges
+def test_pvm_cycle_matches_closed_form_at_every_scale(
+    omega_x, gamma_minus_1, beta_omega, hot_fraction, p, alpha, theta, phi
+):
+    params = scaled_params(omega_x, gamma_minus_1, beta_omega, hot_fraction)
+    drive, basis = DriveSpec(p, alpha), MeasurementBasis(theta, phi)
+    sim = run_pvm_cycle(params, drive, basis)
+    assert_ledgers_within_scale(sim, analytic.pvm_nonadiabatic_record(params, drive, basis), omega_x)
 
 
 # Grid rows: the stroke-I/II setup on arrays of the swept fields, then a
