@@ -39,9 +39,14 @@ def _checked_p(p):
 
 
 def discriminant(params: EngineParams, p) -> float | np.ndarray:
+    """D = sqrt((wx - wz)^2 + 4 wx wz (1 - p)) for p in [1/2, 1], or an array of them."""
+    return _out(_discriminant(params, _checked_p(p)))
+
+
+def _discriminant(params, p):
+    # discriminant of a checked p, a hypot of two terms linear in the gaps, so that no product of gaps underflows
     wz, wx = params.omega_z, params.omega_x
-    arg = (wx - wz) ** 2 + 4.0 * wx * wz * (1.0 - np.asarray(p, float)[()])
-    return _out(np.sqrt(np.maximum(arg, 0.0)))  # clamp guards rounding at the adiabatic boundary
+    return np.hypot(wx - wz, 2.0 * math.sqrt(wx) * math.sqrt(wz) * np.sqrt(1.0 - p))
 
 
 def conventional_record(params: EngineParams, p) -> CycleRecord:
@@ -90,36 +95,25 @@ class PvmOptimum(NamedTuple):
         return MeasurementBasis(theta_x=self.theta)
 
 
-def pvm_optimal_theta(params: EngineParams, p) -> float | np.ndarray:
-    """Polar angle theta_x of the work-optimal basis at phi_x = 0, for p or an array of them.
-
-    With a = 2p - 1 and b = 2 sqrt(p(1-p)), the angle is fixed by
-    cos(2 theta) = -A/hypot(A, B), sin(2 theta) = -B/hypot(A, B), where
-    A = wz(b^2 - a^2) + a wx and B = b(wx - 2 a wz); it lies in [0, pi].
-    """
-    p = _checked_p(p)
-    wz, wx = params.omega_z, params.omega_x
-    a = 2.0 * p - 1.0
-    b = 2.0 * np.sqrt(p * (1.0 - p))
-    x = np.arctan2(-(b * (wx - 2.0 * a * wz)), -(wz * (b * b - a * a) + a * wx))
-    return _out(0.5 * (x + (x < 0.0) * (2.0 * math.pi)))
-
-
 def pvm_optimal(params: EngineParams, p) -> PvmOptimum:
     """Work-maximizing measurement basis and value for the drive at p (or an array of them) with phase 0.
 
-    The maximum over (theta_x, phi_x) is (tz/4)(D - wz + wx(2p - 1)),
-    attained at phi_x = 0 and the angle theta of :func:`pvm_optimal_theta`.
-    The heat entering during the measurement stroke at that basis is
-    wx tz (a D + wx - a wz) / (4 D).  For a drive phase alpha the work
-    depends on phi_x only through alpha - phi_x, so the optimal basis is
-    shifted to phi_x = alpha with the same work and heat.
+    With a = 2p - 1 and b = 2 sqrt(p(1-p)), the maximum over (theta_x, phi_x)
+    is (tz/4)(D - wz + a wx), at phi_x = 0 and the polar angle theta in [0, pi]
+    with cos(2 theta) = -A/hypot(A, B) and sin(2 theta) = -B/hypot(A, B), where
+    A = wz(b^2 - a^2) + a wx and B = b(wx - 2 a wz).  The heat entering during
+    the measurement stroke there is wx tz (a D + wx - a wz) / (4 D), its ratio
+    formed first so that no product of gaps underflows.  For a drive phase
+    alpha the work depends on phi_x only through alpha - phi_x, so the optimal
+    basis is shifted to phi_x = alpha with the same work and heat.
     """
-    theta = pvm_optimal_theta(params, p)
+    p = _checked_p(p)
     tz, wz, wx = params.tau_z, params.omega_z, params.omega_x
-    a, d = 2.0 * np.asarray(p, float)[()] - 1.0, discriminant(params, p)
+    a, b, d = 2.0 * p - 1.0, 2.0 * np.sqrt(p * (1.0 - p)), _discriminant(params, p)
+    x = np.arctan2(-(b * (wx - 2.0 * a * wz)), -(wz * (b * b - a * a) + a * wx))
+    theta = 0.5 * (x + (x < 0.0) * (2.0 * math.pi))
     work = 0.25 * tz * (d - wz + a * wx)
-    heat = wx * tz * (a * d + wx - a * wz) / (4.0 * d)
+    heat = wx * tz * ((a * d + wx - a * wz) / (4.0 * d))
     return PvmOptimum(*map(_out, (work, theta, heat, work / heat)))
 
 
@@ -159,13 +153,13 @@ def povm_work_ceiling(params: EngineParams, drive) -> float | np.ndarray:
     ``drive`` is a DriveSpec, or its p as a float or an array.  With a pure
     auxiliary the drive strokes fix w1, and the remaining dependence on the
     joint unitary is linear in the post-measurement state, so the maximum
-    follows from pairing sorted eigenvalues (see
-    :func:`rearrangement_energy_bound`): (tz/2)(a wx - wz) + D/2.  At
+    follows from pairing the sorted eigenvalues of the dilated state with
+    those of the effective observable: (tz/2)(a wx - wz) + D/2.  At
     p = 1 this reduces to the adiabatic optimum (1/2)(wx - wz)(1 + tz).
     """
     p = drive.p if isinstance(drive, DriveSpec) else _checked_p(drive)  # a DriveSpec checked its p
     a = 2.0 * p - 1.0
-    return _out(0.5 * params.tau_z * (a * params.omega_x - params.omega_z) + 0.5 * discriminant(params, p))
+    return _out(0.5 * params.tau_z * (a * params.omega_x - params.omega_z) + 0.5 * _discriminant(params, p))
 
 
 def povm_net_work_optimum(params: EngineParams, drive, t_c: float | None = None) -> float | np.ndarray:
@@ -181,18 +175,9 @@ def povm_net_work_optimum(params: EngineParams, drive, t_c: float | None = None)
     """
     cost = _reset_cost(params.reset_temperature(t_c), params.beta_c * params.omega_z)
     p = drive.p if isinstance(drive, DriveSpec) else _checked_p(drive)  # a DriveSpec checked its p
-    tz, d = params.tau_z, discriminant(params, p)
+    tz, d = params.tau_z, _discriminant(params, p)
     drive_work = 0.5 * tz * ((2.0 * p - 1.0) * params.omega_x - params.omega_z)
     return _out(drive_work + np.maximum(0.5 * d - cost, 0.5 * tz * d))
-
-
-def rearrangement_energy_bound(h, rho) -> float:
-    """max over unitaries U of Tr(h U rho U^dag) = sum of ascending-sorted eigenvalue products."""
-    hm = qmat.validate_hermitian(h, name="h")
-    rm, rho_spectrum = qmat._density_spectrum(rho, name="rho")
-    if hm.shape != rm.shape:
-        raise ValueError(f"dimension mismatch: {hm.shape} vs {rm.shape}")
-    return float(np.linalg.eigvalsh(hm) @ rho_spectrum)  # eigvalsh sorts ascending
 
 
 def _reset_cost(t_c, x):

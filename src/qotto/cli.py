@@ -207,7 +207,7 @@ def cmd_fig2(args) -> RunReport:
     rows = []
     for ps in spec.slices():
         strokes = _drive_grid(params, ps)  # the columns differ only in stroke III: one (3, n) stack of its outputs
-        measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal_theta(params, ps), 0.0))
+        measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal(params, ps).theta, 0.0))
         rec = strokes.record(np.concatenate((np.broadcast_to(hot, (2,) + measured.shape), measured[None])))
         rows += zip(ps.tolist(), *rec.w_total.tolist(), rec.first_law_residual.max(axis=0).tolist())
     return RunReport(

@@ -7,28 +7,29 @@ projective measurement, or a non-selective generalized measurement
 realized by a joint unitary with a qubit auxiliary followed by a
 projective measurement on the auxiliary.
 
-Every cycle, grid and optimizer objective runs through one unchecked
-kernel broadcast over a leading row axis, a single cycle being its 0-d case:
-one stroke-I/II setup from the constants that :func:`_cold_constants` and
-:func:`_drive_unitaries` compute at field values that broadcast (a spec
-passes its own fields, a grid arrays of the swept ones, checked once by its
-caller), then a stroke-III method of :class:`Strokes` (a projective
-measurement, a dilation whose joint unitary may differ per row, or the
-record of any output state, such as hot Gibbs states), then
-:meth:`CycleRecord.from_energies`, which gives a grid one record whose
-fields are arrays over the rows.  :func:`strokes_i_ii` is the setup's spec
-entry and ``run_*_cycle`` runs one cycle; stroke III has no other entry,
-so inputs are checked when a spec type is built, and the reset temperature
-by one EngineParams method.  A spec's constants are computed once, on its
-first use, and kept read-only: EngineParams its Hamiltonians, stroke-I
-Gibbs state and energy e0 (and the two-bath cycle's hot Gibbs state),
-DriveSpec its unitary and adjoint, MeasurementBasis its projectors.
-PovmSpec's default auxiliary |+><+| and its initial entropy S_init are
-checked and computed once, at import; a given auxiliary is checked with one
-eigen-solve, which also yields its S_init, when the spec is built.  A
-dilation reads the auxiliary's entropy after the stroke off its outcome
-probabilities, so a cycle on specs already used runs no eigen-solver.  A
-copy or pickle of a spec carries only its fields (a PovmSpec is built anew).
+Every cycle, grid and optimizer objective runs through one unchecked kernel
+broadcast over a leading row axis, a single cycle being its 0-d case: one
+stroke-I/II setup from the constants that :func:`_cold_constants` and
+:func:`_drive_unitaries` compute at field values that broadcast (a spec passes
+its own fields, a grid arrays of the swept ones, checked once by its caller),
+then a stroke-III method of :class:`Strokes` (a projective measurement, a
+dilation whose joint unitary may differ per row, or the record of any output
+state, such as hot Gibbs states), then :meth:`CycleRecord.from_energies`,
+which gives a grid one record whose fields are arrays over the rows.
+:func:`strokes_i_ii` is the setup's spec entry and ``run_*_cycle`` runs one
+cycle; stroke III takes only arrays built from checked specs or grids
+(``qotto fig2`` and the basis search pass theirs to :func:`_measure`), so
+inputs are checked when a spec type is built, and the reset temperature by one
+EngineParams method.  A spec's constants are computed once, on its first use,
+and kept read-only: EngineParams its Hamiltonians, stroke-I Gibbs state and
+energy e0 (and the two-bath cycle's hot Gibbs state), DriveSpec its unitary
+and adjoint, MeasurementBasis its projectors.  PovmSpec's default auxiliary
+|+><+| and its initial entropy S_init are checked and computed once, at
+import; a given auxiliary is checked with one eigen-solve, which also yields
+its S_init, when the spec is built.  A dilation reads the auxiliary's entropy
+after the stroke off its outcome probabilities, so a cycle on specs already
+used runs no eigen-solver.  A copy or pickle of a spec carries only its fields
+(a PovmSpec is built anew).
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -246,8 +247,7 @@ def _checked_aux_state(aux_state) -> tuple[np.ndarray, float]:
     return _read_only(rho_a.copy()), float(qmat._entropy_bits(spectrum))
 
 
-# PovmSpec's default auxiliary |+><+| and its S_init, checked once, here; eigvalsh gives its spectrum as [0, 1 - eps],
-# so S_init is 3.2e-16 rather than 0, and every ledger keeps those bits.
+# PovmSpec's default auxiliary |+><+| and its S_init, +0 from the spectrum [0, 1 - 2 eps], checked once, here.
 _PLUS_STATE, _PLUS_ENTROPY = _checked_aux_state(np.outer(KET_PLUS, KET_PLUS.conj()))
 
 

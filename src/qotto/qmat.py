@@ -5,18 +5,17 @@ Everything here works on plain complex numpy arrays in natural units
 operators use row-major Kronecker ordering, system factor first, so a
 4x4 matrix indexes as (system, auxiliary) x (system, auxiliary).
 All functions are pure.  The public ones validate their input against
-the module constants HERMITIAN_TOL, DENSITY_TOL and UNITARY_TOL and raise
+the module constants HERMITIAN_TOL and UNITARY_TOL and raise
 ``ValueError`` on failure; ``hermitian_eig`` fixes eigenvector phases, so
-repeated calls on one input are identical.  ``_density_spectrum`` is
-``validate_density_matrix`` that also returns the spectrum its one
-eigen-solve found, so a caller that needs a checked state's eigenvalues
-(a PovmSpec's given auxiliary for its initial entropy, the rearrangement
-bound) solves once.  The other underscore helpers (exp(iG), the unitary
-logarithm, marginals, and the Shannon entropy of probability vectors,
-which is a von Neumann entropy when given a density matrix's eigenvalues)
-skip validation: the engine and the optimizers call them only on arrays
-they built themselves from inputs checked when a spec type was
-constructed.
+repeated calls on one input are identical.  ``_density_spectrum`` is the
+one density-matrix check (to DENSITY_TOL): it also returns the spectrum
+its one eigen-solve found, so a PovmSpec's given auxiliary yields its
+initial entropy without a second solve.  The other underscore helpers
+(exp(iG), the unitary logarithm, marginals, and the Shannon entropy of
+probability vectors, which is a von Neumann entropy when given a density
+matrix's eigenvalues) skip validation: the engine and the optimizers call
+them only on arrays they built themselves from inputs checked when a spec
+type was constructed.
 """
 
 from __future__ import annotations
@@ -59,13 +58,9 @@ def validate_hermitian(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace and positive semidefiniteness (to DENSITY_TOL)."""
-    return _density_spectrum(rho, name)[0]
-
-
 def _density_spectrum(rho, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
-    # validate_density_matrix that also returns the ascending eigenvalues its positivity check solved for.
+    # rho checked for Hermiticity, unit trace and positive semidefiniteness (to DENSITY_TOL), and the ascending
+    # eigenvalues its positivity check solved for.
     a = validate_hermitian(rho, name)
     if abs(np.trace(a) - 1.0) > DENSITY_TOL:
         raise ValueError(f"{name} trace is {np.trace(a).real}, expected 1 within {DENSITY_TOL}")
@@ -141,8 +136,8 @@ def _unitary_log(v: np.ndarray) -> np.ndarray:
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    # Shannon entropy in bits of probability vectors along the last axis, unchecked, elementwise on a stack;
-    # entries <= 0 (zeros and rounding noise) enter as 1 log 1 = 0.
-    p = np.where(p > 0.0, p, 1.0)
-    s = -(p * np.log2(p)).sum(axis=-1)
-    return np.where(s < 0.0, 0.0, s)
+    # Shannon entropy in bits of probability vectors along the last axis, unchecked, elementwise on a stack; entries
+    # <= 0 (zeros, rounding noise) count as 0 and the rest are normalized, so one nonzero entry gives +0 bits.
+    p = np.maximum(p, 0.0)
+    p = p / p.sum(axis=-1, keepdims=True)
+    return 0.0 - (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)

@@ -13,15 +13,11 @@ import pytest
 from qotto import analytic, engine, qmat
 from qotto.engine import DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 from qotto.optimize import OptimizerConfig, optimize_povm_net_work, optimize_povm_work, optimize_pvm_basis, su4_from_point
+from helpers import haar_unitary, rearrangement_energy_bound
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
 PARAM_SETS = (P32, P52)
-
-
-def random_su4(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return qmat._exp_i(0.5 * (m + m.conj().T))
 
 
 def test_criterion_01_first_law():
@@ -46,7 +42,7 @@ def test_criterion_01_first_law():
         else:
             params = EngineParams(wz, wx, bc)
             povm = PovmSpec(
-                joint_unitary=random_su4(rng),
+                joint_unitary=haar_unitary(rng),
                 aux_basis=MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
             )
             rec = engine.run_povm_cycle(params, drive, povm)
@@ -237,7 +233,7 @@ def test_criterion_11_mixed_auxiliary_ceiling():
         ket /= np.linalg.norm(ket)
         perp = np.array([-ket[1].conj(), ket[0].conj()])
         aux = q * np.outer(ket, ket.conj()) + (1.0 - q) * np.outer(perp, perp.conj())
-        bound = analytic.rearrangement_energy_bound(h_joint, np.kron(rho1, aux))
+        bound = rearrangement_energy_bound(h_joint, np.kron(rho1, aux))
         assert bound == pytest.approx(target, abs=1e-10)
     print("criterion 11 PASS: mixed-auxiliary stroke-energy ceiling equals "
           "(wx/2) tanh(v_z) for 20 random mixtures")

@@ -14,10 +14,10 @@ from qotto.analytic import (
     pvm_best_p,
     pvm_nonadiabatic_record,
     pvm_optimal,
-    rearrangement_energy_bound,
     reset_crossing_temperature,
 )
 from qotto.engine import DriveSpec, EngineParams, MeasurementBasis, PovmSpec
+from helpers import rearrangement_energy_bound
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -243,11 +243,11 @@ class TestPvmOptimal:
         with pytest.raises(ValueError):
             pvm_optimal(P32, 0.3)
         for p in (0.3, 1.01, [0.7, 1.01], [0.7, math.nan], [[0.7, 0.4]]):
-            for f in (pvm_optimal, analytic.pvm_optimal_theta):
+            for f in (pvm_optimal, analytic.discriminant):
                 with pytest.raises(ValueError, match="p must lie in"):
                     f(P32, p)
         # a float is the 0-d case of the array form, and an array of any shape is taken whole
-        assert analytic.pvm_optimal_theta(P32, 0.7) == analytic.pvm_optimal_theta(P32, [[0.7]])[0, 0]
+        assert pvm_optimal(P32, 0.7).theta == pvm_optimal(P32, [[0.7]]).theta[0, 0]
 
     def test_slice_angles_equal_single_optima(self):
         # one call for a grid of p gives every row's pvm_optimal angle bit for bit, and both lie within one ulp of
@@ -262,7 +262,7 @@ class TestPvmOptimal:
         rng = np.random.default_rng(31)
         grid = [0.5, 1.0, 0.875, *np.linspace(0.5, 1.0, 101).tolist(), *rng.uniform(0.5, 1.0, 400).tolist()]
         for params in (P32, P52, EngineParams(2.0, 4.0, 1.0), EngineParams(0.3, 3.7, 2.0)):
-            angles = analytic.pvm_optimal_theta(params, grid)
+            angles = pvm_optimal(params, grid).theta
             assert angles.shape == (len(grid),)
             singles = [pvm_optimal(params, p).basis.theta_x for p in grid]
             assert [a.hex() for a in angles.tolist()] == [t.hex() for t in singles]
@@ -568,7 +568,6 @@ class TestArrayForms:
         hot = EngineParams(params.omega_z, params.omega_x, params.beta_c, beta_h=0.3 * params.beta_c)
         cases = [
             (analytic.discriminant(params, ps), [analytic.discriminant(params, p) for p in self.P_GRID]),
-            (analytic.pvm_optimal_theta(params, ps), [analytic.pvm_optimal_theta(params, p) for p in self.P_GRID]),
             (povm_work_ceiling(params, ps), [povm_work_ceiling(params, DriveSpec(p)) for p in self.P_GRID]),
             (povm_work_ceiling(params, ps), [povm_work_ceiling(params, p) for p in self.P_GRID]),
         ]
@@ -638,6 +637,31 @@ class TestOptimaScale:
             assert [v.hex() for v in np.ravel(x).tolist()] == [(s * v).hex() for v in np.ravel(u).tolist()]
         for u, x in zip(unit[1], scaled[1]):
             assert [v.hex() for v in np.ravel(x).tolist()] == [v.hex() for v in np.ravel(u).tolist()]
+
+
+class TestTinyGaps:
+    """No closed form squares a gap or multiplies two, so gaps of 1e-300, which EngineParams accepts, lose no digit."""
+
+    def test_matches_mpmath(self):
+        params, p = EngineParams(1e-300, 3e-300, 1e299), 0.7
+        opt = pvm_optimal(params, p)
+        with mpmath.workdps(60):
+            wz, wx, bc, t_c, pm = map(mpmath.mpf, (1e-300, 3e-300, 1e299, params.reset_temperature(), p))
+            tz, a, b = mpmath.tanh(bc * wz / 2), 2 * pm - 1, 2 * mpmath.sqrt(pm * (1 - pm))
+            d = mpmath.sqrt((wx - wz) ** 2 + 4 * wx * wz * (1 - pm))
+            work, heat = tz / 4 * (d - wz + a * wx), wx * tz * (a * d + wx - a * wz) / (4 * d)
+            x = mpmath.atan2(-(b * (wx - 2 * a * wz)), -(wz * (b * b - a * a) + a * wx))
+            q = 1 / (1 + mpmath.exp(bc * wz))
+            cost = t_c * (-q * mpmath.log(q) - (1 - q) * mpmath.log(1 - q))
+            drive_work = tz / 2 * (a * wx - wz)
+            cases = [
+                (analytic.discriminant(params, p), d), (opt.work, work), (opt.heat, heat), (opt.eta, work / heat),
+                (opt.theta, (x if x >= 0 else x + 2 * mpmath.pi) / 2),
+                (povm_work_ceiling(params, p), drive_work + d / 2),
+                (povm_net_work_optimum(params, p), drive_work + max(d / 2 - cost, tz * d / 2)),
+            ]
+            for got, want in cases:
+                assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 class TestCrossingTemperature:

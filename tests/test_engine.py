@@ -22,22 +22,10 @@ from qotto.engine import (
     run_pvm_cycle,
 )
 from qotto.qmat import HADAMARD, ID2, ID4, KET_MINUS, KET_PLUS
+from helpers import haar_unitary
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
-
-
-def random_su4(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return qmat._exp_i(0.5 * (m + m.conj().T))
-
-
-def haar_unitary(rng, n=4):
-    # QR of a complex Ginibre matrix, with R's diagonal phases moved into Q
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def random_density(rng, shape=()):
@@ -311,7 +299,7 @@ class TestPovmSpec:
         rng = np.random.default_rng(6)
         for _ in range(15):
             spec = PovmSpec(
-                joint_unitary=random_su4(rng),
+                joint_unitary=haar_unitary(rng),
                 aux_basis=MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
             )
             total = sum(k.conj().T @ k for k in spec.kraus_operators())
@@ -320,7 +308,7 @@ class TestPovmSpec:
     def test_mixed_aux_kraus_complete(self):
         rng = np.random.default_rng(8)
         aux = np.diag([0.3, 0.7]).astype(complex)
-        spec = PovmSpec(joint_unitary=random_su4(rng), aux_state=aux)
+        spec = PovmSpec(joint_unitary=haar_unitary(rng), aux_state=aux)
         total = sum(k.conj().T @ k for k in spec.kraus_operators())
         np.testing.assert_allclose(total, ID2, atol=1e-10)
 
@@ -342,7 +330,7 @@ class TestPovmSpec:
         m = 0.5 * (m + m.conj().T)
         tight = np.kron(ID2, np.ones((2, 2)))  # attains 2 eps on |+><+|
         for h in (m / np.max(np.abs(m)), tight):
-            v = random_su4(rng) @ (ID4 + 0.5 * eps * h)
+            v = haar_unitary(rng) @ (ID4 + 0.5 * eps * h)
             assert np.max(np.abs(v.conj().T @ v - ID4)) <= eps + 1e-15
             spec = PovmSpec(joint_unitary=v, aux_state=aux)
             total = sum(k.conj().T @ k for k in spec.kraus_operators())
@@ -408,10 +396,10 @@ class TestAuxiliaryCheck:
         plus = np.outer(KET_PLUS, KET_PLUS.conj())
         assert plus is not engine._PLUS_STATE
         np.testing.assert_array_equal(plus, engine._PLUS_STATE)
-        # eigvalsh gives |+><+| the spectrum [0, 1 - eps], so S_init is not 0 and keeps its bits
-        assert engine._PLUS_ENTROPY.hex() == (3.2034265038149176e-16).hex()
+        # eigvalsh gives |+><+| the spectrum [0, 1 - 2 eps], which the entropy normalizes: S_init is +0
+        assert engine._PLUS_ENTROPY.hex() == (0.0).hex()
         for _ in range(20):
-            v = random_su4(rng)
+            v = haar_unitary(rng)
             basis = MeasurementBasis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
             drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0.0, 2.0 * math.pi))
             default = PovmSpec(joint_unitary=v, aux_basis=basis)
@@ -466,7 +454,7 @@ class TestPovmStroke:
     def test_matches_kraus_channel(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            v = random_su4(rng)
+            v = haar_unitary(rng)
             aux_basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = m @ m.conj().T
@@ -633,7 +621,7 @@ class TestPovmCycle:
         aux = np.diag([0.9, 0.1]).astype(complex)
         s_init = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
         for _ in range(10):
-            povm = PovmSpec(joint_unitary=random_su4(rng), aux_state=aux)
+            povm = PovmSpec(joint_unitary=haar_unitary(rng), aux_state=aux)
             rec = run_povm_cycle(P52, DriveSpec(p=0.8), povm, reset_temperature=0.7)
             expected = 0.7 * math.log(2.0) * max(rec.aux_entropy - s_init, 0.0)
             assert rec.aux_reset_cost == pytest.approx(expected, abs=1e-12)
@@ -671,7 +659,7 @@ class TestFirstLawAndUniversality:
             else:
                 params = EngineParams(wz, wx, bc)
                 povm = PovmSpec(
-                    joint_unitary=random_su4(rng),
+                    joint_unitary=haar_unitary(rng),
                     aux_basis=MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
                 )
                 rec = run_povm_cycle(params, drive, povm)
@@ -735,7 +723,7 @@ class TestKernel:
         def forbidden(*args, **kwargs):
             raise AssertionError("input check on the cycle path")
 
-        for name in ("as_matrix", "validate_hermitian", "validate_density_matrix", "validate_unitary"):
+        for name in ("as_matrix", "validate_hermitian", "_density_spectrum", "validate_unitary"):
             monkeypatch.setattr(qmat, name, forbidden)
         run_conventional_cycle(params, drive)
         run_pvm_cycle(params, drive, basis)
@@ -911,7 +899,7 @@ def scaled_records(point, s):
     wz, wx, bc, bh, p, alpha, theta, phi = point
     params = EngineParams(s * wz, s * wx, bc / s, beta_h=bh / s)
     drive, basis = DriveSpec(p, alpha), MeasurementBasis(theta, phi)
-    povm = PovmSpec(joint_unitary=random_su4(np.random.default_rng(7)), aux_basis=MeasurementBasis(phi / 2.0))
+    povm = PovmSpec(joint_unitary=haar_unitary(np.random.default_rng(7)), aux_basis=MeasurementBasis(phi / 2.0))
     return {
         "conventional": run_conventional_cycle(params, drive),
         "pvm": run_pvm_cycle(params, drive, basis),
@@ -928,7 +916,7 @@ def scaled_grid_rows(point, s):
     params = EngineParams(s * wz, s * wx, bc / s)
     ps, t_cs = np.linspace(0.5, 1.0, 7), s * np.linspace(0.05, 4.0, 7)
     strokes = engine._strokes(params._strokes_i_constants, engine._drive_unitaries(ps, 0.0))
-    measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal_theta(params, ps), 0.0))
+    measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal(params, ps).theta, 0.0))
     hot = engine._gibbs(strokes.h2, np.array([[bh / s], [0.0]]))
     fig2 = strokes.record(np.concatenate((np.broadcast_to(hot, (2,) + measured.shape), measured[None])))
     strokes = engine._strokes(engine._cold_constants(s * wz, s * wx, 1.0 / t_cs), engine._drive_unitaries(1.0, 0.0))

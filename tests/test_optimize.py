@@ -15,6 +15,7 @@ from qotto.optimize import (
     optimize_pvm_basis,
     su4_from_point,
 )
+from helpers import haar_unitary
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -224,14 +225,6 @@ class TestPovmNetOptimizer:
             optimize_povm_net_work(P32, DriveSpec(p=1.0), t_c=t_c)
 
 
-def haar_unitary(rng, n=4):
-    # QR of a complex Ginibre matrix, with R's diagonal phases moved into Q
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 # (params, p, t_c, net branch): p = 1/2, p = 1, a gap ratio of exactly 2, a
 # free reset, and each net branch
 PROPERTY_POINTS = (
@@ -277,6 +270,20 @@ class TestClosedFormDilations:
             rec = engine.run_povm_cycle(params, drive, povm, reset_temperature=t_c)
             assert rec.w_total <= gross + 1e-12
             assert rec.net_work <= net + 1e-12
+
+    def test_net_optimum_pays_no_reset_for_a_pure_auxiliary(self):
+        # the zero-entropy candidate leaves the auxiliary pure, with outcome probabilities that rounding leaves
+        # summing to 1 - 1e-15; it pays no reset, so even at the hottest resets, where it wins, the simulated net
+        # optimum equals the closed form to rounding
+        rng = np.random.default_rng(2323)
+        for _ in range(400):
+            wz = rng.uniform(0.2, 4.0)
+            params = EngineParams(wz, wz * rng.uniform(1.05, 4.0), rng.uniform(0.1, 4.0))
+            drive = DriveSpec(p=rng.uniform(0.5, 1.0))
+            for t_c in (1e6, 1e300):
+                res = optimize_povm_net_work(params, drive, t_c=t_c)
+                exact = analytic.povm_net_work_optimum(params, drive, t_c)
+                assert res.best_value == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_net_matches_closed_form_on_grid(self):
         branches = set()
