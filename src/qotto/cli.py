@@ -19,13 +19,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, analytic, engine, optimize
+from . import __version__, analytic, engine, optimize, qmat
 from .engine import LN2, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 
 UNITS_BANNER = "energies in hbar*Omega_0; temperatures in hbar*Omega_0/k_B"
 
 SWEEP_VARIABLES = ("p", "t_c")
 GRID_SLICE = 4096  # grid points per stacked pass, which bounds the ledgers held at once
+_BLOCH_BASIS = np.stack([qmat.ID2, qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z])  # optimize-povm's E0_I, E0_x, E0_y, E0_z
 
 
 @dataclass(frozen=True)
@@ -130,15 +131,19 @@ RECORD_COLUMNS = (  # the CycleRecord fields and properties a ledger row prints,
 )
 
 
-def _load_su4_file(path: str) -> optimize.Su4Point:
+def _load_su4_file(path: str) -> np.ndarray:
+    # The joint unitary of a --su4-file: 32 numbers are its 16 (re, im) pairs row by row, as --su4-out writes
+    # them, and 15 are generator coefficients; '#' starts a comment.
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             body = line.split("#", 1)[0]
             values.extend(float(tok) for tok in body.split())
-    if len(values) != 15:
-        raise ValueError(f"{path}: expected 15 coefficients, found {len(values)}")
-    return optimize.Su4Point(np.array(values))
+    if len(values) == 32:
+        return np.array(values).view(complex).reshape(4, 4)
+    if len(values) == 15:
+        return optimize.su4_from_point(optimize.Su4Point(np.array(values)))
+    raise ValueError(f"{path}: expected 32 numbers (a 4x4 unitary) or 15 generator coefficients, found {len(values)}")
 
 
 def cmd_cycle(args) -> RunReport:
@@ -177,7 +182,7 @@ def cmd_cycle(args) -> RunReport:
             joint = analytic.optimal_dilation_unitary()
             meta["dilation"] = "v0"
         else:
-            joint = optimize.su4_from_point(_load_su4_file(args.su4_file))
+            joint = _load_su4_file(args.su4_file)
             meta["dilation"] = args.su4_file
         aux_basis = MeasurementBasis(theta_x=args.theta or 0.0, phi_x=phi)
         povm = PovmSpec(joint_unitary=joint, aux_basis=aux_basis)
@@ -305,12 +310,13 @@ def cmd_optimize_povm(args) -> RunReport:
         result = optimize.optimize_povm_work(params, drive)
     if args.su4_out:
         with open(args.su4_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# generator coefficients, order: " + " ".join(optimize.SU4_GENERATOR_LABELS) + "\n")
-            fh.write(" ".join(f"{v:.17g}" for v in result.best_point.k) + "\n")
-    columns = ("best_value", "evaluations", "converged") + tuple(
-        f"k_{label}" for label in optimize.SU4_GENERATOR_LABELS
-    )
-    row = (result.best_value, result.evaluations, int(result.converged)) + tuple(result.best_point.k)
+            fh.write("# joint unitary, row by row: re im of each entry\n")
+            fh.writelines(" ".join(f"{v:.17g}" for v in row) + "\n" for row in result.best_point.view(float))
+    # the effect E_0 = K_0^dag K_0 of outcome 0 as E0_I I + E0_x sigma_x + E0_y sigma_y + E0_z sigma_z
+    k0 = PovmSpec(joint_unitary=result.best_point).kraus_operators()[0]
+    bloch = 0.5 * np.einsum("jab,ba->j", _BLOCH_BASIS, k0.conj().T @ k0).real
+    columns = ("best_value", "evaluations", "converged", "E0_I", "E0_x", "E0_y", "E0_z")
+    row = (result.best_value, result.evaluations, int(result.converged), *bloch.tolist())
     return RunReport(meta=meta, columns=columns, rows=[row])
 
 
@@ -349,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     cycle.add_argument("--theta", type=float, default=None, help="measurement polar angle")
     cycle.add_argument("--phi", type=float, default=None, help="measurement azimuthal angle (default 0)")
     cycle.add_argument("--v0", action="store_true", help="use the optimal adiabatic dilation unitary")
-    cycle.add_argument("--su4-file", help="file with 15 generator coefficients for the dilation unitary")
+    cycle.add_argument("--su4-file", help="file with the dilation unitary (as --su4-out writes it) or its 15 generator "
+                       "coefficients")
     cycle.add_argument("--t-c", type=float, default=None, help="auxiliary reset temperature")
     _add_output_flags(cycle, "text")
     cycle.set_defaults(func=cmd_cycle)
@@ -388,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--p", type=float, default=1.0)
     opt.add_argument("--net", action="store_true", help="maximize work net of the reset cost")
     opt.add_argument("--t-c", type=float, default=None, help="reset temperature (default 1/beta_c)")
-    opt.add_argument("--su4-out", help="write the optimal coefficients to this file")
+    opt.add_argument("--su4-out", help="write the optimal joint unitary to this file")
     _add_output_flags(opt, "text")
     opt.set_defaults(func=cmd_optimize_povm)
 

@@ -80,8 +80,8 @@ class EngineParams:
     requires omega_x > omega_z > 0.  ``beta_h`` is only meaningful for the
     conventional two-bath cycle and may be omitted otherwise.  All values
     must be finite, and so must the cold temperature 1/beta_c.  The closed
-    forms square the gaps and the Gibbs states scale them by beta, so
-    omega_x may be at most 1e150 and beta_c * omega_x at most 1e300, far
+    forms add a few multiples of the gaps and the Gibbs states scale them
+    by beta, so omega_x and beta_c * omega_x may each be at most 1e300, far
     enough inside the float range that neither overflows.
     """
 
@@ -102,8 +102,8 @@ class EngineParams:
                 f"engine condition omega_x > omega_z > 0 violated: "
                 f"omega_x={self.omega_x}, omega_z={self.omega_z}"
             )
-        if not self.omega_x <= 1e150:
-            raise ValueError(f"omega_x must be at most 1e150, got {self.omega_x}")
+        if not self.omega_x <= 1e300:
+            raise ValueError(f"omega_x must be at most 1e300, got {self.omega_x}")
         if not self.beta_c > 0.0:
             raise ValueError(f"beta_c must be positive, got {self.beta_c}")
         if not 1.0 / self.beta_c < math.inf:  # the default reset temperature is 1/beta_c

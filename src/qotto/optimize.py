@@ -15,10 +15,8 @@ cycle with that unitary, so results are reproducible bit for bit.  One
 strokes pass builds the candidates of one row or a stack, and one cycle
 pass values them, one joint unitary per row: an optimizer call is the
 one-row case of a ``qotto fig3`` slice, which picks the same winners.
-Only the winner of an optimizer call is turned
-into generator coefficients, through its Hermitian logarithm; that
-point's unitary is the valued one up to a global phase and rounding, so
-re-simulating it reproduces the value to about 1e-14.
+An optimizer call returns the joint unitary of its winner as valued, so
+re-simulating it reproduces the value bit for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptResult:
     best_value: float
-    best_point: object  # MeasurementBasis or Su4Point
+    best_point: object  # MeasurementBasis, or the read-only 4x4 joint unitary a dilation optimum was valued at
     evaluations: int
     converged: bool
 
@@ -173,14 +171,6 @@ def _optimal_dilations(strokes: engine.Strokes, net: bool = True) -> np.ndarray:
     return np.stack([gross, engine._kron(h @ r.conj().swapaxes(-1, -2), qmat.ID2)])
 
 
-def _su4_point(v: np.ndarray) -> Su4Point:
-    # The generators are traceless with Tr(g_i g_j) = 4 delta_ij, so projecting
-    # the Hermitian logarithm of v onto them drops its trace, a global phase:
-    # su4_from_point gives back v normalized to det 1.
-    h = qmat._unitary_log(v)
-    return Su4Point(np.einsum("jab,ba->j", _GENERATOR_STACK, h).real / 4.0)
-
-
 # The auxiliary of every dilation optimum, |+><+| measured at its poles, checked once here.
 _AUX = PovmSpec(joint_unitary=qmat.ID4)
 
@@ -205,7 +195,7 @@ def _optimize_dilation(params: EngineParams, drive: DriveSpec, t_c: float, net: 
     record, vs = _dilation_candidates(engine.strokes_i_ii(params, drive), t_c, net)
     values = record.net_work.tolist() if net else [record.w_total]
     j = int(_net_winner(record)) if net else 0
-    point = _su4_point(vs.reshape(-1, 4, 4)[j])  # only the winner is turned into coefficients
+    point = engine._read_only(vs.reshape(-1, 4, 4)[j])
     return OptResult(best_value=values[j], best_point=point, evaluations=len(values), converged=True)
 
 
@@ -220,9 +210,8 @@ def optimize_povm_work(
     that rearranges the eigenvectors of the driven state onto the top
     eigenvector of h2 - u h1 u^dag attains the maximum,
     :func:`qotto.analytic.povm_work_ceiling`; the value is the simulated
-    cycle at that unitary (one evaluation), which the returned point
-    reproduces up to a global phase and rounding.  ``cfg`` has no effect
-    and is kept for existing callers.
+    cycle at that unitary (one evaluation), which is the returned point.
+    ``cfg`` has no effect and is kept for existing callers.
     """
     return _optimize_dilation(params, drive, t_c=params.reset_temperature(), net=False)
 
@@ -240,8 +229,8 @@ def optimize_povm_net_work(
     state.  Maximizing each by a rearrangement leaves two candidates: the
     gross-optimal dilation and the zero-entropy one that only rotates the
     system.  Both are simulated (two evaluations) and the larger net work
-    wins, the gross-optimal one on a tie; the value equals
-    :func:`qotto.analytic.povm_net_work_optimum`.  ``cfg`` has no effect and
-    is kept for existing callers.
+    wins, the gross-optimal one on a tie, and its unitary is the returned
+    point; the value equals :func:`qotto.analytic.povm_net_work_optimum`.
+    ``cfg`` has no effect and is kept for existing callers.
     """
     return _optimize_dilation(params, drive, t_c=params.reset_temperature(t_c), net=True)

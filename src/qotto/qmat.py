@@ -11,11 +11,11 @@ repeated calls on one input are identical.  ``_density_spectrum`` is the
 one density-matrix check (to DENSITY_TOL): it also returns the spectrum
 its one eigen-solve found, so a PovmSpec's given auxiliary yields its
 initial entropy without a second solve.  The other underscore helpers
-(exp(iG), the unitary logarithm, marginals, and the Shannon entropy of
-probability vectors, which is a von Neumann entropy when given a density
-matrix's eigenvalues) skip validation: the engine and the optimizers call
-them only on arrays they built themselves from inputs checked when a spec
-type was constructed.
+(exp(iG), marginals, and the Shannon entropy of probability vectors,
+which is a von Neumann entropy when given a density matrix's eigenvalues)
+skip validation: the engine and the optimizers call them only on arrays
+they built themselves from inputs checked when a spec type was
+constructed.
 """
 
 from __future__ import annotations
@@ -116,23 +116,6 @@ def _exp_i(a: np.ndarray) -> np.ndarray:
     # accurate to machine precision at 2x2 and 4x4; A is not checked.
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(1.0j * vals)) @ vecs.conj().T
-
-
-def _unitary_log(v: np.ndarray) -> np.ndarray:
-    # Hermitian h with exp(ih) = v for a unitary v, no input checks.  The
-    # Cayley transform i(1 - w)(1 + w)^-1 of w = e^{it} v is Hermitian with
-    # eigenvalues tan(phase/2) and v's eigenvectors, which eigh keeps
-    # orthonormal through degenerate eigenphases; t turns the widest gap
-    # between v's eigenphases onto -1, where the transform is singular.
-    phases = np.sort(np.angle(np.linalg.eigvals(v)))
-    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
-    j = int(np.argmax(gaps))
-    t = np.pi - phases[j] - 0.5 * gaps[j]
-    w = np.exp(1.0j * t) * v
-    eye = np.eye(v.shape[0])
-    c = 1.0j * np.linalg.solve(eye + w, eye - w)
-    vals, vecs = np.linalg.eigh(0.5 * (c + c.conj().T))
-    return (vecs * (2.0 * np.arctan(vals) - t)) @ vecs.conj().T
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 from qotto import analytic, engine, qmat
 from qotto.engine import DriveSpec, EngineParams, MeasurementBasis, PovmSpec
-from qotto.optimize import OptimizerConfig, optimize_povm_net_work, optimize_povm_work, optimize_pvm_basis, su4_from_point
+from qotto.optimize import optimize_povm_net_work, optimize_povm_work, optimize_pvm_basis
 from helpers import haar_unitary, rearrangement_energy_bound
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)

@@ -196,14 +196,14 @@ class TestFig2Command:
 
 
 class TestColdTemperatureOverflow:
-    # a cold temperature (1/beta_c, or a swept t_c's 1/t_c), a squared gap or a beta_c * omega_x
-    # that overflows is rejected by its own name, before anything is written and without a warning
+    # a cold temperature (1/beta_c, or a swept t_c's 1/t_c) that overflows, and a gap or a beta_c * omega_x beyond
+    # its bound, are rejected by their own names, before anything is written and without a warning
     @pytest.mark.parametrize("argv,name", [
         ("cycle --engine povm --v0 --beta-c 5e-324", "beta_c"),
         ("fig3 --beta-c 1e-320", "beta_c"),
         ("optimize-povm --beta-c 1e-320", "beta_c"),
         ("fig4 --t-c-start 1e-320", "t_c"),
-        ("table1 --omega-x 2e154", "omega_x"),
+        ("table1 --omega-x 1.0000000000000002e300", "omega_x"),
         ("cycle --engine pvm --theta 1 --beta-c 1e308", "beta_c * omega_x"),
         ("fig2 --beta-c 1e308", "beta_c * omega_x"),
         ("fig3 --beta-c 1e308", "beta_c * omega_x"),
@@ -220,10 +220,10 @@ class TestColdTemperatureOverflow:
         assert out == ""
 
     @pytest.mark.parametrize("argv", [
-        "table1 --omega-x 1e150",
+        "table1 --omega-x 1e300 --beta-c 1e-300 --beta-h 0",
         "cycle --engine povm --v0 --omega-x 5 --beta-c 2e299",
-        "fig4 --omega-x 1e150 --grid-points 3",
-        "optimize-povm --omega-x 1e150 --p 0.7 --net",
+        "fig4 --omega-x 1e300 --t-c-start 1 --grid-points 3",
+        "optimize-povm --omega-x 1e300 --beta-c 1e-300 --p 0.7 --net",
         "fig4 --t-c-stop 1.7976931348623157e308 --grid-points 3",  # the grid reads t_c, not 1/(1/t_c) = inf
     ], ids=["table1", "cycle", "fig4", "optimize-povm", "fig4-hottest"])
     def test_runs_at_the_bounds(self, capsys, argv):
@@ -565,20 +565,44 @@ class TestTable1Command:
 
 
 class TestOptimizeCommand:
-    def test_roundtrip_through_su4_file(self, capsys, tmp_path):
-        su4_path = tmp_path / "k.txt"
-        code, out, _ = run_cli(
-            capsys, "optimize-povm", "--p", "0.9",
-            "--su4-out", str(su4_path), "--deterministic",
-        )
-        assert code == 0
-        best = parse_kv(out)["best_value"]
-        code, out, _ = run_cli(
-            capsys, "cycle", "--engine", "povm", "--su4-file", str(su4_path),
-            "--p", "0.9", "--deterministic",
-        )
-        assert code == 0
-        assert parse_kv(out)["w_total"] == pytest.approx(best, abs=1e-9)
+    def test_roundtrip_through_su4_file(self, tmp_path):
+        # --su4-out writes the valued unitary at 17 digits, so cycle --su4-file reproduces the value bit for bit
+        su4_path = str(tmp_path / "u.txt")
+        for objective, t_c, column in ((), (), "w_total"), (("--net",), ("--t-c", "0.7"), "net_work"):
+            best = report("optimize-povm", "--p", "0.9", "--omega-x", "4.5", *objective, *t_c,
+                          "--su4-out", su4_path).rows[0][0]
+            with open(su4_path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert lines[0].startswith("#") and [len(line.split()) for line in lines[1:]] == [8, 8, 8, 8]
+            rec = report("cycle", "--engine", "povm", "--su4-file", su4_path, "--p", "0.9", "--omega-x", "4.5", *t_c)
+            assert rec.rows[0][cli.RECORD_COLUMNS.index(column)].hex() == best.hex()
+
+    def test_prints_the_effect_found(self, capsys):
+        # E_0 in Bloch form: a rank-one effect for the gross optimum, and I for the zero-entropy net winner
+        def effect(*flags):
+            code, out, _ = run_cli(capsys, "optimize-povm", *flags, "--deterministic", "--format", "csv")
+            assert code == 0
+            header, row = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+            assert header == ["best_value", "evaluations", "converged", "E0_I", "E0_x", "E0_y", "E0_z"]
+            return [float(c) for c in row[3:]]
+
+        assert effect("--omega-x", "5", "--p", "0.8") == pytest.approx([0.5, -0.3, 0.0, -0.4], abs=1e-12)
+        assert effect("--net", "--t-c", "5") == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("count", [0, 14, 16, 31, 33])
+    def test_su4_file_of_another_count_exits_2(self, capsys, tmp_path, count):
+        path = tmp_path / "u.txt"
+        path.write_text("# header\n" + " ".join(["0.5"] * count) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "cycle", "--engine", "povm", "--su4-file", str(path), "--deterministic")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"found {count}" in err
+
+    def test_su4_file_of_a_non_unitary_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text(" ".join(["0.5", "0"] * 16) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "cycle", "--engine", "povm", "--su4-file", str(path), "--deterministic")
+        assert code == 2 and out == ""
+        assert err == "error: joint_unitary is not unitary within 1e-10\n"
 
     def test_unwritable_su4_out_prints_no_report(self, capsys, tmp_path):
         # --su4-out is written before the report, so its failure leaves stdout empty
@@ -719,13 +743,20 @@ def _cli_rows(*argv):
     return lambda t: report(*argv, *(() if t is None else (f"--t-c={t!r}",))).rows
 
 
+def _net_optimum(t):
+    # the net optimizer's result at reset temperature t: the value's repr tells every float apart, and the point's
+    # bytes, as hex, cannot spell "-0.0" by chance as an array's repr can
+    res = optimize.optimize_povm_net_work(RESET_PARAMS, DriveSpec(0.8), t_c=t)
+    return res.best_value, res.best_point.tobytes().hex(), res.evaluations, res.converged
+
+
 # Every entry point that takes a reset temperature, as a function of it (None for the default), and whether it
 # also rejects 0.
 RESET_ENTRY_POINTS = {
     "run_povm_cycle": (lambda t: engine.run_povm_cycle(
         RESET_PARAMS, DriveSpec(0.8), engine.PovmSpec(joint_unitary=analytic.optimal_dilation_unitary()),
         reset_temperature=t), False),
-    "optimize_povm_net_work": (lambda t: optimize.optimize_povm_net_work(RESET_PARAMS, DriveSpec(0.8), t_c=t), False),
+    "optimize_povm_net_work": (_net_optimum, False),
     "povm_net_work_optimum": (lambda t: analytic.povm_net_work_optimum(RESET_PARAMS, DriveSpec(0.8), t), False),
     "aux_cost_record": (lambda t: analytic.aux_cost_record(RESET_PARAMS, t), True),
     "cycle": (_cli_rows("cycle", "--engine", "povm", "--v0", "--p", "0.8", *RESET_FLAGS), False),
@@ -800,10 +831,12 @@ GOLDEN = [
     # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 2ff314914dc1374d...)
     ("43e189150d4409ae73a213938ec41ab7b5b552fdba8e352b58083531e0f1f8d8",
      "fig3 --panel b --grid-points 5"),
-    ("b9ce8ab6dc7d44a4fdc459b43c448eea81c8da05fd445df2b4ed1631a3d810c0",
+    # the three optimize-povm reports re-recorded when the 15 k_* generator coefficients gave way to the effect
+    # E_0 in Bloch form; best_value, evaluations and converged keep their bytes (before: b9ce8ab6dc7d44a4...,
+    # 9e779f41cabe8d86... and a66d5f27a45ee85c...)
+    ("e22e6893e125f533417d275f7475be3a9f771d89521db2fd759259a0ec4ac381",
      "optimize-povm --omega-x 5 --p 0.8"),
-    # re-recorded when net reports began to carry their t_c (before: 629e5667616a7db6...)
-    ("9e779f41cabe8d86be4985702088627ac5c7cc74d14531d643fc7ab60e96e6bb",
+    ("6f5920edaa62f59f3269baebb7731dc01bae0185a4f4075b3d4eeeae50d6f3fa",
      "optimize-povm --omega-x 5 --p 0.8 --net --t-c 0.5"),
     # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 9e30346322eac07f...)
     ("0cb41cfd947faaef87703197615b916eb502e3174741a6ec4327a02c17181755",
@@ -827,7 +860,7 @@ GOLDEN = [
     # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 28af002ed2b89347...)
     ("0c6da7d152d540268864fd784bc8172491edada01788dcda7a876a23fbb2d146",
      "fig3 --panel b --beta-c 3 --t-c 0.4 --grid-points 23 --format json"),
-    ("a66d5f27a45ee85cd91e07a4048d77e932010adf76a72ce5394f3b3098f5afb0",
+    ("1a0d815f9121b6e883b51efca8bf80a49e34c9dd0ceb1564c218a5d1887c5b60",
      "optimize-povm --omega-x 4 --p 0.6 --net --t-c 0"),
     # both cross GRID_SLICE; fig4's was recorded while grids still entered the kernel as lists of specs, and fig3's
     # re-recorded when the entropy began to normalize its probabilities: the zero-entropy candidate no longer pays a
@@ -844,6 +877,20 @@ class TestGoldenBytes:
     def test_report_bytes(self, capsys, digest, argv):
         code, out, _ = run_cli(capsys, *argv.split(), "--deterministic")
         assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_coefficient_file_bytes(self, capsys, monkeypatch, tmp_path):
+        # a --su4-file of 15 generator coefficients, read from the working directory so the path in the report's
+        # metadata is fixed; recorded before --su4-file also read the unitary that --su4-out writes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k15.txt").write_text(
+            "# generator coefficients, order: xx xy xz yx yy yz zx zy zz xI yI zI Ix Iy Iz\n"
+            "0.3 -1.2 0.7 2.5 -0.4 0.05 -2.9 1.1 0.6\n-0.8 1.9 -3.1 0.25 -1.7 2.2\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "cycle", "--engine", "povm", "--su4-file", "k15.txt", "--omega-x", "4",
+                               "--p", "0.7", "--alpha", "0.6", "--theta", "0.4", "--phi", "2.1", "--t-c", "0.5",
+                               "--deterministic")
+        assert code == 0
+        digest = "465925948a9a07f9e37f7de8e27b6a32b439cc93b83db8bde4cc373c77bbb592"
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
@@ -884,7 +931,7 @@ class TestReadmeExamples:
                 written[argv[argv.index("--su4-out") + 1]] = results[-1].best_value
             if "--su4-file" in argv:
                 value = written[argv[argv.index("--su4-file") + 1]]
-                assert abs(records[-1].w_total - value) <= 1e-12, argv
+                assert records[-1].w_total.hex() == value.hex(), argv
                 compared += 1
         assert compared >= 1
 

@@ -103,11 +103,11 @@ class TestParams:
         rec = run_povm_cycle(params, DriveSpec(p=1.0), PovmSpec(joint_unitary=analytic.optimal_dilation_unitary()))
         assert math.isfinite(rec.aux_reset_cost)
 
-    # omega_x <= 1e150 and beta_c * omega_x <= 1e300 keep squared gaps and Gibbs
+    # omega_x <= 1e300 and beta_c * omega_x <= 1e300 keep sums of a few gaps and Gibbs
     # exponents finite; every cycle runs, warning-free, at each bound
-    @pytest.mark.parametrize("omega_x,beta_c", [(1e150, 1.0), (5.0, 2e299), (1e150, 1e150)])
+    @pytest.mark.parametrize("omega_x,beta_c", [(1e300, 1.0), (5.0, 2e299), (1e150, 1e150), (1e300, 1e-300)])
     def test_cycles_run_at_the_bounds(self, omega_x, beta_c):
-        assert omega_x <= 1e150 and beta_c * omega_x <= 1e300
+        assert omega_x <= 1e300 and beta_c * omega_x <= 1e300
         params = EngineParams(omega_z=2.0, omega_x=omega_x, beta_c=beta_c, beta_h=0.5 * beta_c)
         drive = DriveSpec(p=0.7, alpha=0.3)
         records = [
@@ -120,10 +120,10 @@ class TestParams:
         assert math.isfinite(analytic.povm_work_ceiling(params, drive))
 
     def test_rejects_a_gap_beyond_the_bound(self):
-        with pytest.raises(ValueError, match="omega_x must be at most 1e150"):
-            EngineParams(omega_z=2.0, omega_x=math.nextafter(1e150, math.inf), beta_c=1e-100)
-        with pytest.raises(ValueError, match="omega_x must be at most 1e150"):
-            EngineParams(omega_z=2.0, omega_x=2e154, beta_c=1.0)  # (omega_x - omega_z)**2 overflows
+        with pytest.raises(ValueError, match="omega_x must be at most 1e300"):
+            EngineParams(omega_z=2.0, omega_x=math.nextafter(1e300, math.inf), beta_c=1e-100)
+        with pytest.raises(ValueError, match="omega_x must be at most 1e300"):
+            EngineParams(omega_z=2.0, omega_x=1e308, beta_c=1e-300)  # the projective closed forms overflow
 
     @pytest.mark.parametrize("omega_x,beta_c", [(5.0, math.nextafter(2e299, math.inf)), (3.0, 1e308), (1e150, 1e151)])
     def test_rejects_beta_times_gap_beyond_the_bound(self, omega_x, beta_c):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qotto import qmat
-from qotto.engine import MeasurementBasis, PovmSpec
+from qotto.engine import MeasurementBasis, PovmSpec, _kron
 from qotto.qmat import (
     HADAMARD,
     ID2,
@@ -40,20 +40,20 @@ class TestProjector:
 
 
 class TestTensorProduct:
-    # Joint operators are plain np.kron products, system factor first.
+    # engine._kron, the kernel's Kronecker product of trailing 2x2 matrices, system factor first.
     def test_identity(self):
-        np.testing.assert_allclose(np.kron(ID2, ID2), ID4)
+        np.testing.assert_array_equal(_kron(ID2, ID2), ID4)
 
     def test_sigma_z_pair_is_diagonal(self):
         # direct 4x4 expansion by hand
         expected = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-        np.testing.assert_allclose(np.kron(SIGMA_Z, SIGMA_Z), expected, atol=1e-15)
+        np.testing.assert_array_equal(_kron(SIGMA_Z, SIGMA_Z), expected)
 
     def test_sigma_x_hamiltonian_with_identity(self):
         # (wx/2) sigma_x (x) I: two +wx/2 levels spanned by |++>, |+->,
         # two -wx/2 levels spanned by |-+>, |-->
         wx = 3.0
-        joint = np.kron(0.5 * wx * SIGMA_X, ID2)
+        joint = _kron(0.5 * wx * SIGMA_X, ID2)
         vals, vecs = hermitian_eig(joint)
         np.testing.assert_allclose(vals, [-1.5, -1.5, 1.5, 1.5], atol=1e-12)
         top = vecs[:, 2:]
@@ -68,8 +68,19 @@ class TestTensorProduct:
         for _ in range(20):
             a = random_hermitian(rng, 2)
             b = random_hermitian(rng, 2)
-            lhs = np.trace(np.kron(a, b))
+            lhs = np.trace(_kron(a, b))
             np.testing.assert_allclose(lhs, np.trace(a) * np.trace(b), atol=1e-12)
+
+    def test_stacks_broadcast_row_by_row(self):
+        # leading axes broadcast, and each row is np.kron of its pair, bit for bit
+        rng = np.random.default_rng(13)
+        a = np.stack([random_hermitian(rng, 2) for _ in range(3)])[:, None]  # (3, 1, 2, 2)
+        b = np.stack([random_hermitian(rng, 2) @ random_hermitian(rng, 2) for _ in range(4)])  # (4, 2, 2)
+        joint = _kron(a, b)
+        assert joint.shape == (3, 4, 4, 4)
+        for i in range(3):
+            for j in range(4):
+                np.testing.assert_array_equal(joint[i, j], np.kron(a[i, 0], b[j]))
 
     def test_dimension_mismatch(self):
         # operators are 2x2 or 4x4; a joint unitary must be 4x4
@@ -228,31 +239,6 @@ class TestExpIHermitian:
         for _ in range(20):
             u = _exp_i(random_hermitian(rng, 4))
             np.testing.assert_allclose(u.conj().T @ u, ID4, atol=1e-10)
-
-
-class TestUnitaryLog:
-    # qmat._unitary_log is the unchecked Hermitian logarithm behind the
-    # dilation optima's generator coefficients.
-    def check(self, v):
-        h = qmat._unitary_log(v)
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
-        np.testing.assert_allclose(_exp_i(h), v, atol=1e-12)
-
-    def test_random_unitaries(self):
-        rng = np.random.default_rng(37)
-        for dim in (2, 4):
-            for _ in range(20):
-                self.check(_exp_i(random_hermitian(rng, dim, scale=5.0)))
-
-    def test_degenerate_and_antipodal_eigenphases(self):
-        rng = np.random.default_rng(41)
-        swap_middle = np.eye(4)[[0, 2, 1, 3]].astype(complex)  # eigenvalues 1, 1, 1, -1
-        self.check(swap_middle)
-        self.check(-ID4)
-        self.check(np.diag([-1.0, -1.0, 1.0j, 1.0j]).astype(complex))
-        for _ in range(10):
-            u = _exp_i(random_hermitian(rng, 2, scale=5.0))
-            self.check(np.kron(u, ID2))  # each eigenphase twice
 
 
 def von_neumann_entropy(rho):
