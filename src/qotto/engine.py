@@ -28,8 +28,8 @@ and adjoint, MeasurementBasis its projectors.  PovmSpec's default auxiliary
 import; a given auxiliary is checked with one eigen-solve, which also yields
 its S_init, when the spec is built.  A dilation reads the auxiliary's entropy
 after the stroke off its outcome probabilities, so a cycle on specs already
-used runs no eigen-solver.  A copy or pickle of a spec carries only its fields
-(a PovmSpec is built anew).
+used runs no eigen-solver.  A copy or pickle of any spec is built anew from its
+fields, so it is checked again, read-only, and computes its own constants.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -59,9 +59,10 @@ TWO_PI = 2.0 * math.pi
 ENGINE_TOL = 1e-12
 
 
-def _fields_only(spec) -> dict:
-    # The state a spec pickles and copies with: its fields, so a copy computes its own read-only constants.
-    return {f.name: getattr(spec, f.name) for f in fields(spec)}
+def _rebuilt(spec) -> tuple:
+    # How every spec copies and pickles: rebuilt from its field values through its constructor, so a copy is
+    # checked again, read-only, and computes its own constants.
+    return type(spec), tuple(getattr(spec, f.name) for f in fields(spec))
 
 
 def _read_only(a):
@@ -90,7 +91,7 @@ class EngineParams:
     beta_c: float
     beta_h: float | None = None
 
-    __getstate__ = _fields_only
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         for name in ("omega_z", "omega_x", "beta_c", "beta_h"):
@@ -164,7 +165,7 @@ class DriveSpec:
     p: float
     alpha: float = 0.0
 
-    __getstate__ = _fields_only
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         if not (0.5 <= self.p <= 1.0):
@@ -203,7 +204,7 @@ class MeasurementBasis:
     theta_x: float
     phi_x: float = 0.0
 
-    __getstate__ = _fields_only
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         if not (0.0 <= self.theta_x <= math.pi):
@@ -266,14 +267,14 @@ class PovmSpec:
     together with its von Neumann entropy S_init (bits), so a spec built
     with it checks only its joint unitary.  A given auxiliary is checked
     with one eigen-solve, whose spectrum also yields its S_init.
-    ``aux_basis`` must be a MeasurementBasis.  Specs compare by identity; a
-    copy or pickle is built anew from the fields, so it is checked and
-    read-only again.
+    ``aux_basis`` must be a MeasurementBasis.  Specs compare by identity.
     """
 
     joint_unitary: np.ndarray
     aux_state: np.ndarray = field(default_factory=lambda: _PLUS_STATE)
     aux_basis: MeasurementBasis = MeasurementBasis(0.0, 0.0)
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         u = qmat.validate_unitary(self.joint_unitary, name="joint_unitary").copy()
@@ -289,9 +290,6 @@ class PovmSpec:
         object.__setattr__(self, "aux_state", rho_a)
         object.__setattr__(self, "_aux_entropy_init", s_init)
 
-    def __reduce__(self):
-        return PovmSpec, (self.joint_unitary, self.aux_state, self.aux_basis)
-
     def kraus_operators(self) -> list[np.ndarray]:
         """Induced system Kraus operators, one per (outcome, auxiliary eigenstate).
 
@@ -300,7 +298,7 @@ class PovmSpec:
         nonzero spectral weight, scaled by its square root.
         """
         v4 = self.joint_unitary.reshape(2, 2, 2, 2)
-        weights, states = qmat._hermitian_eig(self.aux_state)
+        weights, states = np.linalg.eigh(self.aux_state)
         ops = []
         for ket_out in _basis_kets(self.aux_basis.theta_x, self.aux_basis.phi_x):
             for w, phi in zip(weights, states.T):
@@ -377,16 +375,6 @@ class CycleRecord:
         return abs(self.q_h + self.q_c - self.w_total)
 
 
-def hamiltonian_h1(params: EngineParams) -> np.ndarray:
-    """Stroke-I/IV Hamiltonian (omega_z / 2) sigma_z (computed on first use, read-only)."""
-    return params._strokes_i_constants[0]
-
-
-def hamiltonian_h2(params: EngineParams) -> np.ndarray:
-    """Stroke-II/III Hamiltonian (omega_x / 2) sigma_x (computed on first use, read-only)."""
-    return params._strokes_i_constants[1]
-
-
 def _gibbs(h: np.ndarray, beta) -> np.ndarray:
     # Gibbs state exp(-beta h) / Z in the eigenbasis of h, unchecked; h and beta broadcast over leading axes.
     vals, vecs = np.linalg.eigh(h)
@@ -394,11 +382,6 @@ def _gibbs(h: np.ndarray, beta) -> np.ndarray:
     weights = np.exp(np.asarray(-beta)[..., None] * (vals - vals[..., :1]))
     weights /= weights.sum(axis=-1, keepdims=True)
     return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
-def drive_unitary(drive: DriveSpec) -> np.ndarray:
-    """Drive-stroke unitary mapping |0> to sqrt(p)|+> + e^{i alpha} sqrt(1-p)|-> (computed on first use, read-only)."""
-    return drive._unitaries[0]
 
 
 def _expect(h: np.ndarray, rho: np.ndarray):

@@ -161,9 +161,11 @@ def _optimal_dilations(strokes: engine.Strokes, net: bool = True) -> np.ndarray:
     # r1, r2 are the eigenvectors of rho1, larger weight first; h+, h- the
     # top and bottom ones of h_eff = h2 - u h1 u^dag.  The gross one maps
     # r1|+> -> h+|+>, r2|+> -> h+|->, r1|-> -> h-|+> and r2|-> -> h-|->; the
-    # zero-entropy one rotates only the system, r1 -> h+ and r2 -> h-.
-    r = qmat._hermitian_eig(strokes.rho1)[1][..., ::-1]
-    h = qmat._hermitian_eig(strokes.h2 - strokes.uh1u)[1][..., ::-1]
+    # zero-entropy one rotates only the system, r1 -> h+ and r2 -> h-.  A phase on
+    # any eigenvector is a phase on one subspace of the unitary, which cancels in
+    # the dilated state, so the eigenvectors keep whatever phases eigh gives them.
+    r = np.linalg.eigh(strokes.rho1)[1][..., ::-1]
+    h = np.linalg.eigh(strokes.h2 - strokes.uh1u)[1][..., ::-1]
     rh = engine._kron(r, qmat.HADAMARD)
     gross = engine._kron(h, qmat.HADAMARD)[..., [0, 2, 1, 3]] @ rh.conj().swapaxes(-1, -2)
     if not net:

@@ -6,8 +6,9 @@ operators use row-major Kronecker ordering, system factor first, so a
 4x4 matrix indexes as (system, auxiliary) x (system, auxiliary).
 All functions are pure.  The public ones validate their input against
 the module constants HERMITIAN_TOL and UNITARY_TOL and raise
-``ValueError`` on failure; ``hermitian_eig`` fixes eigenvector phases, so
-repeated calls on one input are identical.  ``_density_spectrum`` is the
+``ValueError`` on failure.  Eigenvectors come from a plain
+``np.linalg.eigh``, with no phase convention: no result depends on an
+eigenvector's phase.  ``_density_spectrum`` is the
 one density-matrix check (to DENSITY_TOL): it also returns the spectrum
 its one eigen-solve found, so a PovmSpec's given auxiliary yields its
 initial entropy without a second solve.  The other underscore helpers
@@ -83,32 +84,9 @@ def _marginals(rho_sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r[..., :, 0, :, 0] + r[..., :, 1, :, 1] + 0.0, r[..., 0, :, 0, :] + r[..., 1, :, 1, :] + 0.0
 
 
-def _phase_fix(vecs: np.ndarray) -> np.ndarray:
-    # Make the first non-negligible component of each column real positive,
-    # elementwise on a stack; a column with none is left as it is.
-    big = np.abs(vecs) > 1e-12
-    some = big.any(axis=-2, keepdims=True)
-    lead = np.where(some, vecs[..., -1:, :], 1.0)
-    for i in range(vecs.shape[-2] - 2, -1, -1):  # upward, so the first non-negligible entry wins
-        lead = np.where(big[..., i:i + 1, :], vecs[..., i:i + 1, :], lead)
-    return np.where(some, vecs * (np.hypot(lead.real, lead.imag) / lead), vecs)  # hypot is abs() of a scalar
-
-
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with phases fixed.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors in the columns.  Column phases are fixed so the first
-    nonzero component is real positive; repeated calls on one input are
-    identical.
-    """
-    return _hermitian_eig(validate_hermitian(h, name="h"))
-
-
-def _hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # hermitian_eig without the Hermiticity check.
-    vals, vecs = np.linalg.eigh(a)
-    return vals, _phase_fix(vecs)
+    """``np.linalg.eigh`` of a matrix checked as Hermitian: eigenvalues ascending, eigenvectors in the columns."""
+    return np.linalg.eigh(validate_hermitian(h, name="h"))
 
 
 def _exp_i(a: np.ndarray) -> np.ndarray:

@@ -1,10 +1,32 @@
-"""References that only the tests use: a seeded Haar sampler and the rearrangement energy bound."""
+"""References that only the tests use: the stroke Hamiltonians and the drive unitary built from their formulas, a
+seeded Haar sampler and the rearrangement energy bound."""
 
 import math
 
 import numpy as np
 
 from qotto import qmat
+from qotto.qmat import KET_MINUS, KET_PLUS
+
+
+def h1_reference(params) -> np.ndarray:
+    """The stroke-I/IV Hamiltonian (omega_z / 2) sigma_z."""
+    return 0.5 * params.omega_z * qmat.SIGMA_Z
+
+
+def h2_reference(params) -> np.ndarray:
+    """The stroke-II/III Hamiltonian (omega_x / 2) sigma_x."""
+    return 0.5 * params.omega_x * qmat.SIGMA_X
+
+
+def drive_reference(drive) -> np.ndarray:
+    """A drive unitary u with u|0> = sqrt(p)|+> + e^{i alpha} sqrt(1-p)|->, and u|1> the orthogonal
+    sqrt(1-p)|+> - e^{i alpha} sqrt(p)|->."""
+    p, phase = drive.p, np.exp(1.0j * drive.alpha)
+    return np.column_stack([
+        math.sqrt(p) * KET_PLUS + phase * math.sqrt(1.0 - p) * KET_MINUS,
+        math.sqrt(1.0 - p) * KET_PLUS - phase * math.sqrt(p) * KET_MINUS,
+    ])
 
 
 def haar_unitary(rng, n=4):

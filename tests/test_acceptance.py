@@ -13,7 +13,7 @@ import pytest
 from qotto import analytic, engine, qmat
 from qotto.engine import DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 from qotto.optimize import optimize_povm_net_work, optimize_povm_work, optimize_pvm_basis
-from helpers import haar_unitary, rearrangement_energy_bound
+from helpers import drive_reference, h1_reference, h2_reference, haar_unitary, rearrangement_energy_bound
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -221,9 +221,9 @@ def test_criterion_10_cost_advantage_crossing():
 def test_criterion_11_mixed_auxiliary_ceiling():
     """Mixed auxiliaries in the non-inverted regime cap the stroke energy at (wx/2) tz."""
     rng = np.random.default_rng(111)
-    h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
-    rho0 = engine._gibbs(engine.hamiltonian_h1(P32), 1.0)
-    u = engine.drive_unitary(DriveSpec(p=1.0))
+    h_joint = np.kron(h2_reference(P32), qmat.ID2)
+    rho0 = engine._gibbs(h1_reference(P32), 1.0)
+    u = drive_reference(DriveSpec(p=1.0))
     rho1 = u @ rho0 @ u.conj().T
     target = 0.5 * 3.0 * math.tanh(1.0)
     q_cap = math.exp(2.0) / (1.0 + math.exp(2.0))

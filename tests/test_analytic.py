@@ -17,7 +17,7 @@ from qotto.analytic import (
     reset_crossing_temperature,
 )
 from qotto.engine import DriveSpec, EngineParams, MeasurementBasis, PovmSpec
-from helpers import rearrangement_energy_bound
+from helpers import drive_reference, h1_reference, h2_reference, rearrangement_energy_bound
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -332,11 +332,11 @@ class TestPovmOptimal:
         assert povm_work_ceiling(params, ADIABATIC) == pytest.approx(1.0, abs=1e-12)
 
     def test_rearrangement_attains_half_omega_x(self):
-        rho0 = engine._gibbs(engine.hamiltonian_h1(P32), 1.0)
-        u = engine.drive_unitary(DriveSpec(p=1.0))
+        rho0 = engine._gibbs(h1_reference(P32), 1.0)
+        u = drive_reference(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         joint = np.kron(rho1, plus_projector())
-        h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
+        h_joint = np.kron(h2_reference(P32), qmat.ID2)
         assert rearrangement_energy_bound(h_joint, joint) == pytest.approx(1.5, abs=1e-12)
 
 
@@ -356,10 +356,10 @@ class TestWorkCeiling:
             params = EngineParams(wz, wz * rng.uniform(1.1, 3.0), rng.uniform(0.2, 3.0))
             p = rng.uniform(0.5, 1.0)
             drive = DriveSpec(p=p)
-            h1 = engine.hamiltonian_h1(params)
-            h2 = engine.hamiltonian_h2(params)
+            h1 = h1_reference(params)
+            h2 = h2_reference(params)
             rho0 = engine._gibbs(h1, params.beta_c)
-            u = engine.drive_unitary(drive)
+            u = drive_reference(drive)
             rho1 = u @ rho0 @ u.conj().T
             joint = np.kron(rho1, plus_projector())
             effective = np.kron(h2 - u @ h1 @ u.conj().T, qmat.ID2)
@@ -393,9 +393,9 @@ class TestRearrangementBound:
         # q |psi><psi| + (1-q)|perp><perp| with (1-q) e^{v_z} > q e^{-v_z}:
         # the reachable measurement-stroke energy tops out at (wx/2) tanh(v_z)
         rng = np.random.default_rng(34)
-        h_joint = np.kron(engine.hamiltonian_h2(P32), qmat.ID2)
-        rho0 = engine._gibbs(engine.hamiltonian_h1(P32), 1.0)
-        u = engine.drive_unitary(DriveSpec(p=1.0))
+        h_joint = np.kron(h2_reference(P32), qmat.ID2)
+        rho0 = engine._gibbs(h1_reference(P32), 1.0)
+        u = drive_reference(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         q_cap = math.exp(2.0) / (1.0 + math.exp(2.0))
         for _ in range(20):

@@ -14,15 +14,12 @@ from qotto.engine import (
     EngineParams,
     MeasurementBasis,
     PovmSpec,
-    drive_unitary,
-    hamiltonian_h1,
-    hamiltonian_h2,
     run_conventional_cycle,
     run_povm_cycle,
     run_pvm_cycle,
 )
 from qotto.qmat import HADAMARD, ID2, ID4, KET_MINUS, KET_PLUS
-from helpers import haar_unitary
+from helpers import drive_reference, h1_reference, h2_reference, haar_unitary
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -188,37 +185,39 @@ class TestDriveAndBasis:
 
 
 class TestHamiltonians:
+    # the (h1, h2) an EngineParams keeps for its strokes
     def test_h1_diagonal(self):
         np.testing.assert_allclose(
-            hamiltonian_h1(P32), np.diag([1.0, -1.0]).astype(complex), atol=1e-15
+            P32._strokes_i_constants[0], np.diag([1.0, -1.0]).astype(complex), atol=1e-15
         )
 
     def test_h2_eigenpairs(self):
-        vals, vecs = qmat.hermitian_eig(hamiltonian_h2(P32))
+        # eigenvectors carry no phase convention, so their projectors are compared
+        vals, vecs = qmat.hermitian_eig(P32._strokes_i_constants[1])
         np.testing.assert_allclose(vals, [-1.5, 1.5], atol=1e-12)
-        np.testing.assert_allclose(vecs[:, 1], KET_PLUS, atol=1e-12)
-        np.testing.assert_allclose(vecs[:, 0], KET_MINUS, atol=1e-12)
+        np.testing.assert_allclose(np.outer(vecs[:, 1], vecs[:, 1].conj()), np.outer(KET_PLUS, KET_PLUS), atol=1e-12)
+        np.testing.assert_allclose(np.outer(vecs[:, 0], vecs[:, 0].conj()), np.outer(KET_MINUS, KET_MINUS), atol=1e-12)
 
     def test_hadamard_relates_equal_gaps(self):
         p = EngineParams(omega_z=1.0, omega_x=1.0 + 1e-12, beta_c=1.0)
-        h1 = hamiltonian_h1(p)
-        np.testing.assert_allclose(HADAMARD @ h1 @ HADAMARD, hamiltonian_h2(p), atol=1e-10)
+        h1, h2 = p._strokes_i_constants[:2]
+        np.testing.assert_allclose(HADAMARD @ h1 @ HADAMARD, h2, atol=1e-10)
 
 
 class TestThermalState:
     # engine._gibbs is the kernel's unchecked Gibbs state; its beta comes from EngineParams.
     def test_infinite_temperature(self):
-        np.testing.assert_allclose(engine._gibbs(hamiltonian_h2(P32), 0.0), ID2 / 2.0, atol=1e-14)
+        np.testing.assert_allclose(engine._gibbs(h2_reference(P32), 0.0), ID2 / 2.0, atol=1e-14)
 
     def test_gibbs_populations_and_energy(self):
-        rho = engine._gibbs(hamiltonian_h1(P32), 1.0)
+        rho = engine._gibbs(h1_reference(P32), 1.0)
         z = 2.0 * math.cosh(1.0)
         np.testing.assert_allclose(np.diag(rho).real, [math.exp(-1.0) / z, math.exp(1.0) / z], atol=1e-12)
-        energy = np.trace(hamiltonian_h1(P32) @ rho).real
+        energy = np.trace(h1_reference(P32) @ rho).real
         assert energy == pytest.approx(-math.tanh(1.0), abs=1e-12)
 
     def test_zero_temperature_limit(self):
-        rho = engine._gibbs(hamiltonian_h1(P32), 50.0)
+        rho = engine._gibbs(h1_reference(P32), 50.0)
         ground = np.diag([0.0, 1.0]).astype(complex)
         np.testing.assert_allclose(rho, ground, atol=1e-10)
 
@@ -232,27 +231,29 @@ class TestThermalState:
 
 
 class TestDriveUnitary:
+    # the (u, u^dag) a DriveSpec keeps, from engine._drive_unitaries
     def test_adiabatic_columns(self):
-        u = drive_unitary(DriveSpec(p=1.0))
+        u = DriveSpec(p=1.0)._unitaries[0]
         np.testing.assert_allclose(u[:, 0], KET_PLUS, atol=1e-14)
         np.testing.assert_allclose(u[:, 1], -KET_MINUS, atol=1e-14)
 
     def test_sudden_limit_fixes_ground_state(self):
-        u = drive_unitary(DriveSpec(p=0.5))
+        u = DriveSpec(p=0.5)._unitaries[0]
         np.testing.assert_allclose(u[:, 0], [1.0, 0.0], atol=1e-14)
 
     def test_unitary_and_transition_probability(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
             d = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0.0, 2.0 * math.pi))
-            u = drive_unitary(d)
+            u = d._unitaries[0]
             np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-12)
+            np.testing.assert_allclose(u, drive_reference(d), atol=1e-12)
             amp = KET_PLUS.conj() @ u[:, 0]
             assert abs(amp) ** 2 == pytest.approx(d.p, abs=1e-14)
 
     def test_adiabatic_population_transfer(self):
-        rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
-        u = drive_unitary(DriveSpec(p=1.0, alpha=1.3))
+        rho0 = engine._gibbs(h1_reference(P32), 1.0)
+        u = engine._drive_unitaries(1.0, 1.3)[0]
         rho1 = u @ rho0 @ u.conj().T
         pops = np.diag(rho0).real
         expected = pops[0] * np.outer(KET_PLUS, KET_PLUS.conj()) + pops[1] * np.outer(KET_MINUS, KET_MINUS.conj())
@@ -269,18 +270,18 @@ class TestPvmStroke:
     def test_computational_basis_zeroes_energy(self):
         # theta = pi/2 measures in {|0>, |1>}; the post-measurement state
         # carries no sigma_x polarization.
-        rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
-        u = drive_unitary(DriveSpec(p=1.0))
+        rho0 = engine._gibbs(h1_reference(P32), 1.0)
+        u = drive_reference(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         rho2 = engine._measure(rho1, MeasurementBasis(theta_x=math.pi / 2.0).projectors())
-        e2 = np.trace(hamiltonian_h2(P32) @ rho2).real
+        e2 = np.trace(h2_reference(P32) @ rho2).real
         assert e2 == pytest.approx(0.0, abs=1e-12)
 
     def test_pole_basis_injects_no_heat(self):
-        rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
-        u = drive_unitary(DriveSpec(p=1.0))
+        rho0 = engine._gibbs(h1_reference(P32), 1.0)
+        u = drive_reference(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
-        h2 = hamiltonian_h2(P32)
+        h2 = h2_reference(P32)
         e1 = np.trace(h2 @ rho1).real
         rho2 = engine._measure(rho1, MeasurementBasis(theta_x=0.0).projectors())
         e2 = np.trace(h2 @ rho2).real
@@ -437,8 +438,8 @@ class TestPovmStroke:
                 np.testing.assert_allclose(system, rho, atol=1e-12)
 
     def test_optimal_dilation_pins_plus(self):
-        rho0 = engine._gibbs(hamiltonian_h1(P32), 1.0)
-        u = drive_unitary(DriveSpec(p=1.0))
+        rho0 = engine._gibbs(h1_reference(P32), 1.0)
+        u = drive_reference(DriveSpec(p=1.0))
         rho1 = u @ rho0 @ u.conj().T
         plus = np.outer(KET_PLUS, KET_PLUS.conj())
         tz = math.tanh(1.0)
@@ -446,7 +447,7 @@ class TestPovmStroke:
             povm = PovmSpec(joint_unitary=layout(analytic.optimal_dilation_unitary()))
             system, probabilities = spec_stroke(rho1, povm)
             np.testing.assert_allclose(system, plus, atol=1e-12)
-            e2 = np.trace(hamiltonian_h2(P32) @ system).real
+            e2 = np.trace(h2_reference(P32) @ system).real
             assert e2 == pytest.approx(1.5, abs=1e-12)
             # auxiliary keeps the thermal populations along its poles, |+> then |->
             np.testing.assert_allclose(probabilities, [0.5 * (1.0 - tz), 0.5 * (1.0 + tz)], atol=1e-12)
@@ -757,7 +758,7 @@ class TestKernel:
         stack, stack_dag = engine._drive_unitaries(np.array([d.p for d in drives]), np.array([d.alpha for d in drives]))
         assert stack.shape == stack_dag.shape == (3, 2, 2)
         for u, u_dag, d in zip(stack, stack_dag, drives):
-            np.testing.assert_array_equal(u, drive_unitary(d))
+            np.testing.assert_array_equal(u, d._unitaries[0])
             np.testing.assert_array_equal(u_dag, d._unitaries[1])
 
     def test_stacked_cold_constants(self):
@@ -811,8 +812,7 @@ class TestSpecConstants:
         def forbidden(*args, **kwargs):
             raise AssertionError("a spec's constant rebuilt")
 
-        for name in ("_gibbs", "_cold_constants", "_drive_unitaries", "hamiltonian_h1", "hamiltonian_h2", "drive_unitary",
-                     "basis_projectors"):
+        for name in ("_gibbs", "_cold_constants", "_drive_unitaries", "basis_projectors"):
             monkeypatch.setattr(engine, name, forbidden)
         three_cycles(*specs)
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qotto import analytic, engine, qmat
-from qotto.engine import DriveSpec, EngineParams, PovmSpec
+from qotto import analytic, cli, engine, qmat
+from qotto.engine import TWO_PI, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 from qotto import optimize
 from qotto.optimize import (
     SU4_GENERATOR_LABELS,
@@ -356,3 +356,64 @@ class TestOneStrokesPass:
         both = optimize._optimal_dilations(strokes, net=True)
         assert gross.shape == (4, 4) and both.shape == (2, 4, 4)
         assert gross.tobytes() == both[0].tobytes()
+
+
+def scrambled_eigh(rng):
+    # np.linalg.eigh with each returned eigenvector column multiplied by a phase drawn from rng
+    eigh = np.linalg.eigh
+
+    def run(a):
+        vals, vecs = eigh(a)
+        return vals, vecs * np.exp(1.0j * rng.uniform(0.0, TWO_PI, vecs.shape[:-2] + (1, vecs.shape[-1])))
+
+    return run
+
+
+def phase_probe(params, drive, t_c, aux, rho):
+    # what a result may depend on: the gross and net best values and the net work of both net candidates, the
+    # effect E_0 of both optima in optimize-povm's Bloch form, and the channel sum_K K rho K^dag of a spec with a
+    # mixed auxiliary
+    gross = optimize_povm_work(params, drive)
+    net = optimize_povm_net_work(params, drive, t_c=t_c)
+    candidates = optimize._dilation_candidates(engine.strokes_i_ii(params, drive), t_c, True)[0].net_work
+    effects = []
+    for result in (gross, net):
+        k0 = PovmSpec(joint_unitary=result.best_point).kraus_operators()[0]
+        effects.append(0.5 * np.einsum("jab,ba->j", cli._BLOCH_BASIS, k0.conj().T @ k0).real)
+    channel = sum(k @ rho @ k.conj().T for k in aux.kraus_operators())
+    return (gross.best_value, net.best_value, *candidates), gross.best_point, effects, channel
+
+
+class TestEigenvectorPhases:
+    def test_no_result_depends_on_an_eigenvector_phase(self, monkeypatch):
+        # eigh's phases are LAPACK's; drawing them at random moves the optimal unitaries by a phase per
+        # eigen-subspace, which cancels in every value, effect and channel
+        rng = np.random.default_rng(2501)
+
+        def density():
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            return m @ m.conj().T / np.trace(m @ m.conj().T).real
+
+        points = []
+        for _ in range(500):
+            wz = rng.uniform(0.5, 3.0)
+            params = EngineParams(wz, wz * rng.uniform(1.1, 3.0), math.exp(rng.uniform(-6.0, 3.0)))
+            drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0.0, TWO_PI))
+            aux = PovmSpec(haar_unitary(rng), density(), MeasurementBasis(rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI)))
+            points.append((params, drive, rng.uniform(0.0, 5.0), aux, density()))
+        plain = [phase_probe(*x) for x in points]
+        monkeypatch.setattr(np.linalg, "eigh", scrambled_eigh(np.random.default_rng(2502)))
+        compared = moved = 0
+        for x, (values, point, effects, channel) in zip(points, plain):
+            s_values, s_point, s_effects, s_channel = phase_probe(*x)
+            moved += not np.allclose(s_point, point, rtol=0.0, atol=1e-6)
+            for a, b in zip(s_values, values):  # a small work rounds at the scale of the energies
+                assert a == pytest.approx(b, rel=1e-13, abs=1e-13 * x[0].omega_x)
+            np.testing.assert_allclose(s_effects[0], effects[0], rtol=0.0, atol=1e-12)
+            # where the two net candidates tie to rounding, rounding picks the winner and its effect
+            n0, n1 = values[2:]
+            if abs(n1 - n0) > 1e-9 * max(abs(n0), abs(n1)):
+                compared += 1
+                np.testing.assert_allclose(s_effects[1], effects[1], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(s_channel, channel, rtol=0.0, atol=1e-12)
+        assert moved > 400 and compared > 300  # the phases did move the unitaries, and most net effects compared
