@@ -54,7 +54,10 @@ class SweepSpec:
             raise ValueError(f"t_c must be positive with a finite reciprocal, got start {self.start}")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        try:
+            return np.linspace(self.start, self.stop, self.points)
+        except MemoryError:  # a grid too large to allocate is a bad --grid-points, not a crash
+            raise ValueError(f"cannot allocate a grid of {self.points} points") from None
 
     def slices(self) -> list[np.ndarray]:
         """values() in consecutive slices of at most GRID_SLICE points, the arrays a grid passes to the kernel."""

@@ -23,13 +23,16 @@ inputs are checked when a spec type is built, and the reset temperature by one
 EngineParams method.  A spec's constants are computed once, on its first use,
 and kept read-only: EngineParams its Hamiltonians, stroke-I Gibbs state and
 energy e0 (and the two-bath cycle's hot Gibbs state), DriveSpec its unitary
-and adjoint, MeasurementBasis its projectors.  PovmSpec's default auxiliary
-|+><+| and its initial entropy S_init are checked and computed once, at
-import; a given auxiliary is checked with one eigen-solve, which also yields
-its S_init, when the spec is built.  A dilation reads the auxiliary's entropy
-after the stroke off its outcome probabilities, so a cycle on specs already
-used runs no eigen-solver.  A copy or pickle of any spec is built anew from its
-fields, so it is checked again, read-only, and computes its own constants.
+and adjoint, MeasurementBasis its projectors.  A DriveSpec also keeps the
+stroke-I/II setup of the last EngineParams it ran with, matched by identity,
+so a cycle on a pair already used runs only stroke III and the ledger.
+PovmSpec's default auxiliary |+><+| and its initial entropy S_init are checked
+and computed once, at import; a given auxiliary is checked with one
+eigen-solve, which also yields its S_init, when the spec is built.  A dilation
+reads the auxiliary's entropy after the stroke off its outcome probabilities,
+so a cycle on specs already used runs no eigen-solver.  A copy or pickle of any
+spec is built anew from its fields, so it is checked again, read-only, and
+computes its own constants and stroke-I/II setup.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -463,8 +466,16 @@ def _strokes(cold: tuple, unitaries: tuple) -> Strokes:
 
 
 def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
-    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II), with the constants the specs keep."""
-    return _strokes(params._strokes_i_constants, drive._unitaries)
+    """Thermalize at h1 and the cold bath (stroke I), then drive (stroke II), with the constants the specs keep.
+
+    The drive keeps the read-only setup of the last EngineParams it ran with, in one slot matched by identity, so
+    a cycle on a pair already used runs only stroke III and the ledger.
+    """
+    slot = vars(drive).get("_strokes_slot")  # (params, strokes); holding params keeps its id from being reused
+    if slot is None or slot[0] is not params:
+        slot = params, Strokes._make(map(_read_only, _strokes(params._strokes_i_constants, drive._unitaries)))
+        vars(drive)["_strokes_slot"] = slot
+    return slot[1]
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

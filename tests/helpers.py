@@ -1,11 +1,12 @@
 """References that only the tests use: the stroke Hamiltonians and the drive unitary built from their formulas, a
-seeded Haar sampler and the rearrangement energy bound."""
+seeded Haar sampler, the rearrangement energy bound and the exact projective optimum."""
 
 import math
 
 import numpy as np
 
-from qotto import qmat
+from qotto import engine, qmat
+from qotto.engine import TWO_PI, MeasurementBasis
 from qotto.qmat import KET_MINUS, KET_PLUS
 
 
@@ -49,3 +50,28 @@ def rearrangement_energy_bound(h, rho) -> float:
     if hm.shape != rm.shape:
         raise ValueError(f"dimension mismatch: {hm.shape} vs {rm.shape}")
     return float(np.linalg.eigvalsh(hm) @ rho_spectrum)  # eigvalsh sorts ascending
+
+
+def bloch_vector(m) -> np.ndarray:
+    """(Tr m sigma_x, Tr m sigma_y, Tr m sigma_z) of a Hermitian 2x2 m: the Bloch vector of a density matrix."""
+    return np.array([np.trace(m @ s).real for s in (qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z)])
+
+
+def chart_basis(n) -> MeasurementBasis:
+    """The basis whose first outcome projects onto the Bloch axis n, on MeasurementBasis's chart
+    n = (cos theta, -sin theta sin phi, sin theta cos phi); phi is 0 at the poles n = (+-1, 0, 0)."""
+    theta = math.atan2(math.hypot(n[1], n[2]), n[0])  # well conditioned at the poles, where arccos(n_x) is not
+    phi = math.atan2(-n[1], n[2]) % TWO_PI
+    return MeasurementBasis(theta, 0.0 if phi == TWO_PI else phi)
+
+
+def pvm_exact_optimum(params, drive) -> MeasurementBasis:
+    """The measurement basis of the largest projective-cycle work, from the density matrices of strokes_i_ii.
+
+    With rho1 = (I + r.sigma)/2 and h2 - u h1 u^dag = g.sigma, measuring along the axis n leaves
+    (I + (r.n) n.sigma)/2, so stroke III changes e2 - e3 by (r.n)(g.n) = n^T A n, A = (r g^T + g r^T)/2, and the
+    top eigenvector of the 3x3 A maximizes the work.
+    """
+    strokes = engine.strokes_i_ii(params, drive)
+    r, g = bloch_vector(strokes.rho1), 0.5 * bloch_vector(strokes.h2 - strokes.uh1u)
+    return chart_basis(np.linalg.eigh(0.5 * (np.outer(r, g) + np.outer(g, r)))[1][:, -1])

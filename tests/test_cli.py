@@ -75,6 +75,13 @@ class TestSweepSpec:
         assert [len(s) for s in slices] == [cli.GRID_SLICE, cli.GRID_SLICE, 3]
         assert np.concatenate(slices).tolist() == spec.values().tolist()
 
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
+    def test_grid_too_large_to_allocate_exits_2(self, capsys, command):
+        # 10^15 float64 points are 7.1 PiB, above any user address space, so the grid is never allocated
+        code, out, err = run_cli(capsys, command, "--grid-points", str(10**15), "--deterministic")
+        assert code == 2 and out == ""
+        assert err == f"error: cannot allocate a grid of {10**15} points\n"
+
 
 class TestCycleCommand:
     def test_pvm_example(self, capsys):

@@ -812,23 +812,39 @@ class TestSpecConstants:
         def forbidden(*args, **kwargs):
             raise AssertionError("a spec's constant rebuilt")
 
-        for name in ("_gibbs", "_cold_constants", "_drive_unitaries", "basis_projectors"):
+        for name in ("_gibbs", "_cold_constants", "_drive_unitaries", "basis_projectors", "_strokes"):
             monkeypatch.setattr(engine, name, forbidden)
         three_cycles(*specs)
+
+    def test_drive_alternating_between_params_equals_fresh_specs(self):
+        # the slot holds the last params by identity, so a value-equal one builds the setup anew, as another one does
+        params, _, basis, povm = cycle_specs(0.8, 1.1)
+        drive = DriveSpec(p=0.8, alpha=1.3)
+        equal = dataclasses.replace(params)
+        other = EngineParams(omega_z=1.2, omega_x=3.1, beta_c=0.9, beta_h=0.3)
+        assert equal == params and equal is not params and other != params
+        for prm in (params, equal, params, other, params, other, equal, equal):
+            records = three_cycles(prm, drive, basis, povm)
+            assert vars(drive)["_strokes_slot"][0] is prm
+            fresh = three_cycles(dataclasses.replace(prm), dataclasses.replace(drive), basis, povm)
+            assert [ledger_hex(r) for r in records] == [ledger_hex(r) for r in fresh]
 
     def test_cached_arrays_are_read_only(self):
         params, drive, basis, povm = cycle_specs(0.8, 1.1)
         three_cycles(params, drive, basis, povm)
         h1, h2, rho0, e0 = params._strokes_i_constants
-        assert not isinstance(e0, np.ndarray)  # a numpy scalar, immutable
-        for a in (h1, h2, rho0, params._hot_state, *drive._unitaries, basis.projectors(), povm.aux_basis.projectors()):
+        strokes = vars(drive)["_strokes_slot"][1]  # the drive's stroke-I/II setup with params
+        assert not isinstance(e0, np.ndarray) and not isinstance(strokes.e1, np.ndarray)  # numpy scalars, immutable
+        for a in (h1, h2, rho0, params._hot_state, *drive._unitaries, strokes.rho1, strokes.uh1u, basis.projectors(),
+                  povm.aux_basis.projectors()):
             with pytest.raises(ValueError):
                 a[...] = 0.0
-        assert basis.projectors() is basis.projectors()
+        assert basis.projectors() is basis.projectors() and engine.strokes_i_ii(params, drive) is strokes
 
     def test_replace_copy_and_pickle_give_a_fresh_cache(self):
         params, drive, basis, _ = cycle_specs(0.8, 1.1)
         run_pvm_cycle(params, drive, basis)
+        assert "_strokes_slot" in vars(drive)
         for spec, name, change in (
             (params, "_strokes_i_constants", {"omega_z": 1.0}),
             (drive, "_unitaries", {"p": 0.6}),
@@ -837,11 +853,11 @@ class TestSpecConstants:
             assert name in vars(spec)
             cached = getattr(spec, name)
             other = dataclasses.replace(spec, **change)
-            assert name not in vars(other)
+            assert not {name, "_strokes_slot"} & vars(other).keys()
             assert not np.array_equal(getattr(other, name)[0], cached[0])
             copies = (dataclasses.replace(spec), copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec)))
             for same in copies:
-                assert same == spec and name not in vars(same)
+                assert same == spec and not {name, "_strokes_slot"} & vars(same).keys()
                 again = getattr(same, name)
                 for x, y in zip(*(z if isinstance(z, tuple) else (z,) for z in (again, cached))):
                     assert x is not y and not x.flags.writeable

@@ -15,7 +15,7 @@ from qotto.optimize import (
     optimize_pvm_basis,
     su4_from_point,
 )
-from helpers import haar_unitary
+from helpers import bloch_vector, chart_basis, haar_unitary, pvm_exact_optimum
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -123,6 +123,27 @@ class TestPvmBasisOptimizer:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             optimize_pvm_basis(P32, DriveSpec(p=1.0), grid_size=1)
+
+    def test_matches_the_exact_optimum(self):
+        # the search against the re-simulated top eigenvector of the 3x3 quadratic form, at seeded points with any
+        # drive phase, p at 1/2, 1 or inside, and every fourth (one of each p) at a gap ratio of exactly 2
+        rng = np.random.default_rng(26)
+        for k in range(12):
+            omega_z = rng.uniform(1.0, 3.0)
+            gamma = 2.0 if k % 4 == 0 else rng.uniform(1.1, 4.0)
+            params = EngineParams(omega_z, gamma * omega_z, math.exp(rng.uniform(math.log(0.1), math.log(5.0))))
+            drive = DriveSpec((0.5, 1.0, rng.uniform(0.5, 1.0))[k % 3], rng.uniform(0.0, TWO_PI))
+            exact = engine.run_pvm_cycle(params, drive, pvm_exact_optimum(params, drive)).w_total
+            assert optimize_pvm_basis(params, drive).best_value == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.6, -0.48, 0.64), (-0.28, 0.0, -0.96)])
+    def test_chart_round_trip(self, n):
+        # a Bloch axis, the poles among them, through the chart and back out of the basis's first projector
+        basis = chart_basis(np.array(n))
+        np.testing.assert_allclose(bloch_vector(basis.projectors()[0]), n, rtol=0.0, atol=1e-15)
+        th, ph = basis.theta_x, basis.phi_x
+        np.testing.assert_allclose(n, (math.cos(th), -math.sin(th) * math.sin(ph), math.sin(th) * math.cos(ph)),
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestPovmWorkOptimizer:
