@@ -59,7 +59,7 @@ def conventional_record(params: EngineParams, p) -> CycleRecord:
     e1 = 0.5 * wx * tz * (1.0 - 2.0 * p)
     e2 = -0.5 * wx * tx
     e3 = 0.5 * wz * tx * (1.0 - 2.0 * p)
-    return CycleRecord.from_energies(e0, e1, e2, e3)
+    return CycleRecord.from_energies(e0, e1, e2, e3, wx)
 
 
 def pvm_nonadiabatic_record(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:
@@ -80,7 +80,7 @@ def pvm_nonadiabatic_record(params: EngineParams, drive: DriveSpec, basis: Measu
     e1 = 0.5 * wx * tz * (1.0 - 2.0 * drive.p)
     e2 = -0.5 * wx * tz * mu * math.cos(basis.theta_x)
     e3 = -0.5 * wz * tz * mu**2
-    return CycleRecord.from_energies(e0, e1, e2, e3)
+    return CycleRecord.from_energies(e0, e1, e2, e3, wx)
 
 
 class PvmOptimum(NamedTuple):

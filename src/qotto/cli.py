@@ -199,11 +199,6 @@ def cmd_cycle(args) -> RunReport:
 _PANELS = {"a": (3.0, 2.0), "b": (5.0, 2.0)}
 
 
-def _drive_grid(params: EngineParams, ps: np.ndarray) -> engine.Strokes:
-    # Strokes I-II of params at every drive probability of a p-grid already checked by its SweepSpec, at phase 0.
-    return engine._strokes(params._strokes_i_constants, engine._drive_unitaries(ps, 0.0))
-
-
 def cmd_fig2(args) -> RunReport:
     omega_x, omega_z = _PANELS[args.panel]
     spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
@@ -211,10 +206,12 @@ def cmd_fig2(args) -> RunReport:
     if not args.beta_c > 0.2:
         raise ValueError(f"--beta-c must exceed 0.2, the fixed hot inverse temperature of the w_conv_bh02 column, "
                          f"got {args.beta_c}")
-    hot = engine._gibbs(params._strokes_i_constants[1], np.array([[0.2], [0.0]]))  # the two columns' hot baths
     rows = []
     for ps in spec.slices():
-        strokes = _drive_grid(params, ps)  # the columns differ only in stroke III: one (3, n) stack of its outputs
+        # strokes I-II at every p of the slice, checked by its SweepSpec, at phase 0; the columns differ only in
+        # stroke III: one (3, n) stack of its outputs, the first two the Gibbs states of the two hot baths
+        strokes = engine._strokes(params.omega_z, params.omega_x, params.beta_c, ps, 0.0)
+        hot = engine._gibbs(strokes.h2, np.array([[0.2], [0.0]]))
         measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal(params, ps).theta, 0.0))
         rec = strokes.record(np.concatenate((np.broadcast_to(hot, (2,) + measured.shape), measured[None])))
         rows += zip(ps.tolist(), *rec.w_total.tolist(), rec.first_law_residual.max(axis=0).tolist())
@@ -233,7 +230,8 @@ def cmd_fig3(args) -> RunReport:
     rows = []
     for ps in spec.slices():
         # both candidates of every row in one pass, and the net work of each row's winner
-        rec, _ = optimize._dilation_candidates(_drive_grid(params, ps), t_c, net=True)
+        strokes = engine._strokes(params.omega_z, params.omega_x, params.beta_c, ps, 0.0)
+        rec, _ = optimize._dilation_candidates(strokes, t_c, net=True)
         nets = np.where(optimize._net_winner(rec), rec.net_work[1], rec.net_work[0])
         cells = zip(ps.tolist(), rec.w_total[0].tolist(), nets.tolist(), analytic.pvm_optimal(params, ps).work.tolist(),
                     rec.first_law_residual[0].tolist())
@@ -256,11 +254,11 @@ def cmd_fig4(args) -> RunReport:
     except ValueError as exc:
         raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
     crossing = analytic.reset_crossing_temperature(params)
-    v0, adiabatic = analytic.optimal_dilation_unitary(), engine._drive_unitaries(1.0, 0.0)
+    v0 = analytic.optimal_dilation_unitary()
     rows = []
     for t_cs in spec.slices():
         # one stacked pass from the shared h1 and an array of cold inverse temperatures, each row reset at its own t_c
-        strokes = engine._strokes(engine._cold_constants(args.omega_z, args.omega_x, 1.0 / t_cs), adiabatic)
+        strokes = engine._strokes(args.omega_z, args.omega_x, 1.0 / t_cs, 1.0, 0.0)
         residuals = strokes.dilate(v0, optimize._AUX, t_cs).first_law_residual
         rec = analytic.aux_cost_record(params, t_cs)
         rows += zip(t_cs.tolist(), [rec.delta_w] * t_cs.size, rec.min_cost.tolist(), residuals.tolist())

@@ -9,36 +9,35 @@ projective measurement on the auxiliary.
 
 Every cycle, grid and optimizer objective runs through one unchecked kernel
 broadcast over a leading row axis, a single cycle being its 0-d case: one
-stroke-I/II setup from the constants that :func:`_cold_constants` and
-:func:`_drive_unitaries` compute at field values that broadcast (a spec passes
-its own fields, a grid arrays of the swept ones, checked once by its caller),
-then a stroke-III method of :class:`Strokes` (a projective measurement, a
-dilation whose joint unitary may differ per row, or the record of any output
-state, such as hot Gibbs states), then :meth:`CycleRecord.from_energies`,
-which gives a grid one record whose fields are arrays over the rows.
+stroke-I/II setup, :func:`_strokes`, from the five field values omega_z,
+omega_x, beta_c, p and alpha, which broadcast (a spec passes its own fields, a
+grid arrays of the swept ones, checked once by its caller), then a stroke-III
+method of :class:`Strokes` (a projective measurement, a dilation whose joint
+unitary may differ per row, or the record of any output state, such as hot
+Gibbs states), then :meth:`CycleRecord.from_energies` at the setup's gap
+omega_x, which gives a grid one record whose fields are arrays over the rows.
 :func:`strokes_i_ii` is the setup's spec entry and ``run_*_cycle`` runs one
-cycle; stroke III takes only arrays built from checked specs or grids
-(``qotto fig2`` and the basis search pass theirs to :func:`_measure`), so
-inputs are checked when a spec type is built, and the reset temperature by one
+cycle; stroke III takes only arrays built from checked specs or grids (``qotto
+fig2`` and the basis search pass theirs to :func:`_measure`), so inputs are
+checked when a spec type is built, and the reset temperature by one
 EngineParams method.  A spec's constants are computed once, on its first use,
-and kept read-only: EngineParams its Hamiltonians, stroke-I Gibbs state and
-energy e0 (and the two-bath cycle's hot Gibbs state), DriveSpec its unitary
-and adjoint, MeasurementBasis its projectors.  A DriveSpec also keeps the
-stroke-I/II setup of the last EngineParams it ran with, matched by identity,
-so a cycle on a pair already used runs only stroke III and the ledger.
-PovmSpec's default auxiliary |+><+| and its initial entropy S_init are checked
-and computed once, at import; a given auxiliary is checked with one
-eigen-solve, which also yields its S_init, when the spec is built.  A dilation
-reads the auxiliary's entropy after the stroke off its outcome probabilities,
-so a cycle on specs already used runs no eigen-solver.  A copy or pickle of any
-spec is built anew from its fields, so it is checked again, read-only, and
-computes its own constants and stroke-I/II setup.
+and kept read-only: EngineParams the two-bath cycle's hot Gibbs state,
+MeasurementBasis its projectors, and a DriveSpec, in one slot matched by
+identity, the stroke-I/II setup of the last EngineParams it ran with, so a
+cycle on a pair already used runs only stroke III and the ledger.  PovmSpec's
+default auxiliary |+><+| and its initial entropy S_init are checked and
+computed once, at import; a given auxiliary is checked with one eigen-solve,
+which also yields its S_init, when the spec is built.  A dilation reads the
+auxiliary's entropy after the stroke off its outcome probabilities, so a cycle
+on specs already used runs no eigen-solver.  A copy or pickle of any spec is
+built anew from its fields, so it is checked again, read-only, and computes
+its own constants and stroke-I/II setup.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
 when the cycle delivers work.  Efficiency is w_total / q_h and is left
 undefined (None, or NaN in a grid's column) unless both q_h and w_total are
-positive, each above ENGINE_TOL times the largest |e_i| of its cycle.
+positive, each above ENGINE_TOL times the cycle's gap omega_x.
 """
 
 from __future__ import annotations
@@ -57,8 +56,10 @@ LN2 = math.log(2.0)
 
 TWO_PI = 2.0 * math.pi
 
-# Works and heats below this times the cycle's largest |e_i| are treated as zero when deciding whether it ran as
-# an engine, so rounding noise cannot fabricate an efficiency at any scale of the energies.
+# Works and heats below this times the cycle's gap omega_x are treated as zero when deciding whether it ran as an
+# engine.  h2 = (omega_x / 2) sigma_x is the cycle's operator of largest norm, so every energy of either route
+# carries rounding of order eps omega_x whatever the state, and noise cannot fabricate an efficiency at any scale
+# of the gaps or temperatures.
 ENGINE_TOL = 1e-12
 
 
@@ -125,14 +126,9 @@ class EngineParams:
         return t + 0.0
 
     @cached_property
-    def _strokes_i_constants(self) -> tuple:
-        # (h1, h2, rho0, e0) of this spec, computed on first use and read-only.
-        return tuple(map(_read_only, _cold_constants(self.omega_z, self.omega_x, self.beta_c)))
-
-    @cached_property
     def _hot_state(self) -> np.ndarray:
         # The stroke-III Gibbs state of the two-bath cycle, at h2 and beta_h, computed on first use and read-only.
-        return _read_only(_gibbs(self._strokes_i_constants[1], self.beta_h))
+        return _read_only(_gibbs(np.multiply.outer(0.5 * self.omega_x, SIGMA_X), self.beta_h))
 
     @property
     def v_z(self) -> float:
@@ -175,11 +171,6 @@ class DriveSpec:
             raise ValueError(f"p must lie in [1/2, 1], got {self.p}")
         if not (0.0 <= self.alpha < TWO_PI):
             raise ValueError(f"alpha must lie in [0, 2*pi), got {self.alpha}")
-
-    @cached_property
-    def _unitaries(self) -> tuple:
-        # (u, u^dag) of this spec, computed on first use and read-only.
-        return tuple(map(_read_only, _drive_unitaries(self.p, self.alpha)))
 
 
 def _basis_kets(theta, phi) -> np.ndarray:
@@ -318,8 +309,9 @@ class CycleRecord:
 
     Energies e0..e3 are the working-substance energies after strokes
     I..IV; w1/w2 are the stroke works, q_c/q_h the stroke heats.  ``eta``
-    is None whenever the cycle does not operate as an engine.  The two
-    aux_* fields are nonzero only for generalized-measurement cycles.
+    is None whenever the cycle does not operate as an engine, that is
+    unless q_h and w_total both exceed ENGINE_TOL times its gap omega_x.
+    The two aux_* fields are nonzero only for generalized-measurement cycles.
     A grid's record holds one float array per field, over the rows, with
     ``eta`` NaN in the rows where a single cycle's would be None.
     """
@@ -338,12 +330,13 @@ class CycleRecord:
     aux_reset_cost: float | np.ndarray = 0.0
 
     @classmethod
-    def from_energies(cls, e0, e1, e2, e3, aux_entropy=0.0, aux_reset_cost=0.0) -> CycleRecord:
-        """The ledger of a cycle whose strokes leave energies e0..e3.
+    def from_energies(cls, e0, e1, e2, e3, omega_x, aux_entropy=0.0, aux_reset_cost=0.0) -> CycleRecord:
+        """The ledger of a cycle at gap omega_x whose strokes leave energies e0..e3.
 
         Scalars (floats or 0-d arrays) give plain floats; if any argument is
         an array with a row axis, all are broadcast together and every field
-        is an array of that shape.
+        is an array of that shape.  The cycle runs as an engine where q_h and
+        w_total both exceed ENGINE_TOL * omega_x.
         """
         cols = (e0, e1, e2, e3, aux_entropy, aux_reset_cost)
         stacked = any(getattr(c, "ndim", 0) for c in cols)
@@ -356,8 +349,8 @@ class CycleRecord:
         w_total = 0.0 - (w1 + w2)  # a zero work is +0, where -(w1 + w2) gives -0
         q_h = e2 - e1
         q_c = e0 - e3
-        tol = ENGINE_TOL * (np.maximum.reduce if stacked else max)((abs(e0), abs(e1), abs(e2), abs(e3)))
-        runs = (q_h > tol) & (w_total > tol)  # the cycle runs as an engine, each row at the scale of its energies
+        tol = ENGINE_TOL * omega_x
+        runs = (q_h > tol) & (w_total > tol)
         if not stacked:
             eta = w_total / q_h if runs else None
         else:
@@ -397,7 +390,8 @@ class Strokes(NamedTuple):
     """Driven state rho1 and energies e0, e1 after strokes I-II; the stroke-III methods return the ledger.
 
     Stroke IV maps rho2 to u^dag rho2 u, so e3 = Tr(uh1u rho2) with the
-    stroke-IV energy operator uh1u = u h1 u^dag.  Stacked rows lead every field.
+    stroke-IV energy operator uh1u = u h1 u^dag.  The gap omega_x sets the
+    ledger's engine threshold.  Stacked rows lead every field.
     """
 
     rho1: np.ndarray
@@ -405,6 +399,7 @@ class Strokes(NamedTuple):
     e1: np.ndarray
     h2: np.ndarray
     uh1u: np.ndarray
+    omega_x: float | np.ndarray
 
     def energies(self, rho2):
         """(e2, e3) of a stroke-III output, or arrays of them for a stack."""
@@ -417,7 +412,8 @@ class Strokes(NamedTuple):
 
     def record(self, rho2, aux_entropy=0.0, aux_reset_cost=0.0) -> CycleRecord:
         """The ledger of the cycle through rho2: one record, with array fields for a stack."""
-        return CycleRecord.from_energies(self.e0, self.e1, *self.energies(rho2), aux_entropy, aux_reset_cost)
+        return CycleRecord.from_energies(self.e0, self.e1, *self.energies(rho2), self.omega_x, aux_entropy,
+                                         aux_reset_cost)
 
     def measure(self, projectors: np.ndarray) -> CycleRecord:
         """Stroke III as the non-selective measurement with a stack of rank-one outcome projectors (-3 axis)."""
@@ -458,11 +454,11 @@ def _drive_unitaries(p, alpha) -> tuple:
     return u, u.conj().swapaxes(-1, -2)
 
 
-def _strokes(cold: tuple, unitaries: tuple) -> Strokes:
-    # The one stroke-I/II setup, from the tuples of _cold_constants and _drive_unitaries, whose leading axes broadcast.
-    (h1, h2, rho0, e0), (u, u_dag) = cold, unitaries
+def _strokes(omega_z, omega_x, beta_c, p, alpha) -> Strokes:
+    # The one stroke-I/II setup at field values whose leading axes broadcast, unchecked.
+    (h1, h2, rho0, e0), (u, u_dag) = _cold_constants(omega_z, omega_x, beta_c), _drive_unitaries(p, alpha)
     rho1 = u @ rho0 @ u_dag
-    return Strokes(rho1=rho1, e0=e0, e1=_expect(h2, rho1), h2=h2, uh1u=u @ h1 @ u_dag)
+    return Strokes(rho1=rho1, e0=e0, e1=_expect(h2, rho1), h2=h2, uh1u=u @ h1 @ u_dag, omega_x=omega_x)
 
 
 def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
@@ -473,7 +469,8 @@ def strokes_i_ii(params: EngineParams, drive: DriveSpec) -> Strokes:
     """
     slot = vars(drive).get("_strokes_slot")  # (params, strokes); holding params keeps its id from being reused
     if slot is None or slot[0] is not params:
-        slot = params, Strokes._make(map(_read_only, _strokes(params._strokes_i_constants, drive._unitaries)))
+        strokes = _strokes(params.omega_z, params.omega_x, params.beta_c, drive.p, drive.alpha)
+        slot = params, Strokes._make(map(_read_only, strokes))
         vars(drive)["_strokes_slot"] = slot
     return slot[1]
 

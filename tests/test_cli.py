@@ -96,6 +96,18 @@ class TestCycleCommand:
         assert values["eta"] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert values["first_law_residual"] <= 1e-10
 
+    def test_rounding_noise_runs_no_engine(self, capsys):
+        # at beta_c = 1e-300, rho0 is I/2 to within 1e-300, so the printed w_total and q_h are rounding noise of
+        # order eps omega_x, below ENGINE_TOL omega_x: the cycle reports no efficiency
+        code, out, _ = run_cli(
+            capsys, "cycle", "--engine", "pvm", "--beta-c", "1e-300", "--p", "0.8", "--alpha", "1.0",
+            "--theta", "0.3", "--deterministic",
+        )
+        assert code == 0
+        values = parse_kv(out)
+        assert "eta = " in out.splitlines() and values["eta"] is None
+        assert 0.0 < values["w_total"] <= engine.ENGINE_TOL * 3.0 and 0.0 < values["q_h"]  # the default omega_x
+
     def test_conventional_example(self, capsys):
         code, out, _ = run_cli(
             capsys, "cycle", "--engine", "conventional", "--omega-x", "3", "--omega-z", "2",

@@ -53,7 +53,7 @@ def dilation(rho, spec):
     # marginal it hands to Strokes.record, the outcome probabilities it hands to qmat._entropy_bits)
     with mock.patch.object(engine.Strokes, "record", autospec=True, side_effect=engine.Strokes.record) as record, \
             mock.patch.object(qmat, "_entropy_bits", wraps=qmat._entropy_bits) as entropy:
-        rec = engine.Strokes(rho, 0.0, 0.0, ID2, ID2).dilate(spec.joint_unitary, spec, 1.0)
+        rec = engine.Strokes(rho, 0.0, 0.0, ID2, ID2, 2.0).dilate(spec.joint_unitary, spec, 1.0)  # h2 = (2/2) I
     (_, system, *_), _ = record.call_args
     (probabilities,), _ = entropy.call_args
     return rec, system, probabilities
@@ -184,23 +184,33 @@ class TestDriveAndBasis:
             np.testing.assert_allclose(pp @ pm, np.zeros((2, 2)), atol=1e-12)
 
 
+def cold_constants(params):
+    # (h1, h2, rho0, e0) that the stroke-I/II setup builds from the fields of params
+    return engine._cold_constants(params.omega_z, params.omega_x, params.beta_c)
+
+
+def drive_unitary(drive):
+    # the u that the stroke-I/II setup builds from the fields of drive
+    return engine._drive_unitaries(drive.p, drive.alpha)[0]
+
+
 class TestHamiltonians:
-    # the (h1, h2) an EngineParams keeps for its strokes
+    # the (h1, h2) of the stroke-I/II setup at an EngineParams
     def test_h1_diagonal(self):
         np.testing.assert_allclose(
-            P32._strokes_i_constants[0], np.diag([1.0, -1.0]).astype(complex), atol=1e-15
+            cold_constants(P32)[0], np.diag([1.0, -1.0]).astype(complex), atol=1e-15
         )
 
     def test_h2_eigenpairs(self):
         # eigenvectors carry no phase convention, so their projectors are compared
-        vals, vecs = qmat.hermitian_eig(P32._strokes_i_constants[1])
+        vals, vecs = qmat.hermitian_eig(engine.strokes_i_ii(P32, DriveSpec(p=0.8)).h2)
         np.testing.assert_allclose(vals, [-1.5, 1.5], atol=1e-12)
         np.testing.assert_allclose(np.outer(vecs[:, 1], vecs[:, 1].conj()), np.outer(KET_PLUS, KET_PLUS), atol=1e-12)
         np.testing.assert_allclose(np.outer(vecs[:, 0], vecs[:, 0].conj()), np.outer(KET_MINUS, KET_MINUS), atol=1e-12)
 
     def test_hadamard_relates_equal_gaps(self):
         p = EngineParams(omega_z=1.0, omega_x=1.0 + 1e-12, beta_c=1.0)
-        h1, h2 = p._strokes_i_constants[:2]
+        h1, h2 = cold_constants(p)[:2]
         np.testing.assert_allclose(HADAMARD @ h1 @ HADAMARD, h2, atol=1e-10)
 
 
@@ -231,21 +241,21 @@ class TestThermalState:
 
 
 class TestDriveUnitary:
-    # the (u, u^dag) a DriveSpec keeps, from engine._drive_unitaries
+    # the u of the stroke-I/II setup at a DriveSpec, from engine._drive_unitaries
     def test_adiabatic_columns(self):
-        u = DriveSpec(p=1.0)._unitaries[0]
+        u = drive_unitary(DriveSpec(p=1.0))
         np.testing.assert_allclose(u[:, 0], KET_PLUS, atol=1e-14)
         np.testing.assert_allclose(u[:, 1], -KET_MINUS, atol=1e-14)
 
     def test_sudden_limit_fixes_ground_state(self):
-        u = DriveSpec(p=0.5)._unitaries[0]
+        u = drive_unitary(DriveSpec(p=0.5))
         np.testing.assert_allclose(u[:, 0], [1.0, 0.0], atol=1e-14)
 
     def test_unitary_and_transition_probability(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
             d = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0.0, 2.0 * math.pi))
-            u = d._unitaries[0]
+            u = drive_unitary(d)
             np.testing.assert_allclose(u.conj().T @ u, ID2, atol=1e-12)
             np.testing.assert_allclose(u, drive_reference(d), atol=1e-12)
             amp = KET_PLUS.conj() @ u[:, 0]
@@ -744,22 +754,28 @@ class TestKernel:
             np.testing.assert_array_equal(row, single)
 
     def test_grid_rows_must_agree(self):
-        unitaries = engine._drive_unitaries(np.array([0.6, 0.7]), 0.0)
-        strokes = engine._strokes(P32._strokes_i_constants, unitaries)
+        ps = np.array([0.6, 0.7])
+        strokes = engine._strokes(P32.omega_z, P32.omega_x, P32.beta_c, ps, 0.0)
         with pytest.raises(ValueError):
             strokes.measure(engine.basis_projectors(np.ones(3), 0.0))
         with pytest.raises(ValueError):
             strokes.record(engine._gibbs(strokes.h2, np.full(3, 0.2)))
         with pytest.raises(ValueError):
-            engine._strokes(engine._cold_constants(np.full(3, 2.0), 3.0, 1.0), unitaries)
+            engine._strokes(np.full(3, 2.0), 3.0, 1.0, ps, 0.0)
 
     def test_stacked_drive_unitaries(self):
+        # stacked drives give each row the unitaries, and the stroke-I/II setup, of the drive's own fields
         drives = [DriveSpec(p=0.5), DriveSpec(p=0.8, alpha=1.2), DriveSpec(p=1.0, alpha=5.0)]
-        stack, stack_dag = engine._drive_unitaries(np.array([d.p for d in drives]), np.array([d.alpha for d in drives]))
+        ps, alphas = np.array([d.p for d in drives]), np.array([d.alpha for d in drives])
+        stack, stack_dag = engine._drive_unitaries(ps, alphas)
         assert stack.shape == stack_dag.shape == (3, 2, 2)
-        for u, u_dag, d in zip(stack, stack_dag, drives):
-            np.testing.assert_array_equal(u, d._unitaries[0])
-            np.testing.assert_array_equal(u_dag, d._unitaries[1])
+        strokes = engine._strokes(P32.omega_z, P32.omega_x, P32.beta_c, ps, alphas)
+        for i, (u, u_dag, d) in enumerate(zip(stack, stack_dag, drives)):
+            single = engine._drive_unitaries(d.p, d.alpha)
+            np.testing.assert_array_equal(u, single[0])
+            np.testing.assert_array_equal(u_dag, single[1])
+            spec = engine.strokes_i_ii(P32, d)
+            assert strokes.rho1[i].tobytes() == spec.rho1.tobytes() and strokes.uh1u[i].tobytes() == spec.uh1u.tobytes()
 
     def test_stacked_cold_constants(self):
         # gaps and cold inverse temperatures broadcast: one shared h1 with an array of beta_c, as fig4 runs
@@ -767,9 +783,10 @@ class TestKernel:
         h1, h2, rho0, e0 = engine._cold_constants(2.0, 5.0, 1.0 / np.array([0.05, 0.7, 4.0]))
         assert h1.shape == h2.shape == (2, 2) and rho0.shape == (3, 2, 2) and e0.shape == (3,)
         for i, spec in enumerate(specs):
-            single = spec._strokes_i_constants
+            single = cold_constants(spec)
             assert h1.tobytes() == single[0].tobytes() and h2.tobytes() == single[1].tobytes()
             assert rho0[i].tobytes() == single[2].tobytes() and float(e0[i]).hex() == float(single[3]).hex()
+            assert float(e0[i]).hex() == float(engine.strokes_i_ii(spec, DriveSpec(p=1.0)).e0).hex()
 
 
 def cycle_specs(p, theta):
@@ -832,10 +849,9 @@ class TestSpecConstants:
     def test_cached_arrays_are_read_only(self):
         params, drive, basis, povm = cycle_specs(0.8, 1.1)
         three_cycles(params, drive, basis, povm)
-        h1, h2, rho0, e0 = params._strokes_i_constants
         strokes = vars(drive)["_strokes_slot"][1]  # the drive's stroke-I/II setup with params
-        assert not isinstance(e0, np.ndarray) and not isinstance(strokes.e1, np.ndarray)  # numpy scalars, immutable
-        for a in (h1, h2, rho0, params._hot_state, *drive._unitaries, strokes.rho1, strokes.uh1u, basis.projectors(),
+        assert not isinstance(strokes.e0, np.ndarray) and not isinstance(strokes.e1, np.ndarray)  # numpy scalars
+        for a in (strokes.h2, params._hot_state, strokes.rho1, strokes.uh1u, basis.projectors(),
                   povm.aux_basis.projectors()):
             with pytest.raises(ValueError):
                 a[...] = 0.0
@@ -843,22 +859,28 @@ class TestSpecConstants:
 
     def test_replace_copy_and_pickle_give_a_fresh_cache(self):
         params, drive, basis, _ = cycle_specs(0.8, 1.1)
+        run_conventional_cycle(params, drive)
         run_pvm_cycle(params, drive, basis)
         assert "_strokes_slot" in vars(drive)
-        for spec, name, change in (
-            (params, "_strokes_i_constants", {"omega_z": 1.0}),
-            (drive, "_unitaries", {"p": 0.6}),
-            (basis, "_projectors", {"theta_x": 0.4}),
+
+        def setup_arrays(drive):  # the arrays of a drive's stroke-I/II setup with params, built into its slot
+            strokes = engine.strokes_i_ii(params, drive)
+            return strokes.rho1, strokes.uh1u
+
+        for spec, name, cached_arrays, change in (
+            (params, "_hot_state", lambda s: s._hot_state, {"beta_h": 0.1}),
+            (drive, "_strokes_slot", setup_arrays, {"p": 0.6}),
+            (basis, "_projectors", lambda s: s._projectors, {"theta_x": 0.4}),
         ):
             assert name in vars(spec)
-            cached = getattr(spec, name)
+            cached = cached_arrays(spec)
             other = dataclasses.replace(spec, **change)
             assert not {name, "_strokes_slot"} & vars(other).keys()
-            assert not np.array_equal(getattr(other, name)[0], cached[0])
+            assert not np.array_equal(cached_arrays(other)[0], cached[0])
             copies = (dataclasses.replace(spec), copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec)))
             for same in copies:
                 assert same == spec and not {name, "_strokes_slot"} & vars(same).keys()
-                again = getattr(same, name)
+                again = cached_arrays(same)
                 for x, y in zip(*(z if isinstance(z, tuple) else (z,) for z in (again, cached))):
                     assert x is not y and not x.flags.writeable
                     np.testing.assert_array_equal(x, y)
@@ -931,11 +953,11 @@ def scaled_grid_rows(point, s):
     wz, wx, bc, bh, *_ = point
     params = EngineParams(s * wz, s * wx, bc / s)
     ps, t_cs = np.linspace(0.5, 1.0, 7), s * np.linspace(0.05, 4.0, 7)
-    strokes = engine._strokes(params._strokes_i_constants, engine._drive_unitaries(ps, 0.0))
+    strokes = engine._strokes(params.omega_z, params.omega_x, params.beta_c, ps, 0.0)
     measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal(params, ps).theta, 0.0))
     hot = engine._gibbs(strokes.h2, np.array([[bh / s], [0.0]]))
     fig2 = strokes.record(np.concatenate((np.broadcast_to(hot, (2,) + measured.shape), measured[None])))
-    strokes = engine._strokes(engine._cold_constants(s * wz, s * wx, 1.0 / t_cs), engine._drive_unitaries(1.0, 0.0))
+    strokes = engine._strokes(s * wz, s * wx, 1.0 / t_cs, 1.0, 0.0)
     fig4 = strokes.dilate(analytic.optimal_dilation_unitary(), PovmSpec(joint_unitary=ID4), t_cs)
     return {"fig2": fig2, "fig4": fig4}
 

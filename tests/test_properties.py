@@ -1,6 +1,7 @@
 """Property tests: the simulated ledgers equal their closed forms everywhere,
-to 1e-10 and, at every scale of the gaps, to 16 eps omega_x; every row of a
-stacked grid equals the single cycle on its specs, as every row of stacked
+to 1e-10 and, at every scale of the gaps, to 16 eps omega_x, and both routes
+report an efficiency at the same points, never one made of rounding; every row
+of a stacked grid equals the single cycle on its specs, as every row of stacked
 dilation optima equals the single optimizer call.
 
 Hypothesis runs derandomized and without an example database, so every
@@ -15,6 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +28,7 @@ from qotto.engine import (
     EngineParams,
     MeasurementBasis,
     PovmSpec,
-    _cold_constants,
-    _drive_unitaries,
+    ENGINE_TOL,
     _gibbs,
     _strokes,
     basis_projectors,
@@ -71,9 +72,22 @@ def with_edges(test):
     return test
 
 
-def assert_ledgers_equal(sim, ref):
+EPS = np.finfo(float).eps
+
+
+def assert_same_engine(sim, ref, omega_x):
+    # Both routes run as an engine where w_total and q_h exceed ENGINE_TOL omega_x, and their fields differ by less
+    # than 16 eps omega_x, so both report an efficiency or neither does wherever the closed form's w_total and q_h
+    # lie more than 32 eps omega_x from that threshold.
+    tol, band = ENGINE_TOL * omega_x, 32.0 * EPS * omega_x
+    if abs(ref.w_total - tol) > band and abs(ref.q_h - tol) > band:
+        assert (sim.eta is None) == (ref.eta is None), (sim.eta, ref.eta)
+
+
+def assert_ledgers_equal(sim, ref, omega_x):
     for name in FIELDS:
         assert abs(getattr(sim, name) - getattr(ref, name)) <= TOL, name
+    assert_same_engine(sim, ref, omega_x)
     # eta = w_total / q_h amplifies rounding where q_h is small
     if ref.q_h > 0.1 and abs(ref.w_total) > TOL:
         assert (sim.eta is None) == (ref.eta is None)
@@ -91,7 +105,7 @@ def _params(omega_z, gamma, beta_c, hot_fraction):
 def test_conventional_cycle_matches_closed_form(omega_z, gamma, beta_c, hot_fraction, p, alpha, theta, phi):
     params = _params(omega_z, gamma, beta_c, hot_fraction)
     sim = run_conventional_cycle(params, DriveSpec(p, alpha))
-    assert_ledgers_equal(sim, analytic.conventional_record(params, p))
+    assert_ledgers_equal(sim, analytic.conventional_record(params, p), params.omega_x)
 
 
 @PROPERTY_SETTINGS
@@ -102,7 +116,7 @@ def test_pvm_cycle_matches_closed_form(omega_z, gamma, beta_c, hot_fraction, p, 
     drive = DriveSpec(p, alpha)
     basis = MeasurementBasis(theta, phi)
     sim = run_pvm_cycle(params, drive, basis)
-    assert_ledgers_equal(sim, analytic.pvm_nonadiabatic_record(params, drive, basis))
+    assert_ledgers_equal(sim, analytic.pvm_nonadiabatic_record(params, drive, basis), params.omega_x)
 
 
 # The same two ledgers over every scale EngineParams accepts, held to a bound relative to it beside the absolute
@@ -142,6 +156,7 @@ def scaled_params(omega_x, gamma_minus_1, beta_omega, hot_fraction):
 def assert_ledgers_within_scale(sim, ref, omega_x):
     for name in FIELDS:
         assert abs(getattr(sim, name) - getattr(ref, name)) <= REL_TOL * omega_x, name
+    assert_same_engine(sim, ref, omega_x)
 
 
 def with_scale_edges(test):
@@ -171,6 +186,33 @@ def test_pvm_cycle_matches_closed_form_at_every_scale(
     drive, basis = DriveSpec(p, alpha), MeasurementBasis(theta, phi)
     sim = run_pvm_cycle(params, drive, basis)
     assert_ledgers_within_scale(sim, analytic.pvm_nonadiabatic_record(params, drive, basis), omega_x)
+
+
+# No efficiency made of rounding.  As beta_c omega_x falls towards 1e-300, rho0 tends to I/2 and the true works
+# and heats of a cycle to zero, while the kernel's rounding of each stroke energy stays of order eps omega_x.  Where
+# either route reports an efficiency, it lies under the cycle's bound: 1 for a projective measurement, the Otto
+# value 1 - omega_z / omega_x for two baths.  eta is set only where q_h exceeds ENGINE_TOL omega_x, and w_total and
+# q_h lie within 16 eps omega_x of their exact values, so rounding moves an eta of at most 1 by at most
+# 16 eps (1 + 1) / ENGINE_TOL, about 7e-3.
+ETA_ROUNDING = 32.0 * EPS / ENGINE_TOL
+
+
+@pytest.mark.parametrize("beta_c", [1e-300, 1e-30, 1e-15, 1e-13, 1e-6, 1.0, 1e3])
+def test_no_efficiency_made_of_rounding(beta_c):
+    rng = np.random.default_rng(19)  # the same 200 points at every beta_c
+    for _ in range(200):
+        omega_z, omega_x = 2.0, rng.uniform(2.02, 8.0)
+        params = EngineParams(omega_z, omega_x, beta_c, beta_h=rng.uniform(0.0, 0.95) * beta_c)
+        drive = DriveSpec(rng.uniform(0.5, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+        basis = MeasurementBasis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+        for sim, ref, bound in (
+            (run_conventional_cycle(params, drive), analytic.conventional_record(params, drive.p),
+             1.0 - omega_z / omega_x),
+            (run_pvm_cycle(params, drive, basis), analytic.pvm_nonadiabatic_record(params, drive, basis), 1.0),
+        ):
+            for rec in (sim, ref):
+                assert rec.eta is None or rec.eta <= bound + ETA_ROUNDING, (rec.eta, bound)
+            assert_same_engine(sim, ref, omega_x)
 
 
 # Grid rows: the stroke-I/II setup on arrays of the swept fields, then a
@@ -253,8 +295,7 @@ def test_grid_rows_equal_single_cycles(rows, povm):
     params, drives, bases = grid_specs(rows)
     omega_z, omega_x, beta_c, beta_h, p, alpha, thetas, phis = grid_arrays(rows)
     spec = povm_spec(*povm)
-    unitaries = _drive_unitaries(p, alpha)
-    strokes = _strokes(_cold_constants(omega_z, omega_x, beta_c), unitaries)
+    strokes = _strokes(omega_z, omega_x, beta_c, p, alpha)
 
     def dilate(strokes, reset_temperature):
         return strokes.dilate(spec.joint_unitary, spec, reset_temperature)
@@ -277,7 +318,9 @@ def test_grid_rows_equal_single_cycles(rows, povm):
     )
     # a field shared by every row broadcasts: fig2 shares its parameters' constants, fig4 its gaps and drive
     assert_rows_bitwise(
-        _strokes(params[0]._strokes_i_constants, unitaries).measure(basis_projectors(thetas, phis)),
+        _strokes(params[0].omega_z, params[0].omega_x, params[0].beta_c, p, alpha).measure(
+            basis_projectors(thetas, phis)
+        ),
         [run_pvm_cycle(params[0], d, b) for d, b in zip(drives, bases)],
     )
     assert_rows_bitwise(
@@ -289,7 +332,7 @@ def test_grid_rows_equal_single_cycles(rows, povm):
         [run_pvm_cycle(p, d, bases[0]) for p, d in zip(params, drives)],
     )
     assert_rows_bitwise(
-        dilate(_strokes(_cold_constants(omega_z[0], omega_x[0], beta_c), drives[0]._unitaries), 1.0 / beta_c),
+        dilate(_strokes(omega_z[0], omega_x[0], beta_c, drives[0].p, drives[0].alpha), 1.0 / beta_c),
         [run_povm_cycle(EngineParams(omega_z[0], omega_x[0], bc), drives[0], spec) for bc in beta_c.tolist()],
     )
 
@@ -323,7 +366,7 @@ def test_stacked_optima_equal_single_calls(rows, t_c):
     params = [EngineParams(wz, g * wz, bc) for wz, g, bc, _, _ in rows]
     drives = [DriveSpec(p, alpha) for *_, p, alpha in rows]
     omega_z, gamma, beta_c, p, alpha = map(np.array, zip(*rows))
-    strokes = _strokes(_cold_constants(omega_z, gamma * omega_z, beta_c), _drive_unitaries(p, alpha))
+    strokes = _strokes(omega_z, gamma * omega_z, beta_c, p, alpha)
     both, vs = optimize._dilation_candidates(strokes, t_c, net=True)
     gross_only, gross_vs = optimize._dilation_candidates(strokes, t_c, net=False)
     n = len(rows)
