@@ -25,7 +25,6 @@ from .engine import LN2, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 UNITS_BANNER = "energies in hbar*Omega_0; temperatures in hbar*Omega_0/k_B"
 
 SWEEP_VARIABLES = ("p", "t_c")
-GRID_SLICE = 4096  # grid points per stacked pass, which bounds the ledgers held at once
 _BLOCH_BASIS = np.stack([qmat.ID2, qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z])  # optimize-povm's E0_I, E0_x, E0_y, E0_z
 
 
@@ -60,8 +59,8 @@ class SweepSpec:
             raise ValueError(f"cannot allocate a grid of {self.points} points") from None
 
     def slices(self) -> list[np.ndarray]:
-        """values() in consecutive slices of at most GRID_SLICE points, the arrays a grid passes to the kernel."""
-        return np.split(self.values(), range(GRID_SLICE, self.points, GRID_SLICE))
+        """values() in consecutive slices of at most engine.GRID_SLICE points, one stacked kernel pass each."""
+        return np.split(self.values(), range(engine.GRID_SLICE, self.points, engine.GRID_SLICE))
 
 
 @dataclass(frozen=True)

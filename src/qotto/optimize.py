@@ -2,9 +2,10 @@
 
 Both evaluate cycles through the engine's kernel
 (:func:`qotto.engine.strokes_i_ii` and its stroke-III kernels).  The
-measurement-basis search scans a grid one theta-row of stacked
-projectors at a time, then polishes the best grid point by simplex
-refinement.  The dilation optima need no search: the gross work is
+measurement-basis search scans a grid of stacked projectors in blocks
+of whole theta-rows of at most ``engine.GRID_SLICE`` points, then
+polishes the best grid point by simplex refinement.
+The dilation optima need no search: the gross work is
 linear in the dilated state, so a passive-state rearrangement of the
 eigenvectors of the driven state onto those of h2 - u h1 u^dag maximizes
 it (Allahverdyan, Balian & Nieuwenhuizen, EPL 67, 565 (2004)), and the
@@ -22,6 +23,7 @@ re-simulating it reproduces the value bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +106,16 @@ def optimize_pvm_basis(
 ) -> OptResult:
     """Maximize simulated projective-cycle work over the measurement basis.
 
-    A grid_size x grid_size scan of (theta_x, phi_x), one theta-row at a
-    time, seeds a simplex refinement; the reported value is the full cycle
-    re-simulated at the winning basis.  ``cfg`` has no effect and is kept
-    for existing callers.
+    A grid_size x grid_size scan of (theta_x, phi_x), in blocks of whole
+    theta-rows of at most ``engine.GRID_SLICE`` points, seeds a simplex
+    refinement from its first maximum in row-major order; the reported
+    value is the full cycle re-simulated at the winning basis.  ``cfg``
+    has no effect and is kept for existing callers.
     """
+    try:
+        grid_size = operator.index(grid_size)
+    except TypeError:
+        raise ValueError(f"grid_size must be an integer, got {grid_size!r}") from None
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
 
@@ -124,12 +131,13 @@ def optimize_pvm_basis(
 
     thetas = np.linspace(0.0, math.pi, grid_size)
     phis = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
+    rows = max(1, engine.GRID_SLICE // grid_size)
     best_f, best_x = -math.inf, (0.0, 0.0)
-    for th in thetas:  # grid points lie on the chart, so they need no wrapping
-        row = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(th, phis)))
-        j = int(np.argmax(row))
-        if row[j] > best_f:
-            best_f, best_x = float(row[j]), (th, phis[j])
+    for k in range(0, grid_size, rows):  # grid points lie on the chart, so they need no wrapping
+        block = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(thetas[k:k + rows, None], phis)))
+        i, j = divmod(int(np.argmax(block)), grid_size)  # the first maximum; a later block must exceed it strictly
+        if block[i, j] > best_f:
+            best_f, best_x = float(block[i, j]), (thetas[k + i], phis[j])
     evaluations += grid_size * grid_size
 
     res = minimize(

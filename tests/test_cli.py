@@ -70,9 +70,9 @@ class TestSweepSpec:
         np.testing.assert_allclose(SweepSpec("p", 0.5, 1.0, 3).values(), [0.5, 0.75, 1.0])
 
     def test_slices_cover_the_grid_in_order(self):
-        spec = SweepSpec("t_c", 0.1, 3.0, 2 * cli.GRID_SLICE + 3)
+        spec = SweepSpec("t_c", 0.1, 3.0, 2 * engine.GRID_SLICE + 3)
         slices = spec.slices()
-        assert [len(s) for s in slices] == [cli.GRID_SLICE, cli.GRID_SLICE, 3]
+        assert [len(s) for s in slices] == [engine.GRID_SLICE, engine.GRID_SLICE, 3]
         assert np.concatenate(slices).tolist() == spec.values().tolist()
 
     @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
@@ -172,7 +172,7 @@ class TestCycleCommand:
 
 class TestFig2Command:
     def test_grid_longer_than_a_slice(self, capsys):
-        n = cli.GRID_SLICE + 2
+        n = engine.GRID_SLICE + 2
         code, out, _ = run_cli(capsys, "fig2", "--grid-points", str(n), "--deterministic")
         assert code == 0
         _, rows = parse_csv(out)
@@ -332,7 +332,7 @@ class TestStackedRows:
 
     def test_fig2_builds_one_record_per_slice(self, capsys, built):
         # its three columns are one (3, n) stack: two hot baths and the measurement
-        for points, slices in ((101, 1), (cli.GRID_SLICE + 4, 2)):
+        for points, slices in ((101, 1), (engine.GRID_SLICE + 4, 2)):
             built.update(CycleRecord=0)
             code, _, _ = run_cli(capsys, "fig2", "--grid-points", str(points), "--deterministic")
             assert code == 0
@@ -366,7 +366,7 @@ class TestOneStrokesPassPerSlice:
 
     @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
     def test_one_strokes_pass_per_slice(self, capsys, monkeypatch, counts, command):
-        monkeypatch.setattr(cli, "GRID_SLICE", 4)
+        monkeypatch.setattr(engine, "GRID_SLICE", 4)
         for points, slices in ((4, 1), (9, 3), (21, 6)):
             counts.update(_strokes=0)
             code, _, _ = run_cli(capsys, command, "--grid-points", str(points), "--deterministic")
@@ -386,7 +386,7 @@ class TestOneStrokesPassPerSlice:
             return f(params, x, *args)
 
         monkeypatch.setattr(analytic, closed_form, counted)
-        monkeypatch.setattr(cli, "GRID_SLICE", 4)
+        monkeypatch.setattr(engine, "GRID_SLICE", 4)
         for points, sizes in ((4, [4]), (9, [4, 4, 1]), (21, [4] * 5 + [1])):
             calls.clear()
             code, _, _ = run_cli(capsys, command, "--grid-points", str(points), "--deterministic")
@@ -407,7 +407,7 @@ class TestOneStrokesPassPerSlice:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counted)
-        for points in (2, 101, cli.GRID_SLICE + 4):
+        for points in (2, 101, engine.GRID_SLICE + 4):
             counts.update(dict.fromkeys(built, 0))
             code, _, _ = run_cli(capsys, command, "--grid-points", str(points), "--deterministic")
             assert code == 0
@@ -416,7 +416,7 @@ class TestOneStrokesPassPerSlice:
     def test_fig3_slices_keep_the_bytes(self, capsys, monkeypatch):
         for argv in (("fig3",), ("fig3", "--panel", "b", "--beta-c", "3", "--t-c", "0.4", "--grid-points", "23")):
             _, whole, _ = run_cli(capsys, *argv, "--deterministic")
-            monkeypatch.setattr(cli, "GRID_SLICE", 4)
+            monkeypatch.setattr(engine, "GRID_SLICE", 4)
             _, sliced, _ = run_cli(capsys, *argv, "--deterministic")
             monkeypatch.undo()
             assert sliced == whole
@@ -460,7 +460,7 @@ class TestFig4Command:
     def test_rows_are_the_scalar_closed_form_to_the_printed_byte(self, capsys):
         # every printed cost, advantage and crossing is f"{x:.12g}" of the scalar closed form at that t_c
         rng = np.random.default_rng(21)
-        for points in (2, 80, 80, 173, cli.GRID_SLICE + 4):
+        for points in (2, 80, 80, 173, engine.GRID_SLICE + 4):
             omega_z = float(rng.uniform(1.0, 3.0))
             omega_x = omega_z * float(rng.uniform(1.1, 4.0))
             start, stop = float(rng.uniform(0.05, 0.2)), float(rng.uniform(2.0, 5.0))

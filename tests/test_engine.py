@@ -742,7 +742,7 @@ class TestKernel:
         optimize_pvm_basis(params, drive, grid_size=8)
 
     def test_stacked_projectors_match_single_bases(self):
-        # a theta-row of stacked projectors gives bitwise the per-basis cycle work
+        # a theta-row of stacked projectors, and a (theta-block x phi) stack, give bitwise the per-basis cycle work
         rng = np.random.default_rng(16)
         for _ in range(5):
             drive = DriveSpec(p=rng.uniform(0.5, 1.0), alpha=rng.uniform(0.0, 2.0 * math.pi))
@@ -752,6 +752,10 @@ class TestKernel:
             row = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(theta, phis)))
             single = [run_pvm_cycle(P52, drive, MeasurementBasis(theta, ph)).w_total for ph in phis]
             np.testing.assert_array_equal(row, single)
+            thetas = rng.uniform(0.0, math.pi, size=3)
+            block = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(thetas[:, None], phis)))
+            single = [[run_pvm_cycle(P52, drive, MeasurementBasis(th, ph)).w_total for ph in phis] for th in thetas]
+            np.testing.assert_array_equal(block, single)
 
     def test_grid_rows_must_agree(self):
         ps = np.array([0.6, 0.7])

@@ -123,6 +123,30 @@ class TestPvmBasisOptimizer:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             optimize_pvm_basis(P32, DriveSpec(p=1.0), grid_size=1)
+        for bad in (2.5, "8"):
+            with pytest.raises(ValueError, match="grid_size"):
+                optimize_pvm_basis(P32, DriveSpec(p=1.0), grid_size=bad)
+
+    def test_block_size_changes_no_result(self, monkeypatch):
+        # a scan in blocks of one theta-row each (GRID_SLICE 4) and one at the default block size pick the same grid
+        # point, so the polish and its result agree bit for bit, at p = 1/2, 1 (phi-degenerate ties) and inside, and
+        # inside with gaps near 1e+200 and 1e-200 (beta_c scaled inversely); at grid 30 the default scan is one block
+        # and exact ties of the maximum between theta-rows decide the start of the polish
+        rng = np.random.default_rng(28)
+        cases = []
+        for p, scale in ((0.5, 1.0), (1.0, 1.0), (None, 1.0), (None, 1e200), (None, 1e-200)):
+            omega_z = rng.uniform(1.0, 3.0)
+            params = EngineParams(omega_z * scale, 2.0 * omega_z * scale, rng.uniform(0.2, 3.0) / scale)
+            drive = DriveSpec(rng.uniform(0.5, 1.0) if p is None else p, rng.uniform(0.0, TWO_PI))
+            cases += [(params, drive, g) for g in (2, 7, 30, 64, 100)]
+
+        def summary(res):
+            b = res.best_point
+            return res.best_value.hex(), b.theta_x.hex(), b.phi_x.hex(), res.evaluations, res.converged
+
+        default = [summary(optimize_pvm_basis(*case[:2], grid_size=case[2])) for case in cases]
+        monkeypatch.setattr(engine, "GRID_SLICE", 4)
+        assert [summary(optimize_pvm_basis(*case[:2], grid_size=case[2])) for case in cases] == default
 
     def test_matches_the_exact_optimum(self):
         # the search against the re-simulated top eigenvector of the 3x3 quadratic form, at seeded points with any
