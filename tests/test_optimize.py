@@ -130,8 +130,10 @@ class TestPvmBasisOptimizer:
     def test_block_size_changes_no_result(self, monkeypatch):
         # a scan in blocks of one theta-row each (GRID_SLICE 4) and one at the default block size pick the same grid
         # point, so the polish and its result agree bit for bit, at p = 1/2, 1 (phi-degenerate ties) and inside, and
-        # inside with gaps near 1e+200 and 1e-200 (beta_c scaled inversely); at grid 30 the default scan is one block
-        # and exact ties of the maximum between theta-rows decide the start of the polish
+        # inside with gaps near 1e+200 and 1e-200 (beta_c scaled inversely); at beta_c = 1e-300 rho1 is I/2 to
+        # rounding, every basis does the same work, and the maximum ties exactly between theta-rows, so the first
+        # maximum and the strict between-block comparison decide the start of the polish; at grid 30 the default
+        # scan is one block
         rng = np.random.default_rng(28)
         cases = []
         for p, scale in ((0.5, 1.0), (1.0, 1.0), (None, 1.0), (None, 1e200), (None, 1e-200)):
@@ -139,6 +141,10 @@ class TestPvmBasisOptimizer:
             params = EngineParams(omega_z * scale, 2.0 * omega_z * scale, rng.uniform(0.2, 3.0) / scale)
             drive = DriveSpec(rng.uniform(0.5, 1.0) if p is None else p, rng.uniform(0.0, TWO_PI))
             cases += [(params, drive, g) for g in (2, 7, 30, 64, 100)]
+        for p in (1.0, None):
+            omega_z = rng.uniform(1.0, 3.0)
+            drive = DriveSpec(rng.uniform(0.5, 1.0) if p is None else p, rng.uniform(0.0, TWO_PI))
+            cases += [(EngineParams(omega_z, 2.0 * omega_z, 1e-300), drive, g) for g in (7, 8, 30, 64, 100)]
 
         def summary(res):
             b = res.best_point
@@ -150,7 +156,8 @@ class TestPvmBasisOptimizer:
 
     def test_matches_the_exact_optimum(self):
         # the search against the re-simulated top eigenvector of the 3x3 quadratic form, at seeded points with any
-        # drive phase, p at 1/2, 1 or inside, and every fourth (one of each p) at a gap ratio of exactly 2
+        # drive phase, p at 1/2, 1 or inside, and every fourth (one of each p) at a gap ratio of exactly 2, on even
+        # grids and on odd ones, whose half scan visits bases the full grid did not
         rng = np.random.default_rng(26)
         for k in range(12):
             omega_z = rng.uniform(1.0, 3.0)
@@ -158,7 +165,54 @@ class TestPvmBasisOptimizer:
             params = EngineParams(omega_z, gamma * omega_z, math.exp(rng.uniform(math.log(0.1), math.log(5.0))))
             drive = DriveSpec((0.5, 1.0, rng.uniform(0.5, 1.0))[k % 3], rng.uniform(0.0, TWO_PI))
             exact = engine.run_pvm_cycle(params, drive, pvm_exact_optimum(params, drive)).w_total
-            assert optimize_pvm_basis(params, drive).best_value == pytest.approx(exact, abs=1e-12)
+            for g in (2, 3, 7, 8, 64, 256):
+                assert optimize_pvm_basis(params, drive, grid_size=g).best_value == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("g", [2, 4, 8, 64, 256])
+    def test_lower_rows_repeat_the_upper_ones(self, g):
+        # on an even grid, (theta[g-1-i], phi[j + g/2]) is the basis at (theta[i], phi[j]) with its outcomes swapped
+        thetas = np.linspace(0.0, math.pi, g)
+        phis = np.linspace(0.0, TWO_PI, g, endpoint=False)
+        upper = engine.basis_projectors(thetas[:, None], phis)
+        lower = engine.basis_projectors(thetas[::-1, None], np.roll(phis, -(g // 2)))
+        np.testing.assert_allclose(lower, upper[..., ::-1, :, :], rtol=0.0, atol=8 * np.finfo(float).eps)
+
+    def test_half_scan_keeps_the_grid_maximum(self):
+        # on an even grid the rows with theta <= pi/2 reach the maximum work of the whole grid, up to rounding
+        rng = np.random.default_rng(29)
+        for k in range(10):
+            omega_z = rng.uniform(1.0, 3.0)
+            params = EngineParams(omega_z, rng.uniform(1.1, 4.0) * omega_z, rng.uniform(0.2, 3.0))
+            drive = DriveSpec((0.5, 1.0, rng.uniform(0.5, 1.0))[k % 3], rng.uniform(0.0, TWO_PI))
+            strokes = engine.strokes_i_ii(params, drive)
+            for g in (2, 4, 8, 64, 256):
+                thetas = np.linspace(0.0, math.pi, g)
+                phis = np.linspace(0.0, TWO_PI, g, endpoint=False)
+                grid = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(thetas[:, None], phis)))
+                assert abs(grid[: g // 2].max() - grid.max()) <= 8 * np.finfo(float).eps * params.omega_x
+
+    @pytest.mark.parametrize("g", [2, 3, 7, 8, 51, 64, 65])
+    def test_scans_the_rows_up_to_the_equator(self, g, monkeypatch):
+        # the scanned theta-rows are the first ceil(g/2) of the grid, an odd grid's last one its middle row at
+        # pi/2 (linspace puts it one ulp above at g = 51); evaluations counts their points, the polish and the
+        # final cycle, each of which builds one pair of projectors
+        rows, single = [], 0
+        projectors = engine.basis_projectors
+
+        def recording(theta, phi):
+            nonlocal single
+            if np.ndim(theta) == 2:
+                rows.extend(theta[:, 0])
+            else:
+                single += 1
+            return projectors(theta, phi)
+
+        monkeypatch.setattr(engine, "basis_projectors", recording)
+        res = optimize_pvm_basis(P32, DriveSpec(p=0.8, alpha=1.0), grid_size=g)
+        assert rows == np.linspace(0.0, math.pi, g)[: (g + 1) // 2].tolist()
+        if g % 2:
+            assert abs(rows[-1] - math.pi / 2.0) <= math.ulp(math.pi / 2.0)
+        assert res.evaluations == len(rows) * g + single
 
     @pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.6, -0.48, 0.64), (-0.28, 0.0, -0.96)])
     def test_chart_round_trip(self, n):
