@@ -20,11 +20,15 @@ omega_x, which gives a grid one record whose fields are arrays over the rows.
 cycle; stroke III takes only arrays built from checked specs or grids (``qotto
 fig2`` and the basis search pass theirs to :func:`_measure`), so inputs are
 checked when a spec type is built, and the reset temperature by one
-EngineParams method.  A spec's constants are computed once, on its first use,
-and kept read-only: EngineParams the two-bath cycle's hot Gibbs state,
-MeasurementBasis its projectors, and a DriveSpec, in one slot matched by
-identity, the stroke-I/II setup of the last EngineParams it ran with, so a
-cycle on a pair already used runs only stroke III and the ledger.  PovmSpec's
+EngineParams method.  A measurement basis's outcome projectors are
+(I +- n.sigma)/2 of its Bloch axis n, filled in from real sines and cosines
+of its chart angles by :func:`basis_projectors`, for one basis or a stack;
+only a PovmSpec's Kraus operators use the basis kets.  A spec's constants
+are computed once, on its first use, and kept read-only: EngineParams the
+two-bath cycle's hot Gibbs state, MeasurementBasis its projectors, and a
+DriveSpec, in one slot matched by identity, the stroke-I/II setup of the last
+EngineParams it ran with, so a cycle on a pair already used runs only stroke
+III and the ledger.  PovmSpec's
 default auxiliary |+><+| and its initial entropy S_init are checked and
 computed once, at import; a given auxiliary is checked with one eigen-solve,
 which also yields its S_init, when the spec is built.  A dilation reads the
@@ -62,9 +66,9 @@ TWO_PI = 2.0 * math.pi
 # of the gaps or temperatures.
 ENGINE_TOL = 1e-12
 
-# Grid points per stacked pass, a slice of a sweep or a block of whole theta-rows of the basis scan, which bounds the
-# arrays held at once.  Measured on the basis scan at grid 256: passes of 4096 points ran about 25% slower per point
-# than 1024, and 2048 within 5% of it.
+# Grid points per stacked pass, which bounds the arrays held at once: a slice of a sweep, or a pass of the basis scan,
+# a block of whole theta-rows or, where a row is longer than this, a chunk of one row.  Measured on the basis scan at
+# grid 256: passes of 4096 points ran about 25% slower per point than 1024, and 2048 within 5% of it.
 GRID_SLICE = 1024
 
 
@@ -179,7 +183,8 @@ class DriveSpec:
 
 
 def _basis_kets(theta, phi) -> np.ndarray:
-    # Kets of the bases at (theta, phi), one row per outcome; theta and phi may be arrays.
+    # Kets of the bases at (theta, phi), one row per outcome; theta and phi may be arrays.  Only the Kraus operators
+    # of a PovmSpec need the kets; the projectors are built from the Bloch axis.
     half = np.asarray(0.5 * theta)[..., None]
     c, s = np.cos(half), np.sin(half)
     phase = np.exp(1.0j * np.asarray(phi))[..., None]
@@ -187,9 +192,33 @@ def _basis_kets(theta, phi) -> np.ndarray:
 
 
 def basis_projectors(theta, phi) -> np.ndarray:
-    """Outcome projectors of the bases at (theta, phi), shape ``broadcast(theta, phi).shape + (2, 2, 2)``."""
-    k = _basis_kets(theta, phi)
-    return k[..., :, None] * k.conj()[..., None, :]
+    """Outcome projectors of the bases at (theta, phi), shape ``broadcast(theta, phi).shape + (2, 2, 2)``.
+
+    They are (I +- n.sigma)/2 of the chart axis n = (cos theta, -sin theta sin phi, sin theta cos phi), filled in
+    from real sines and cosines: P0 = 1/2 [[1 + n_z, n_x - i n_y], [n_x + i n_y, 1 - n_z]] with
+    n_x - i n_y = cos theta + i sin theta sin phi, and P1 = I - P0 entry by entry, its off-diagonals the negated
+    ones of P0.  They are 2 pi-periodic in both angles, so any finite angles are valid, and at the poles theta = 0
+    and pi, where phi has no meaning, the axis is (+-1, 0, 0) whatever phi is; at theta = 0 the projectors are
+    bitwise the same for every phi.  theta and phi may be arrays that broadcast, such as a theta column against a
+    phi row, whose sines and cosines are taken once per value.
+    """
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+    s = 0.5 * np.sin(theta)
+    x = 0.5 * np.cos(theta)  # n_x / 2
+    y = s * np.sin(phi) + 0.0  # -n_y / 2; + 0.0 makes the zero at theta = 0 a +0 at every phi
+    z = s * np.cos(phi)  # n_z / 2
+    out = np.empty(z.shape + (2, 2, 2), dtype=complex)
+    # the 16 floats of one point: P0 = [[a, x + i y], [x - i y, b]] and P1 = [[b, -x - i y], [-x + i y, a]]
+    f = out.view(float).reshape(z.shape + (16,))
+    f[..., 0::14] = (0.5 + z)[..., None]  # a
+    f[..., 6:9:2] = (0.5 - z)[..., None]  # b
+    f[..., 2:5:2] = x[..., None]
+    f[..., 10:13:2] = -x[..., None]
+    f[..., 3::10] = y[..., None]
+    f[..., 5::6] = -y[..., None]
+    f[..., 1::8] = 0.0
+    f[..., 7::8] = 0.0
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 Both evaluate cycles through the engine's kernel
 (:func:`qotto.engine.strokes_i_ii` and its stroke-III kernels).  The
 measurement-basis search scans the theta <= pi/2 rows of a grid of
-stacked projectors, in blocks of whole theta-rows of at most
-``engine.GRID_SLICE`` points, then polishes the best grid point by
-simplex refinement.  A projective basis is an axis, not a direction:
-(theta, phi) and (pi - theta, phi + pi) are one projector pair with its
-outcomes swapped, so on an even grid the lower rows repeat the upper ones.
+stacked projectors in passes of at most ``engine.GRID_SLICE`` points at
+every grid size, blocks of whole theta-rows or chunks of a longer row,
+then polishes the best grid point by simplex refinement.  A projective
+basis is an axis, not a direction: (theta, phi) and (pi - theta,
+phi + pi) are one projector pair with its outcomes swapped, so on an
+even grid the lower rows repeat the upper ones.
 The dilation optima need no search: the gross work is
 linear in the dilated state, so a passive-state rearrangement of the
 eigenvectors of the driven state onto those of h2 - u h1 u^dag maximizes
@@ -111,13 +112,15 @@ def optimize_pvm_basis(
 
     The chart grid is grid_size values of theta_x on [0, pi] by grid_size
     of phi_x on [0, 2 pi); only its first ceil(grid_size / 2) theta-rows,
-    those with theta_x <= pi/2, are scanned, in blocks of whole rows of at
-    most ``engine.GRID_SLICE`` points.  On an even grid row
+    those with theta_x <= pi/2, are scanned, in row-major order, in passes
+    of at most ``engine.GRID_SLICE`` points at every grid size: blocks of
+    whole rows, or chunks of a row longer than that.  On an even grid row
     grid_size - 1 - i is row i with phi_x shifted by grid_size / 2 columns
     and the outcomes swapped, so the scan still visits every basis of the
     grid, once each; an odd grid's scan ends on its middle row, theta_x =
-    pi/2.  The first maximum in row-major order seeds a simplex refinement
-    at raw angles (the projectors are 2 pi-periodic in both); the reported
+    pi/2.  The first maximum in row-major order (a pass's first maximum,
+    which a later pass must exceed strictly) seeds a simplex refinement at
+    raw angles (the projectors are 2 pi-periodic in both); the reported
     value is the full cycle re-simulated at the winning basis, mapped onto
     the chart.  ``evaluations`` counts ceil(grid_size / 2) * grid_size grid
     points, the polish evaluations and that final cycle.  ``cfg`` has no
@@ -140,13 +143,16 @@ def optimize_pvm_basis(
 
     thetas = np.linspace(0.0, math.pi, grid_size)[: (grid_size + 1) // 2]  # the rows with theta <= pi/2
     phis = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
-    rows = max(1, engine.GRID_SLICE // grid_size)
+    # passes of at most GRID_SLICE points in row-major order: blocks of whole rows, or chunks of a longer row
+    rows, cols = max(1, engine.GRID_SLICE // grid_size), min(grid_size, engine.GRID_SLICE)
     best_f, best_x = -math.inf, (0.0, 0.0)
     for k in range(0, thetas.size, rows):
-        block = strokes.work(engine._measure(strokes.rho1, engine.basis_projectors(thetas[k:k + rows, None], phis)))
-        i, j = divmod(int(np.argmax(block)), grid_size)  # the first maximum; a later block must exceed it strictly
-        if block[i, j] > best_f:
-            best_f, best_x = float(block[i, j]), (thetas[k + i], phis[j])
+        for m in range(0, grid_size, cols):
+            block = strokes.work(engine._measure(
+                strokes.rho1, engine.basis_projectors(thetas[k:k + rows, None], phis[m:m + cols])))
+            i, j = divmod(int(np.argmax(block)), block.shape[1])
+            if block[i, j] > best_f:  # a pass's first maximum, which a later pass must exceed strictly
+                best_f, best_x = float(block[i, j]), (thetas[k + i], phis[m + j])
     evaluations += thetas.size * grid_size
 
     res = minimize(

@@ -19,7 +19,7 @@ from qotto.engine import (
     run_pvm_cycle,
 )
 from qotto.qmat import HADAMARD, ID2, ID4, KET_MINUS, KET_PLUS
-from helpers import drive_reference, h1_reference, h2_reference, haar_unitary
+from helpers import bloch_vector, drive_reference, h1_reference, h2_reference, haar_unitary
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -182,6 +182,71 @@ class TestDriveAndBasis:
             pp, pm = b.projectors()
             np.testing.assert_allclose(pp + pm, ID2, atol=1e-12)
             np.testing.assert_allclose(pp @ pm, np.zeros((2, 2)), atol=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestBasisProjectors:
+    """basis_projectors, (I +- n.sigma)/2 of the chart axis, against the outer products of the basis kets."""
+
+    @staticmethod
+    def angle_stacks():
+        # (theta, phi) at raw angles beyond the chart, the exact poles among the thetas, as a theta column against a
+        # phi row, a scalar theta against a phi array and a theta array against a scalar phi
+        rng = np.random.default_rng(30)
+        thetas = np.concatenate([[0.0, math.pi], rng.uniform(-2.0 * math.pi, 4.0 * math.pi, 46)])
+        phis = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 48)
+        yield thetas[:, None], phis
+        for theta in (0.0, math.pi, float(thetas[2])):
+            yield theta, phis
+        yield thetas, float(phis[0])
+
+    @staticmethod
+    def ket_projectors(theta, phi):
+        k = engine._basis_kets(theta, phi)
+        return k[..., :, None] * k.conj()[..., None, :]
+
+    def test_matches_the_ket_outer_products(self):
+        points = 0
+        for theta, phi in self.angle_stacks():
+            got = engine.basis_projectors(theta, phi)
+            assert got.shape == np.broadcast(theta, phi).shape + (2, 2, 2) and got.dtype == complex
+            np.testing.assert_allclose(got, self.ket_projectors(theta, phi), rtol=0.0, atol=4 * EPS)
+            points += np.broadcast(theta, phi).size
+        assert points >= 2000
+
+    def test_each_stacked_basis_is_its_single_basis(self):
+        for theta, phi in self.angle_stacks():
+            stack = engine.basis_projectors(theta, phi)
+            for index in np.ndindex(stack.shape[:-3]):
+                th, ph = np.broadcast_arrays(theta, phi)
+                assert stack[index].tobytes() == engine.basis_projectors(th[index], ph[index]).tobytes()
+
+    def test_a_hermitian_resolution_of_the_identity(self):
+        for theta, phi in self.angle_stacks():
+            p = engine.basis_projectors(theta, phi)
+            np.testing.assert_array_equal(p[..., 0, 1], p[..., 1, 0].conj())
+            np.testing.assert_allclose(p[..., 0, :, :] + p[..., 1, :, :], np.broadcast_to(ID2, p.shape[:-3] + (2, 2)),
+                                       rtol=0.0, atol=EPS)
+            np.testing.assert_allclose(p[..., 0, :, :] @ p[..., 1, :, :], 0.0, rtol=0.0, atol=4 * EPS)
+
+    def test_first_projector_is_along_the_chart_axis(self):
+        for theta, phi in self.angle_stacks():
+            p0 = engine.basis_projectors(theta, phi)[..., 0, :, :]
+            th, ph = np.broadcast_arrays(theta, phi)
+            for index in np.ndindex(p0.shape[:-2]):
+                t, f = float(th[index]), float(ph[index])
+                n = (math.cos(t), -math.sin(t) * math.sin(f), math.sin(t) * math.cos(f))
+                np.testing.assert_allclose(bloch_vector(p0[index]), n, rtol=0.0, atol=2 * EPS)
+
+    def test_no_chart_seam_at_the_pole(self):
+        # at theta = 0 phi has no meaning, and the projectors keep their bytes whatever it is
+        phis = np.random.default_rng(31).uniform(-4.0 * math.pi, 4.0 * math.pi, 64)
+        pole = engine.basis_projectors(0.0, 0.0).tobytes()
+        for p in engine.basis_projectors(0.0, phis):
+            assert p.tobytes() == pole
+        assert {engine.basis_projectors(0.0, float(ph)).tobytes() for ph in phis} == {pole}
 
 
 def cold_constants(params):

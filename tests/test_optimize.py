@@ -25,6 +25,12 @@ TANH1 = math.tanh(1.0)
 SEEDED_CFG = OptimizerConfig(seed=7)
 
 
+def pvm_summary(res):
+    # a basis-search result, its floats as hex, for comparison bit for bit
+    b = res.best_point
+    return res.best_value.hex(), b.theta_x.hex(), b.phi_x.hex(), res.evaluations, res.converged
+
+
 class TestGenerators:
     def test_frozen_ordering(self):
         assert SU4_GENERATOR_LABELS == (
@@ -128,12 +134,12 @@ class TestPvmBasisOptimizer:
                 optimize_pvm_basis(P32, DriveSpec(p=1.0), grid_size=bad)
 
     def test_block_size_changes_no_result(self, monkeypatch):
-        # a scan in blocks of one theta-row each (GRID_SLICE 4) and one at the default block size pick the same grid
-        # point, so the polish and its result agree bit for bit, at p = 1/2, 1 (phi-degenerate ties) and inside, and
-        # inside with gaps near 1e+200 and 1e-200 (beta_c scaled inversely); at beta_c = 1e-300 rho1 is I/2 to
-        # rounding, every basis does the same work, and the maximum ties exactly between theta-rows, so the first
-        # maximum and the strict between-block comparison decide the start of the polish; at grid 30 the default
-        # scan is one block
+        # a scan in passes of at most 4 points (GRID_SLICE 4, chunks of one theta-row) and one at the default block
+        # size pick the same grid point, so the polish and its result agree bit for bit, at p = 1/2, 1
+        # (phi-degenerate ties) and inside, and inside with gaps near 1e+200 and 1e-200 (beta_c scaled inversely); at
+        # beta_c = 1e-300 rho1 is I/2 to rounding, every basis does the same work, and the maximum ties exactly
+        # between theta-rows, so the first maximum and the strict between-pass comparison decide the start of the
+        # polish; at grid 30 the default scan is one block
         rng = np.random.default_rng(28)
         cases = []
         for p, scale in ((0.5, 1.0), (1.0, 1.0), (None, 1.0), (None, 1e200), (None, 1e-200)):
@@ -146,13 +152,34 @@ class TestPvmBasisOptimizer:
             drive = DriveSpec(rng.uniform(0.5, 1.0) if p is None else p, rng.uniform(0.0, TWO_PI))
             cases += [(EngineParams(omega_z, 2.0 * omega_z, 1e-300), drive, g) for g in (7, 8, 30, 64, 100)]
 
-        def summary(res):
-            b = res.best_point
-            return res.best_value.hex(), b.theta_x.hex(), b.phi_x.hex(), res.evaluations, res.converged
-
-        default = [summary(optimize_pvm_basis(*case[:2], grid_size=case[2])) for case in cases]
+        default = [pvm_summary(optimize_pvm_basis(*case[:2], grid_size=case[2])) for case in cases]
         monkeypatch.setattr(engine, "GRID_SLICE", 4)
-        assert [summary(optimize_pvm_basis(*case[:2], grid_size=case[2])) for case in cases] == default
+        assert [pvm_summary(optimize_pvm_basis(*case[:2], grid_size=case[2])) for case in cases] == default
+
+    @pytest.mark.parametrize("g", [7, 8, 64])
+    def test_rows_longer_than_the_slice_are_chunked(self, g, monkeypatch):
+        # with rows longer than GRID_SLICE, every pass still holds at most GRID_SLICE points, the passes cover the
+        # scanned rows once each in row-major order, and the result keeps its bits
+        rng = np.random.default_rng(30)
+        drives = [DriveSpec(p, rng.uniform(0.0, TWO_PI)) for p in (0.5, 1.0, rng.uniform(0.5, 1.0))]
+
+        default = [pvm_summary(optimize_pvm_basis(P52, drive, grid_size=g)) for drive in drives]
+        projectors = engine.basis_projectors
+        sizes, points = [], []
+
+        def recording(theta, phi):
+            sizes.append(np.broadcast(theta, phi).size)
+            if np.ndim(theta) == 2:
+                points.extend((t, f) for t in theta[:, 0].tolist() for f in np.atleast_1d(phi).tolist())
+            return projectors(theta, phi)
+
+        monkeypatch.setattr(engine, "GRID_SLICE", 4)
+        monkeypatch.setattr(engine, "basis_projectors", recording)
+        assert [pvm_summary(optimize_pvm_basis(P52, drive, grid_size=g)) for drive in drives] == default
+        assert max(sizes) <= 4
+        thetas = np.linspace(0.0, math.pi, g)[: (g + 1) // 2].tolist()
+        phis = np.linspace(0.0, TWO_PI, g, endpoint=False).tolist()
+        assert points == [(t, f) for t in thetas for f in phis] * len(drives)
 
     def test_matches_the_exact_optimum(self):
         # the search against the re-simulated top eigenvector of the 3x3 quadratic form, at seeded points with any
