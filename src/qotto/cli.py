@@ -312,9 +312,12 @@ def cmd_optimize_povm(args) -> RunReport:
         with open(args.su4_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("# joint unitary, row by row: re im of each entry\n")
             fh.writelines(" ".join(f"{v:.17g}" for v in row) + "\n" for row in result.best_point.view(float))
-    # the effect E_0 = K_0^dag K_0 of outcome 0 as E0_I I + E0_x sigma_x + E0_y sigma_y + E0_z sigma_z
-    k0 = PovmSpec(joint_unitary=result.best_point).kraus_operators()[0]
-    bloch = 0.5 * np.einsum("jab,ba->j", _BLOCH_BASIS, k0.conj().T @ k0).real
+    # the effect of outcome 0, E_0 = Tr_a[(I x rho_a) V^dag (I x P_0) V] of the optimizer's auxiliary rho_a and
+    # outcome projector P_0, as E0_I I + E0_x sigma_x + E0_y sigma_y + E0_z sigma_z
+    v, aux = result.best_point, optimize._AUX
+    joint = v.conj().T @ engine._kron(qmat.ID2, aux.aux_basis.projectors()[0]) @ v
+    e0 = qmat._marginals(engine._kron(qmat.ID2, aux.aux_state) @ joint)[0]
+    bloch = 0.5 * np.einsum("jab,ba->j", _BLOCH_BASIS, e0).real
     columns = ("best_value", "evaluations", "converged", "E0_I", "E0_x", "E0_y", "E0_z")
     row = (result.best_value, result.evaluations, int(result.converged), *bloch.tolist())
     return RunReport(meta=meta, columns=columns, rows=[row])

@@ -22,20 +22,19 @@ fig2`` and the basis search pass theirs to :func:`_measure`), so inputs are
 checked when a spec type is built, and the reset temperature by one
 EngineParams method.  A measurement basis's outcome projectors are
 (I +- n.sigma)/2 of its Bloch axis n, filled in from real sines and cosines
-of its chart angles by :func:`basis_projectors`, for one basis or a stack;
-only a PovmSpec's Kraus operators use the basis kets.  A spec's constants
-are computed once, on its first use, and kept read-only: EngineParams the
-two-bath cycle's hot Gibbs state, MeasurementBasis its projectors, and a
-DriveSpec, in one slot matched by identity, the stroke-I/II setup of the last
-EngineParams it ran with, so a cycle on a pair already used runs only stroke
-III and the ledger.  PovmSpec's
-default auxiliary |+><+| and its initial entropy S_init are checked and
-computed once, at import; a given auxiliary is checked with one eigen-solve,
-which also yields its S_init, when the spec is built.  A dilation reads the
-auxiliary's entropy after the stroke off its outcome probabilities, so a cycle
-on specs already used runs no eigen-solver.  A copy or pickle of any spec is
-built anew from its fields, so it is checked again, read-only, and computes
-its own constants and stroke-I/II setup.
+of its chart angles by :func:`basis_projectors`, for one basis or a stack.
+A spec's constants are computed once, on its first use, and kept read-only:
+EngineParams the two-bath cycle's hot Gibbs state, MeasurementBasis its
+projectors, and a DriveSpec, in one slot matched by identity, the stroke-I/II
+setup of the last EngineParams it ran with, so a cycle on a pair already used
+runs only stroke III and the ledger.  PovmSpec's default auxiliary |+><+| and
+its initial entropy S_init are checked and computed once, at import; a given
+auxiliary is checked with one eigen-solve, which also yields its S_init, when
+the spec is built.  A dilation reads the auxiliary's entropy after the stroke
+off its outcome probabilities, so a cycle on specs already used runs no
+eigen-solver.  A copy or pickle of any spec is built anew from its fields, so
+it is checked again, read-only, and computes its own constants and stroke-I/II
+setup.
 
 Sign convention: energy changes in strokes II/IV are work, in strokes
 I/III heat, and the reported total work is w_total = -(w1 + w2), positive
@@ -54,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .qmat import KET_MINUS, KET_PLUS, SIGMA_X, SIGMA_Z
+from .qmat import KET_PLUS, SIGMA_X, SIGMA_Z
 
 LN2 = math.log(2.0)
 
@@ -182,15 +181,6 @@ class DriveSpec:
             raise ValueError(f"alpha must lie in [0, 2*pi), got {self.alpha}")
 
 
-def _basis_kets(theta, phi) -> np.ndarray:
-    # Kets of the bases at (theta, phi), one row per outcome; theta and phi may be arrays.  Only the Kraus operators
-    # of a PovmSpec need the kets; the projectors are built from the Bloch axis.
-    half = np.asarray(0.5 * theta)[..., None]
-    c, s = np.cos(half), np.sin(half)
-    phase = np.exp(1.0j * np.asarray(phi))[..., None]
-    return np.stack([c * KET_PLUS + phase * s * KET_MINUS, s * KET_PLUS - phase * c * KET_MINUS], axis=-2)
-
-
 def basis_projectors(theta, phi) -> np.ndarray:
     """Outcome projectors of the bases at (theta, phi), shape ``broadcast(theta, phi).shape + (2, 2, 2)``.
 
@@ -198,14 +188,16 @@ def basis_projectors(theta, phi) -> np.ndarray:
     from real sines and cosines: P0 = 1/2 [[1 + n_z, n_x - i n_y], [n_x + i n_y, 1 - n_z]] with
     n_x - i n_y = cos theta + i sin theta sin phi, and P1 = I - P0 entry by entry, its off-diagonals the negated
     ones of P0.  They are 2 pi-periodic in both angles, so any finite angles are valid, and at the poles theta = 0
-    and pi, where phi has no meaning, the axis is (+-1, 0, 0) whatever phi is; at theta = 0 the projectors are
-    bitwise the same for every phi.  theta and phi may be arrays that broadcast, such as a theta column against a
-    phi row, whose sines and cosines are taken once per value.
+    and pi, where phi has no meaning, the axis is (+-1, 0, 0) whatever phi is, and the projectors are bitwise the
+    same for every phi.  theta and phi may be arrays that broadcast, such as a theta column against a phi row,
+    whose sines and cosines are taken once per value.
     """
     theta, phi = np.asarray(theta, float), np.asarray(phi, float)
-    s = 0.5 * np.sin(theta)
+    # sin(pi - theta) = sin theta, and pi - theta is exact for theta in [pi/2, 2 pi], so the float pi, 1.2e-16 short
+    # of the pole, gets sin theta = 0 as theta = 0 does
+    s = 0.5 * np.sin(np.minimum(theta, math.pi - theta))
     x = 0.5 * np.cos(theta)  # n_x / 2
-    y = s * np.sin(phi) + 0.0  # -n_y / 2; + 0.0 makes the zero at theta = 0 a +0 at every phi
+    y = s * np.sin(phi) + 0.0  # -n_y / 2; + 0.0 makes the zero at the poles a +0 at every phi
     z = s * np.cos(phi)  # n_z / 2
     out = np.empty(z.shape + (2, 2, 2), dtype=complex)
     # the 16 floats of one point: P0 = [[a, x + i y], [x - i y, b]] and P1 = [[b, -x - i y], [-x + i y, a]]
@@ -286,11 +278,12 @@ class PovmSpec:
 
     The auxiliary starts in ``aux_state`` (pure |+><+| by default), the
     joint unitary V acts on (system x auxiliary), and the outcome projectors
-    act on the auxiliary in ``aux_basis``.  The induced Kraus family needs
-    no check of its own: the outcome projectors sum to I, so
-    sum_i K_i^dag K_i - I = Tr_a[(I x rho_a)(V^dag V - I)], and with V
-    unitary within UNITARY_TOL and rho_a a density matrix the family
-    resolves the identity within 2 UNITARY_TOL elementwise.  The default
+    act on the auxiliary in ``aux_basis``.  The effects it induces on the
+    system, E_i = Tr_a[(I x rho_a) V^dag (I x P_i) V], need no check of
+    their own: the outcome projectors sum to I, so
+    E_0 + E_1 - I = Tr_a[(I x rho_a)(V^dag V - I)], and with V unitary
+    within UNITARY_TOL and rho_a a density matrix the effects resolve the
+    identity within 2 UNITARY_TOL elementwise.  The default
     auxiliary is one read-only module constant, checked once, at import,
     together with its von Neumann entropy S_init (bits), so a spec built
     with it checks only its joint unitary.  A given auxiliary is checked
@@ -317,24 +310,6 @@ class PovmSpec:
         object.__setattr__(self, "joint_unitary", _read_only(u))
         object.__setattr__(self, "aux_state", rho_a)
         object.__setattr__(self, "_aux_entropy_init", s_init)
-
-    def kraus_operators(self) -> list[np.ndarray]:
-        """Induced system Kraus operators, one per (outcome, auxiliary eigenstate).
-
-        For a pure auxiliary this is the familiar two-operator family
-        K_i = <psi_i| V |a>; mixed auxiliaries contribute one operator per
-        nonzero spectral weight, scaled by its square root.
-        """
-        v4 = self.joint_unitary.reshape(2, 2, 2, 2)
-        weights, states = np.linalg.eigh(self.aux_state)
-        ops = []
-        for ket_out in _basis_kets(self.aux_basis.theta_x, self.aux_basis.phi_x):
-            for w, phi in zip(weights, states.T):
-                if w <= 1e-14:
-                    continue
-                k = np.einsum("a,satb,b->st", ket_out.conj(), v4, phi)
-                ops.append(math.sqrt(w) * k)
-        return ops
 
 
 @dataclass(frozen=True)
@@ -559,9 +534,10 @@ def run_povm_cycle(
     the measured auxiliary's spectrum is those probabilities.  S_init is the
     one the spec computed when it was built.  The auxiliary's outcome
     projectors sum to I, so measuring it leaves the system marginal of the
-    rotated state, sum_i K_i rho K_i^dag for the induced Kraus family,
-    unchanged: the joint unitary alone sets the system's energy (the heat),
-    and the measurement only the auxiliary's entropy and so its reset cost.
+    rotated state, the channel Tr_a[V (rho x rho_a) V^dag] of the
+    measurement, unchanged: the joint unitary alone sets the system's
+    energy (the heat), and the measurement only the auxiliary's entropy and
+    so its reset cost.
     """
     reset_temperature = params.reset_temperature(reset_temperature)
     return strokes_i_ii(params, drive).dilate(povm.joint_unitary, povm, reset_temperature)

@@ -1,5 +1,6 @@
 """References that only the tests use: the stroke Hamiltonians and the drive unitary built from their formulas, a
-seeded Haar sampler, the rearrangement energy bound and the exact projective optimum."""
+seeded Haar sampler, the basis kets and the Kraus family of a dilation, the rearrangement energy bound and the exact
+projective optimum."""
 
 import math
 
@@ -37,6 +38,28 @@ def haar_unitary(rng, n=4):
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def basis_kets(theta, phi) -> np.ndarray:
+    """Kets of the bases at (theta, phi), one row per outcome: cos(theta/2)|+> + e^{i phi} sin(theta/2)|-> and the
+    orthogonal sin(theta/2)|+> - e^{i phi} cos(theta/2)|->; theta and phi may be arrays that broadcast."""
+    half = np.asarray(0.5 * theta)[..., None]
+    c, s = np.cos(half), np.sin(half)
+    phase = np.exp(1.0j * np.asarray(phi))[..., None]
+    return np.stack([c * KET_PLUS + phase * s * KET_MINUS, s * KET_PLUS - phase * c * KET_MINUS], axis=-2)
+
+
+def kraus_family(spec) -> list[np.ndarray]:
+    """The system Kraus operators a PovmSpec induces, sqrt(w) <psi_i| V |a> for each outcome ket psi_i of its
+    basis and each eigenpair (w, |a>) of its auxiliary with w > 1e-14: two operators for a pure auxiliary."""
+    v4 = spec.joint_unitary.reshape(2, 2, 2, 2)
+    weights, states = np.linalg.eigh(spec.aux_state)
+    return [
+        math.sqrt(w) * np.einsum("a,satb,b->st", ket.conj(), v4, a)
+        for ket in basis_kets(spec.aux_basis.theta_x, spec.aux_basis.phi_x)
+        for w, a in zip(weights, states.T)
+        if w > 1e-14
+    ]
 
 
 def rearrangement_energy_bound(h, rho) -> float:

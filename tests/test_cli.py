@@ -13,7 +13,8 @@ import pytest
 
 from qotto import analytic, cli, engine, optimize
 from qotto.cli import RunReport, SweepSpec, main, render_report
-from qotto.engine import DriveSpec, EngineParams
+from qotto.engine import DriveSpec, EngineParams, PovmSpec
+from helpers import bloch_vector, kraus_family
 
 TANH1 = math.tanh(1.0)
 
@@ -95,6 +96,17 @@ class TestCycleCommand:
         assert values["w_total"] == pytest.approx(0.5 * TANH1, abs=1e-10)
         assert values["eta"] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert values["first_law_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("theta", ["0", "3.141592653589793"], ids=["theta-0", "theta-pi"])
+    def test_poles_print_one_ledger_at_every_phi(self, capsys, theta):
+        # phi has no meaning at the poles, and the ledger keeps its bytes whatever it is
+        def ledger(phi):
+            code, out, _ = run_cli(capsys, "cycle", "--engine", "pvm", "--p", "0.8", "--alpha", "0.3",
+                                   "--theta", theta, "--phi", phi, "--deterministic")
+            assert code == 0
+            return [line for line in out.splitlines() if not line.startswith("#")]
+
+        assert ledger("0") == ledger("5")
 
     def test_rounding_noise_runs_no_engine(self, capsys):
         # at beta_c = 1e-300, rho0 is I/2 to within 1e-300, so the printed w_total and q_h are rounding noise of
@@ -608,6 +620,22 @@ class TestOptimizeCommand:
         assert effect("--omega-x", "5", "--p", "0.8") == pytest.approx([0.5, -0.3, 0.0, -0.4], abs=1e-12)
         assert effect("--net", "--t-c", "5") == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
+    @pytest.mark.parametrize("t_c", [None, "0.5", "5"], ids=["gross", "net", "net-rotation"])
+    def test_effect_is_the_kraus_family_sum(self, t_c):
+        # E_0, a partial trace of the joint unitary, is sum K^dag K over the outcome-0 half of the Kraus family that
+        # the optimum induces; at t_c = 5 the zero-entropy rotation wins, whose E_0 is I
+        net = () if t_c is None else ("--net", "--t-c", t_c)
+        row = report("optimize-povm", "--omega-x", "5", "--p", "0.8", *net).rows[0]
+        params, drive = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0), DriveSpec(p=0.8)
+        if t_c is None:
+            result = optimize.optimize_povm_work(params, drive)
+        else:
+            result = optimize.optimize_povm_net_work(params, drive, t_c=float(t_c))
+        family = kraus_family(PovmSpec(joint_unitary=result.best_point))
+        e0 = sum(k.conj().T @ k for k in family[: len(family) // 2])
+        want = [0.5 * np.trace(e0).real, *(0.5 * bloch_vector(e0))]
+        np.testing.assert_allclose(row[3:], want, rtol=0.0, atol=1e-14)
+
     @pytest.mark.parametrize("count", [0, 14, 16, 31, 33])
     def test_su4_file_of_another_count_exits_2(self, capsys, tmp_path, count):
         path = tmp_path / "u.txt"
@@ -827,13 +855,13 @@ def test_fig3_net_column_is_the_net_optimizer():
 # change to the code behind it; every printed number, first-law residuals
 # included, must keep its bytes.
 GOLDEN = [
-    # re-recorded when the projectors began to be built from the Bloch axis, (I +- n.sigma)/2: 18 of 41 first-law
-    # residuals move at rounding (before: ef651ebbe13687c8...)
-    ("e5f33bccefb9d16e56ff5f55531eef617b403a67ee58d1a66cb192f6a251fb67",
+    # re-recorded when sin theta began to be taken as sin min(theta, pi - theta), which is 0 at the float pi: 6 of
+    # 41 first-law residuals move at rounding (before: e5f33bccefb9d16e...)
+    ("a5b8ddce9d70bce27615f2a70da0b760769d7883f89eabe302c6f07bac38af12",
      "fig2 --panel a --beta-c 0.7 --grid-points 41"),
-    # re-recorded when the projectors began to be built from the Bloch axis, (I +- n.sigma)/2: 33 of 101 first-law
-    # residuals move at rounding (before: 71d52d22e3f8af72...)
-    ("6a2bac4cd1509c069608ad5a4a5ff64bff6160ee6a8cb678dc551d4bb4026edc",
+    # re-recorded when sin theta began to be taken as sin min(theta, pi - theta), which is 0 at the float pi: 16 of
+    # 101 first-law residuals move at rounding (before: 6a2bac4cd1509c06...)
+    ("1b34d814e9d36694d3c57b2155a3381fd77e373c0d7b33a79d455fed7359c355",
      "fig2 --panel b --beta-c 3"),
     # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: 646f09717bd115e2...)
     ("7ed2f7291e665fa9a79c15c318414fa4286c3d47a54d6daf533eab53a81089cb",
@@ -863,14 +891,15 @@ GOLDEN = [
      "fig4 --grid-points 7 --format json"),
     ("dbe1954a18c7cb60ec335b2446df36972fbfc275038a76296bbe4448c9be31bd",
      "table1 --format csv"),
-    # re-recorded when the projectors began to be built from the Bloch axis, (I +- n.sigma)/2: 1116 of 4100
-    # first-law residuals move at rounding, and the w_pvm_max cells at p = 0.626372285923 and 0.837643327641 now
-    # print ...725 and ...752, not ...724 and ...751, as analytic.pvm_optimal does (before: b1fb23a734bc8175...)
-    ("530751b9d1f823626103e7c2c3191edf3d0f336ed9694ef16a80ff3964705943",
+    # the w_pvm_max cells at p = 0.626372285923 and 0.837643327641 print ...725 and ...752, as analytic.pvm_optimal
+    # does, since the projectors are built from the Bloch axis (before: b1fb23a734bc8175...); re-recorded when sin
+    # theta began to be taken as sin min(theta, pi - theta), which is 0 at the float pi: 348 of 4100 first-law
+    # residuals move at rounding (before: 530751b9d1f82362...)
+    ("f2edaf2b54d561a0fd25787e78027bbcafe10d11d801eae55dd67d63da3cfaab",
      "fig2 --panel b --beta-c 0.9 --grid-points 4100"),
-    # re-recorded when the projectors began to be built from the Bloch axis, (I +- n.sigma)/2: 41 of 101 first-law
-    # residuals move at rounding (before: 5fbe734aefc12706...)
-    ("72d167c6e9d9f02d7f7f79ccfa5ca5bd946779f891864b014575a691b1f82e21",
+    # re-recorded when sin theta began to be taken as sin min(theta, pi - theta), which is 0 at the float pi: 11 of
+    # 101 first-law residuals move at rounding (before: 72d167c6e9d9f02d...)
+    ("8c4c895056cf07294f3a4d537eef3398019dc328cdfa25e1dfc70184f1136bb2",
      "fig2 --format text"),
     # re-recorded for the rank-one stroke-III kernel; residuals move at rounding (before: c0c98ea483385b7c...)
     ("fac00d69a27d0358c00cee92c985f755c906de1afa3fbd06f29a9e9eeb834bd0",

@@ -19,7 +19,7 @@ from qotto.engine import (
     run_pvm_cycle,
 )
 from qotto.qmat import HADAMARD, ID2, ID4, KET_MINUS, KET_PLUS
-from helpers import bloch_vector, drive_reference, h1_reference, h2_reference, haar_unitary
+from helpers import basis_kets, bloch_vector, drive_reference, h1_reference, h2_reference, haar_unitary, kraus_family
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -204,7 +204,7 @@ class TestBasisProjectors:
 
     @staticmethod
     def ket_projectors(theta, phi):
-        k = engine._basis_kets(theta, phi)
+        k = basis_kets(theta, phi)
         return k[..., :, None] * k.conj()[..., None, :]
 
     def test_matches_the_ket_outer_products(self):
@@ -241,12 +241,16 @@ class TestBasisProjectors:
                 np.testing.assert_allclose(bloch_vector(p0[index]), n, rtol=0.0, atol=2 * EPS)
 
     def test_no_chart_seam_at_the_pole(self):
-        # at theta = 0 phi has no meaning, and the projectors keep their bytes whatever it is
-        phis = np.random.default_rng(31).uniform(-4.0 * math.pi, 4.0 * math.pi, 64)
-        pole = engine.basis_projectors(0.0, 0.0).tobytes()
-        for p in engine.basis_projectors(0.0, phis):
-            assert p.tobytes() == pole
-        assert {engine.basis_projectors(0.0, float(ph)).tobytes() for ph in phis} == {pole}
+        # at the poles theta = 0 and pi phi has no meaning, and the projectors keep their bytes whatever it is, on
+        # the chart or off it; the float pi is 1.2e-16 short of the pole
+        rng = np.random.default_rng(31)
+        phis = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 32), rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 64)])
+        for theta in (0.0, math.pi):
+            pole = engine.basis_projectors(theta, 0.0).tobytes()
+            for p in engine.basis_projectors(theta, phis):
+                assert p.tobytes() == pole
+            assert {engine.basis_projectors(theta, float(ph)).tobytes() for ph in phis} == {pole}
+            assert {MeasurementBasis(theta, float(ph)).projectors().tobytes() for ph in phis[:32]} == {pole}
 
 
 def cold_constants(params):
@@ -367,9 +371,9 @@ class TestPvmStroke:
 class TestPovmSpec:
     def test_optimal_dilation_kraus_complete(self):
         povm = PovmSpec(joint_unitary=analytic.optimal_dilation_unitary())
-        total = sum(k.conj().T @ k for k in povm.kraus_operators())
+        total = sum(k.conj().T @ k for k in kraus_family(povm))
         np.testing.assert_allclose(total, ID2, atol=1e-12)
-        assert len(povm.kraus_operators()) == 2
+        assert len(kraus_family(povm)) == 2
 
     def test_random_specs_kraus_complete(self):
         rng = np.random.default_rng(6)
@@ -378,14 +382,14 @@ class TestPovmSpec:
                 joint_unitary=haar_unitary(rng),
                 aux_basis=MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
             )
-            total = sum(k.conj().T @ k for k in spec.kraus_operators())
+            total = sum(k.conj().T @ k for k in kraus_family(spec))
             np.testing.assert_allclose(total, ID2, atol=1e-10)
 
     def test_mixed_aux_kraus_complete(self):
         rng = np.random.default_rng(8)
         aux = np.diag([0.3, 0.7]).astype(complex)
         spec = PovmSpec(joint_unitary=haar_unitary(rng), aux_state=aux)
-        total = sum(k.conj().T @ k for k in spec.kraus_operators())
+        total = sum(k.conj().T @ k for k in kraus_family(spec))
         np.testing.assert_allclose(total, ID2, atol=1e-10)
 
     def test_rejects_non_unitary(self):
@@ -409,7 +413,7 @@ class TestPovmSpec:
             v = haar_unitary(rng) @ (ID4 + 0.5 * eps * h)
             assert np.max(np.abs(v.conj().T @ v - ID4)) <= eps + 1e-15
             spec = PovmSpec(joint_unitary=v, aux_state=aux)
-            total = sum(k.conj().T @ k for k in spec.kraus_operators())
+            total = sum(k.conj().T @ k for k in kraus_family(spec))
             assert np.max(np.abs(total - ID2)) <= 2.0 * eps + 1e-15
 
     def test_rejects_bad_aux_state(self):
@@ -528,6 +532,7 @@ class TestPovmStroke:
             np.testing.assert_allclose(probabilities, [0.5 * (1.0 - tz), 0.5 * (1.0 + tz)], atol=1e-12)
 
     def test_matches_kraus_channel(self):
+        # with a pure, a mixed and the maximally mixed auxiliary, whose Kraus families have two and four operators
         rng = np.random.default_rng(10)
         for _ in range(10):
             v = haar_unitary(rng)
@@ -535,12 +540,14 @@ class TestPovmStroke:
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = m @ m.conj().T
             rho /= np.trace(rho).real
-            for layout in LAYOUTS:
-                aux_state = layout(np.outer(KET_PLUS, KET_PLUS.conj()))
-                spec = PovmSpec(joint_unitary=layout(v), aux_state=aux_state, aux_basis=aux_basis)
-                system, _ = spec_stroke(rho, spec)
-                channel = sum(k @ rho @ k.conj().T for k in spec.kraus_operators())
-                np.testing.assert_allclose(system, channel, atol=1e-12)
+            for aux, rank in (np.outer(KET_PLUS, KET_PLUS.conj()), 1), (MIXED_AUX, 2), (0.5 * ID2, 2):
+                for layout in LAYOUTS:
+                    spec = PovmSpec(joint_unitary=layout(v), aux_state=layout(aux), aux_basis=aux_basis)
+                    system, _ = spec_stroke(rho, spec)
+                    family = kraus_family(spec)
+                    assert len(family) == 2 * rank
+                    channel = sum(k @ rho @ k.conj().T for k in family)
+                    np.testing.assert_allclose(system, channel, atol=1e-12)
 
     @pytest.mark.parametrize(
         "aux",

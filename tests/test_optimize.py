@@ -15,7 +15,7 @@ from qotto.optimize import (
     optimize_pvm_basis,
     su4_from_point,
 )
-from helpers import bloch_vector, chart_basis, haar_unitary, pvm_exact_optimum
+from helpers import bloch_vector, chart_basis, haar_unitary, kraus_family, pvm_exact_optimum
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)
@@ -504,9 +504,9 @@ def phase_probe(params, drive, t_c, aux, rho):
     candidates = optimize._dilation_candidates(engine.strokes_i_ii(params, drive), t_c, True)[0].net_work
     effects = []
     for result in (gross, net):
-        k0 = PovmSpec(joint_unitary=result.best_point).kraus_operators()[0]
+        k0 = kraus_family(PovmSpec(joint_unitary=result.best_point))[0]
         effects.append(0.5 * np.einsum("jab,ba->j", cli._BLOCH_BASIS, k0.conj().T @ k0).real)
-    channel = sum(k @ rho @ k.conj().T for k in aux.kraus_operators())
+    channel = sum(k @ rho @ k.conj().T for k in kraus_family(aux))
     return (gross.best_value, net.best_value, *candidates), gross.best_point, effects, channel
 
 
