@@ -2,11 +2,11 @@
 
 These expressions are evaluated directly from the drive and measurement
 parameters.  They share only the ledger arithmetic of
-:meth:`CycleRecord.from_energies` with the density-matrix simulator in
-:mod:`qotto.engine`, so the stroke energies come from independent
-routes; the test suite checks the two against each other.  Works and
-heats are in units of the reference energy, entropies in bits, and the
-erasure cost carries an explicit ln 2.
+:meth:`CycleRecord.from_energies`, its efficiency rule and the check of p
+with the density-matrix simulator in :mod:`qotto.engine`, so the stroke
+energies come from independent routes; the test suite checks the two
+against each other.  Works and heats are in units of the reference energy,
+entropies in bits, and the erasure cost carries an explicit ln 2.
 
 Each closed form that a grid evaluates is one numpy expression over its
 swept field, p or t_c, a float or an array of any shape (a grid passes
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmat
-from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis, _read_only
+from .engine import LN2, CycleRecord, DriveSpec, EngineParams, MeasurementBasis, _checked_p, _efficiency, _read_only
 
 
 def _out(value):
@@ -30,29 +30,15 @@ def _out(value):
     return value if getattr(value, "ndim", 0) else float(value)
 
 
-def _checked_p(p):
-    # p, each value in [1/2, 1] (a NaN is not); [()] makes a 0-d array a numpy float, whose arithmetic is cheaper.
-    p = np.asarray(p, dtype=float)[()]
-    if not ((p >= 0.5) & (p <= 1.0)).all():
-        raise ValueError(f"p must lie in [1/2, 1], got {p}")
-    return p
-
-
-def discriminant(params: EngineParams, p) -> float | np.ndarray:
-    """D = sqrt((wx - wz)^2 + 4 wx wz (1 - p)) for p in [1/2, 1], or an array of them."""
-    return _out(_discriminant(params, _checked_p(p)))
-
-
 def _discriminant(params, p):
-    # discriminant of a checked p, a hypot of two terms linear in the gaps, so that no product of gaps underflows
+    # D = sqrt((wx - wz)^2 + 4 wx wz (1 - p)) of a checked p, a hypot of two terms linear in the gaps, so that no
+    # product of gaps underflows
     wz, wx = params.omega_z, params.omega_x
     return np.hypot(wx - wz, 2.0 * math.sqrt(wx) * math.sqrt(wz) * np.sqrt(1.0 - p))
 
 
 def conventional_record(params: EngineParams, p) -> CycleRecord:
     """Two-bath cycle ledger for transition probability p (reversed stroke-IV drive)."""
-    if params.beta_h is None:
-        raise ValueError("the conventional cycle requires beta_h")
     p = _checked_p(p)
     tz, tx, wz, wx = params.tau_z, params.tau_x, params.omega_z, params.omega_x
     e0 = -0.5 * wz * tz
@@ -87,7 +73,7 @@ class PvmOptimum(NamedTuple):
     work: float | np.ndarray
     theta: float | np.ndarray
     heat: float | np.ndarray
-    eta: float | np.ndarray
+    eta: float | np.ndarray | None
 
     @property
     def basis(self) -> MeasurementBasis:
@@ -105,22 +91,24 @@ def pvm_optimal(params: EngineParams, p) -> PvmOptimum:
     the measurement stroke there is wx tz (a D + wx - a wz) / (4 D), its ratio
     formed first so that no product of gaps underflows.  For a drive phase
     alpha the work depends on phi_x only through alpha - phi_x, so the optimal
-    basis is shifted to phi_x = alpha with the same work and heat.
+    basis is shifted to phi_x = alpha with the same work and heat.  The
+    efficiency follows the ledgers' engine rule: None (NaN in an array) unless
+    work and heat both exceed ENGINE_TOL * wx.
     """
     p = _checked_p(p)
     tz, wz, wx = params.tau_z, params.omega_z, params.omega_x
     a, b, d = 2.0 * p - 1.0, 2.0 * np.sqrt(p * (1.0 - p)), _discriminant(params, p)
     x = np.arctan2(-(b * (wx - 2.0 * a * wz)), -(wz * (b * b - a * a) + a * wx))
     theta = 0.5 * (x + (x < 0.0) * (2.0 * math.pi))
-    work = 0.25 * tz * (d - wz + a * wx)
-    heat = wx * tz * ((a * d + wx - a * wz) / (4.0 * d))
-    return PvmOptimum(*map(_out, (work, theta, heat, work / heat)))
+    work = _out(0.25 * tz * (d - wz + a * wx))
+    heat = _out(wx * tz * ((a * d + wx - a * wz) / (4.0 * d)))
+    return PvmOptimum(work, _out(theta), heat, _efficiency(work, heat, wx))
 
 
 class PvmBestP(NamedTuple):
     p_star: float
     work: float
-    eta: float
+    eta: float | None
 
 
 def pvm_best_p(params: EngineParams) -> PvmBestP:

@@ -24,33 +24,24 @@ from .engine import LN2, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
 
 UNITS_BANNER = "energies in hbar*Omega_0; temperatures in hbar*Omega_0/k_B"
 
-SWEEP_VARIABLES = ("p", "t_c")
 _BLOCH_BASIS = np.stack([qmat.ID2, qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z])  # optimize-povm's E0_I, E0_x, E0_y, E0_z
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept variable on a uniform grid."""
+    """A uniform grid on [start, stop]; the swept field's own rules check its values."""
 
-    variable: str
     start: float
     stop: float
     points: int
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"start and stop must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ValueError(f"start must be below stop, got [{self.start}, {self.stop}]")
         if self.points < 2:
             raise ValueError(f"points must be at least 2, got {self.points}")
-        lo, hi = {"p": (0.5, 1.0), "t_c": (0.0, math.inf)}[self.variable]
-        if self.start < lo or self.stop > hi:
-            raise ValueError(f"{self.variable} range [{self.start}, {self.stop}] outside [{lo}, {hi}]")
-        if self.variable == "t_c" and not (self.start > 0.0 and 1.0 / self.start < math.inf):
-            raise ValueError(f"t_c must be positive with a finite reciprocal, got start {self.start}")
 
     def values(self) -> np.ndarray:
         try:
@@ -148,10 +139,24 @@ def _load_su4_file(path: str) -> np.ndarray:
     raise ValueError(f"{path}: expected 32 numbers (a 4x4 unitary) or 15 generator coefficients, found {len(values)}")
 
 
+# The optional flags each cycle engine takes: exactly one of the first group, any of the second.  A flag counts as
+# given unless its value is None, so --phi 0 is given; the two-bath cycle's beta_h is required by EngineParams.
+_CYCLE_FLAGS = {
+    "conventional": ((), ("--beta-h",)),
+    "pvm": (("--theta",), ("--phi",)),
+    "povm": (("--v0", "--su4-file"), ("--theta", "--phi", "--t-c")),
+}
+
+
 def cmd_cycle(args) -> RunReport:
-    params = EngineParams(
-        omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c, beta_h=args.beta_h
-    )
+    one_of, optional = _CYCLE_FLAGS[args.engine]
+    flags = ("--beta-h", "--theta", "--phi", "--v0", "--su4-file", "--t-c")
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if len(set(given) & set(one_of)) != bool(one_of) or not set(given) <= set(one_of + optional):
+        usage = [f"({' | '.join(one_of)})"] if one_of else []
+        usage += [f"[{flag}]" for flag in optional]
+        raise ValueError(f"--engine {args.engine} takes {' '.join(usage)}, got {' '.join(given) or 'none'}")
+    params = EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=args.beta_c, beta_h=args.beta_h)
     drive = DriveSpec(p=args.p, alpha=args.alpha)
     phi = 0.0 if args.phi is None else args.phi
     meta = dict(
@@ -159,27 +164,13 @@ def cmd_cycle(args) -> RunReport:
         beta_c=args.beta_c, p=args.p, alpha=args.alpha,
     )
     if args.engine == "conventional":
-        if args.beta_h is None:
-            raise ValueError("--engine conventional requires --beta-h")
-        if args.v0 or args.su4_file or any(x is not None for x in (args.theta, args.phi, args.t_c)):
-            raise ValueError("--theta/--phi/--v0/--su4-file/--t-c do not apply to the conventional engine")
         meta["beta_h"] = args.beta_h
         record = engine.run_conventional_cycle(params, drive)
     elif args.engine == "pvm":
-        if args.beta_h is not None:
-            raise ValueError("--beta-h does not apply to --engine pvm")
-        if args.v0 or args.su4_file or args.t_c is not None:
-            raise ValueError("--v0/--su4-file/--t-c do not apply to --engine pvm")
-        if args.theta is None:
-            raise ValueError("--engine pvm requires --theta")
         basis = MeasurementBasis(theta_x=args.theta, phi_x=phi)
         meta["theta_x"], meta["phi_x"] = args.theta, phi
         record = engine.run_pvm_cycle(params, drive, basis)
     else:  # povm
-        if args.beta_h is not None:
-            raise ValueError("--beta-h does not apply to --engine povm")
-        if bool(args.v0) == bool(args.su4_file):
-            raise ValueError("--engine povm requires exactly one of --v0 or --su4-file")
         if args.v0:
             joint = analytic.optimal_dilation_unitary()
             meta["dilation"] = "v0"
@@ -200,15 +191,15 @@ _PANELS = {"a": (3.0, 2.0), "b": (5.0, 2.0)}
 
 def cmd_fig2(args) -> RunReport:
     omega_x, omega_z = _PANELS[args.panel]
-    spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
+    spec = SweepSpec(0.5, 1.0, args.grid_points)
     params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c)
     if not args.beta_c > 0.2:
         raise ValueError(f"--beta-c must exceed 0.2, the fixed hot inverse temperature of the w_conv_bh02 column, "
                          f"got {args.beta_c}")
     rows = []
     for ps in spec.slices():
-        # strokes I-II at every p of the slice, checked by its SweepSpec, at phase 0; the columns differ only in
-        # stroke III: one (3, n) stack of its outputs, the first two the Gibbs states of the two hot baths
+        # strokes I-II at every p of the slice, in [1/2, 1] as pvm_optimal checks, at phase 0; the columns differ only
+        # in stroke III: one (3, n) stack of its outputs, the first two the Gibbs states of the two hot baths
         strokes = engine._strokes(params.omega_z, params.omega_x, params.beta_c, ps, 0.0)
         hot = engine._gibbs(strokes.h2, np.array([[0.2], [0.0]]))
         measured = engine._measure(strokes.rho1, engine.basis_projectors(analytic.pvm_optimal(params, ps).theta, 0.0))
@@ -223,7 +214,7 @@ def cmd_fig2(args) -> RunReport:
 
 def cmd_fig3(args) -> RunReport:
     omega_x, omega_z = _PANELS[args.panel]
-    spec = SweepSpec("p", 0.5, 1.0, args.grid_points)
+    spec = SweepSpec(0.5, 1.0, args.grid_points)
     params = EngineParams(omega_z=omega_z, omega_x=omega_x, beta_c=args.beta_c)
     t_c = params.reset_temperature(args.t_c)
     rows = []
@@ -247,9 +238,9 @@ def cmd_fig3(args) -> RunReport:
 
 def cmd_fig4(args) -> RunReport:
     params = EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0)
-    spec = SweepSpec("t_c", args.t_c_start, args.t_c_stop, args.grid_points)
-    try:  # only the bound on beta_c * omega_x can fail, and first at the coldest point, which checks every row
-        EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / spec.start)
+    spec = SweepSpec(args.t_c_start, args.t_c_stop, args.grid_points)
+    try:  # the coldest row's beta_c = 1/t_c checks every row's, 1/0 taken as inf, which is not finite
+        EngineParams(omega_z=args.omega_z, omega_x=args.omega_x, beta_c=1.0 / spec.start if spec.start else math.inf)
     except ValueError as exc:
         raise ValueError(f"t_c must be warmer than {spec.start} at omega_x = {args.omega_x}: {exc}") from None
     crossing = analytic.reset_crossing_temperature(params)
@@ -357,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     cycle.add_argument("--alpha", type=float, default=0.0, help="drive phase")
     cycle.add_argument("--theta", type=float, default=None, help="measurement polar angle")
     cycle.add_argument("--phi", type=float, default=None, help="measurement azimuthal angle (default 0)")
-    cycle.add_argument("--v0", action="store_true", help="use the optimal adiabatic dilation unitary")
+    cycle.add_argument("--v0", action="store_true", default=None, help="use the optimal adiabatic dilation unitary")
     cycle.add_argument("--su4-file", help="file with the dilation unitary (as --su4-out writes it) or its 15 generator "
                        "coefficients")
     cycle.add_argument("--t-c", type=float, default=None, help="auxiliary reset temperature")

@@ -19,10 +19,13 @@ omega_x, which gives a grid one record whose fields are arrays over the rows.
 :func:`strokes_i_ii` is the setup's spec entry and ``run_*_cycle`` runs one
 cycle; stroke III takes only arrays built from checked specs or grids (``qotto
 fig2`` and the basis search pass theirs to :func:`_measure`), so inputs are
-checked when a spec type is built, and the reset temperature by one
-EngineParams method.  A measurement basis's outcome projectors are
-(I +- n.sigma)/2 of its Bloch axis n, filled in from real sines and cosines
-of its chart angles by :func:`basis_projectors`, for one basis or a stack.
+checked when a spec type is built, each rule in one home: EngineParams the
+gaps and temperatures (a reset temperature by one method), and it alone asks
+for beta_h, which only the two-bath cycle has; :func:`_checked_p` p, for
+DriveSpec and every closed form; :func:`_efficiency` whether a ledger, or the
+projective optimum, has an efficiency.  A measurement basis's outcome
+projectors are (I +- n.sigma)/2 of its Bloch axis n, filled in from real
+sines and cosines of its chart angles by :func:`basis_projectors`.
 A spec's constants are computed once, on its first use, and kept read-only:
 EngineParams the two-bath cycle's hot Gibbs state, MeasurementBasis its
 projectors, and a DriveSpec, in one slot matched by identity, the stroke-I/II
@@ -133,10 +136,17 @@ class EngineParams:
             raise ValueError(f"t_c must be finite and nonnegative, got {t}")
         return t + 0.0
 
+    @property
+    def _hot_beta(self) -> float:
+        # beta_h, which only the two-bath cycle has, and which every use of the hot bath reads through here
+        if self.beta_h is None:
+            raise ValueError("the conventional cycle requires beta_h")
+        return self.beta_h
+
     @cached_property
     def _hot_state(self) -> np.ndarray:
         # The stroke-III Gibbs state of the two-bath cycle, at h2 and beta_h, computed on first use and read-only.
-        return _read_only(_gibbs(np.multiply.outer(0.5 * self.omega_x, SIGMA_X), self.beta_h))
+        return _read_only(_gibbs(np.multiply.outer(0.5 * self.omega_x, SIGMA_X), self._hot_beta))
 
     @property
     def v_z(self) -> float:
@@ -144,9 +154,7 @@ class EngineParams:
 
     @property
     def v_x(self) -> float:
-        if self.beta_h is None:
-            raise ValueError("beta_h is not set")
-        return 0.5 * self.beta_h * self.omega_x
+        return 0.5 * self._hot_beta * self.omega_x
 
     @property
     def tau_z(self) -> float:
@@ -162,6 +170,15 @@ class EngineParams:
         return self.omega_x / self.omega_z
 
 
+def _checked_p(p, scalar=False):
+    # The one check of p: a real number, or an array of them unless scalar, each in [1/2, 1] (a NaN is not; a string or
+    # a complex number is no real number); [()] makes a 0-d array a numpy float, whose arithmetic is cheaper.
+    q = np.asarray(p)
+    if scalar and q.ndim or q.dtype.kind not in "biuf" or not ((q >= 0.5) & (q <= 1.0)).all():
+        raise ValueError(f"p must lie in [1/2, 1], got {p}")
+    return np.asarray(q, dtype=float)[()]
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """Drive-stroke parametrization: transition probability p and phase alpha.
@@ -175,8 +192,7 @@ class DriveSpec:
     __reduce__ = _rebuilt
 
     def __post_init__(self):
-        if not (0.5 <= self.p <= 1.0):
-            raise ValueError(f"p must lie in [1/2, 1], got {self.p}")
+        _checked_p(self.p, scalar=True)
         if not (0.0 <= self.alpha < TWO_PI):
             raise ValueError(f"alpha must lie in [0, 2*pi), got {self.alpha}")
 
@@ -312,6 +328,16 @@ class PovmSpec:
         object.__setattr__(self, "_aux_entropy_init", s_init)
 
 
+def _efficiency(w_total, q_h, omega_x):
+    # w_total / q_h where the cycle at gap omega_x runs as an engine, q_h and w_total both above ENGINE_TOL * omega_x,
+    # and elsewhere None for floats (or 0-d values) and NaN in an array: the one efficiency rule of every ledger.
+    tol = ENGINE_TOL * omega_x
+    runs = (q_h > tol) & (w_total > tol)
+    if not getattr(runs, "ndim", 0):
+        return w_total / q_h if runs else None
+    return np.divide(w_total, q_h, out=np.full_like(q_h, np.nan), where=runs)
+
+
 @dataclass(frozen=True)
 class CycleRecord:
     """Per-cycle thermodynamic ledger, or the ledgers of a grid as columns.
@@ -358,15 +384,9 @@ class CycleRecord:
         w_total = 0.0 - (w1 + w2)  # a zero work is +0, where -(w1 + w2) gives -0
         q_h = e2 - e1
         q_c = e0 - e3
-        tol = ENGINE_TOL * omega_x
-        runs = (q_h > tol) & (w_total > tol)
-        if not stacked:
-            eta = w_total / q_h if runs else None
-        else:
-            eta = np.divide(w_total, q_h, out=np.full_like(q_h, np.nan), where=runs)
         return cls(
             e0=e0, e1=e1, e2=e2, e3=e3, w1=w1, w2=w2, w_total=w_total,
-            q_c=q_c, q_h=q_h, eta=eta,
+            q_c=q_c, q_h=q_h, eta=_efficiency(w_total, q_h, omega_x),
             aux_entropy=aux_entropy, aux_reset_cost=aux_reset_cost,
         )
 
@@ -504,9 +524,8 @@ def run_conventional_cycle(params: EngineParams, drive: DriveSpec) -> CycleRecor
     Stroke IV applies the reversed drive (the adjoint of the stroke-II
     unitary), so one drive parametrizes both work strokes.
     """
-    if params.beta_h is None:
-        raise ValueError("the conventional cycle requires beta_h")
-    return strokes_i_ii(params, drive).record(params._hot_state)
+    hot = params._hot_state  # first, so that a missing beta_h raises before the drive keeps a setup
+    return strokes_i_ii(params, drive).record(hot)
 
 
 def run_pvm_cycle(params: EngineParams, drive: DriveSpec, basis: MeasurementBasis) -> CycleRecord:

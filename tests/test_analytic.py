@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -243,7 +244,7 @@ class TestPvmOptimal:
         with pytest.raises(ValueError):
             pvm_optimal(P32, 0.3)
         for p in (0.3, 1.01, [0.7, 1.01], [0.7, math.nan], [[0.7, 0.4]]):
-            for f in (pvm_optimal, analytic.discriminant):
+            for f in (pvm_optimal, povm_work_ceiling):
                 with pytest.raises(ValueError, match="p must lie in"):
                     f(P32, p)
         # a float is the 0-d case of the array form, and an array of any shape is taken whole
@@ -567,7 +568,7 @@ class TestArrayForms:
         ps = np.reshape(self.P_GRID, shape)
         hot = EngineParams(params.omega_z, params.omega_x, params.beta_c, beta_h=0.3 * params.beta_c)
         cases = [
-            (analytic.discriminant(params, ps), [analytic.discriminant(params, p) for p in self.P_GRID]),
+            (analytic._discriminant(params, ps), [float(analytic._discriminant(params, p)) for p in self.P_GRID]),
             (povm_work_ceiling(params, ps), [povm_work_ceiling(params, DriveSpec(p)) for p in self.P_GRID]),
             (povm_work_ceiling(params, ps), [povm_work_ceiling(params, p) for p in self.P_GRID]),
         ]
@@ -655,7 +656,7 @@ class TestTinyGaps:
             cost = t_c * (-q * mpmath.log(q) - (1 - q) * mpmath.log(1 - q))
             drive_work = tz / 2 * (a * wx - wz)
             cases = [
-                (analytic.discriminant(params, p), d), (opt.work, work), (opt.heat, heat), (opt.eta, work / heat),
+                (analytic._discriminant(params, p), d), (opt.work, work), (opt.heat, heat), (opt.eta, work / heat),
                 (opt.theta, (x if x >= 0 else x + 2 * mpmath.pi) / 2),
                 (povm_work_ceiling(params, p), drive_work + d / 2),
                 (povm_net_work_optimum(params, p), drive_work + max(d / 2 - cost, tz * d / 2)),
@@ -741,3 +742,52 @@ class TestCrossEngineGaps:
             params = EngineParams(2.0, 3.0, beta_c)
             gap = povm_work_ceiling(params, ADIABATIC) - pvm_optimal(params, 1.0).work
             assert gap == pytest.approx(0.5, abs=1e-13)
+
+
+class TestOneRulePerField:
+    """Each field rule has one home, so every entry that meets a bad value says the same thing."""
+
+    HOT = EngineParams(2.0, 3.0, 1.0, beta_h=0.2)
+
+    @pytest.mark.parametrize("bad", [0.4, 1.01, math.nan, np.array([0.7, 1.01]), 0.8 + 0.1j, np.complex128(0.8), "0.8"],
+                             ids=["low", "high", "nan", "array", "complex", "numpy-complex", "string"])
+    def test_p(self, bad):
+        entries = (DriveSpec, lambda p: pvm_optimal(self.HOT, p), lambda p: povm_work_ceiling(self.HOT, p),
+                   lambda p: povm_net_work_optimum(self.HOT, p), lambda p: conventional_record(self.HOT, p))
+        for entry in entries:
+            with pytest.raises(ValueError) as info:
+                entry(bad)
+            assert str(info.value) == f"p must lie in [1/2, 1], got {bad}"
+
+    @pytest.mark.parametrize("p", [np.array([0.7, 0.8]), np.array([0.7]), [0.7]])
+    def test_a_drive_takes_one_p(self, p):
+        with pytest.raises(ValueError, match=r"p must lie in \[1/2, 1\]"):
+            DriveSpec(p)
+
+    def test_beta_h(self):
+        entries = (lambda: engine.run_conventional_cycle(P32, ADIABATIC), lambda: conventional_record(P32, 1.0),
+                   lambda: P32.tau_x, lambda: P32.v_x, lambda: P32._hot_state)
+        for entry in entries:
+            with pytest.raises(ValueError) as info:
+                entry()
+            assert str(info.value) == "the conventional cycle requires beta_h"
+        drive = DriveSpec(0.8)
+        with pytest.raises(ValueError):
+            engine.run_conventional_cycle(P32, drive)
+        assert "_strokes_slot" not in vars(drive)  # raised before the drive kept a setup
+
+    @pytest.mark.parametrize("params,p", [
+        (EngineParams(2.0, 3.0, 1e-300), 0.875),  # rounding-sized work and heat
+        (EngineParams(1e-300, 2e-300, 1e-8), 1.0),  # the heat underflows to 0, which 0/0 made NaN
+    ])
+    def test_pvm_optimum_efficiency_is_the_ledger_rule(self, params, p):
+        # below ENGINE_TOL * omega_x the optimum runs no engine, as every ledger of it says; a grid reads NaN there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt = pvm_optimal(params, p)
+            grid = pvm_optimal(params, np.array([p, p]))
+        assert opt.eta is None and np.isnan(grid.eta).all()
+        assert pvm_best_p(params).eta is None
+        for rec in (engine.run_pvm_cycle(params, DriveSpec(p), opt.basis),
+                    pvm_nonadiabatic_record(params, DriveSpec(p), opt.basis)):
+            assert rec.eta is None

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -48,30 +49,27 @@ def parse_csv(text):
 
 class TestSweepSpec:
     def test_validation(self):
-        SweepSpec("p", 0.5, 1.0, 11)
-        with pytest.raises(ValueError):
-            SweepSpec("p", 0.4, 1.0, 11)
-        with pytest.raises(ValueError):
-            SweepSpec("p", 0.9, 0.6, 11)
-        with pytest.raises(ValueError):
-            SweepSpec("p", 0.5, 1.0, 1)
-        with pytest.raises(ValueError):
-            SweepSpec("voltage", 0.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            SweepSpec("t_c", 0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="t_c must be positive with a finite reciprocal"):
-            SweepSpec("t_c", 1e-320, 1.0, 5)  # 1/t_c, the cold beta, overflows
-        with pytest.raises(ValueError):
-            SweepSpec("beta_c", 0.5, 1.0, 3)  # only p and t_c are swept
+        SweepSpec(0.5, 1.0, 11)
+        SweepSpec(-3.0, -1.0, 2)  # a grid has no range of its own: the swept field's rules check its values
+        for start, stop in ((0.9, 0.6), (0.5, 0.5)):
+            with pytest.raises(ValueError, match="start must be below stop"):
+                SweepSpec(start, stop, 11)
+        with pytest.raises(ValueError, match="points must be at least 2"):
+            SweepSpec(0.5, 1.0, 1)
         for start, stop in ((0.5, math.inf), (math.nan, 1.0), (0.5, math.nan), (-math.inf, 1.0)):
             with pytest.raises(ValueError, match="must be finite"):
-                SweepSpec("t_c", start, stop, 5)
+                SweepSpec(start, stop, 5)
+
+    def test_has_no_variable(self):
+        # the grid of each command is its [start, stop] and point count; the variable name selected no rule any more
+        assert [f.name for f in dataclasses.fields(SweepSpec)] == ["start", "stop", "points"]
+        assert not hasattr(cli, "SWEEP_VARIABLES")
 
     def test_values(self):
-        np.testing.assert_allclose(SweepSpec("p", 0.5, 1.0, 3).values(), [0.5, 0.75, 1.0])
+        np.testing.assert_allclose(SweepSpec(0.5, 1.0, 3).values(), [0.5, 0.75, 1.0])
 
     def test_slices_cover_the_grid_in_order(self):
-        spec = SweepSpec("t_c", 0.1, 3.0, 2 * engine.GRID_SLICE + 3)
+        spec = SweepSpec(0.1, 3.0, 2 * engine.GRID_SLICE + 3)
         slices = spec.slices()
         assert [len(s) for s in slices] == [engine.GRID_SLICE, engine.GRID_SLICE, 3]
         assert np.concatenate(slices).tolist() == spec.values().tolist()
@@ -166,6 +164,38 @@ class TestCycleCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "error" in err.lower()
+
+    @pytest.mark.parametrize("flags,message", [
+        ("--engine conventional --beta-h 0.2 --phi 0", "--engine conventional takes [--beta-h], got --beta-h --phi"),
+        ("--engine conventional --beta-h 0 --t-c 0", "--engine conventional takes [--beta-h], got --beta-h --t-c"),
+        ("--engine pvm", "--engine pvm takes (--theta) [--phi], got none"),
+        ("--engine pvm --theta 0 --beta-h 0", "--engine pvm takes (--theta) [--phi], got --beta-h --theta"),
+        ("--engine pvm --theta 1 --v0", "--engine pvm takes (--theta) [--phi], got --theta --v0"),
+        ("--engine povm --phi 0", "--engine povm takes (--v0 | --su4-file) [--theta] [--phi] [--t-c], got --phi"),
+        ("--engine povm --v0 --su4-file u.txt",
+         "--engine povm takes (--v0 | --su4-file) [--theta] [--phi] [--t-c], got --v0 --su4-file"),
+        ("--engine povm --v0 --beta-h 0",
+         "--engine povm takes (--v0 | --su4-file) [--theta] [--phi] [--t-c], got --beta-h --v0"),
+    ], ids=["conventional-phi-0", "conventional-t-c-0", "pvm-none", "pvm-beta-h-0", "pvm-v0", "povm-phi-0", "povm-both",
+            "povm-beta-h-0"])
+    def test_each_engine_takes_the_flags_of_its_row(self, capsys, flags, message):
+        # one table names the flags each engine takes; a flag given as 0 is given
+        code, out, err = run_cli(capsys, "cycle", *flags.split(), "--deterministic")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [
+        "--engine conventional --beta-h 0",
+        "--engine pvm --theta 0 --phi 0",
+        "--engine povm --v0 --theta 0 --phi 0 --t-c 0",
+    ])
+    def test_flags_given_as_0_run(self, capsys, flags):
+        code, _, err = run_cli(capsys, "cycle", *flags.split(), "--deterministic")
+        assert (code, err) == (0, "")
+
+    def test_a_missing_beta_h_is_the_library_error(self, capsys):
+        # EngineParams alone requires beta_h of the two-bath cycle, and the command says what it says
+        code, out, err = run_cli(capsys, "cycle", "--engine", "conventional", "--deterministic")
+        assert (code, out, err) == (2, "", "error: the conventional cycle requires beta_h\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_rejects_non_finite_values(self, capsys, value):
@@ -411,7 +441,7 @@ class TestOneStrokesPassPerSlice:
         ("fig4", {"EngineParams": 2, "DriveSpec": 0}),  # its parameters, and the check at the coldest t_c
     ])
     def test_specs_built_do_not_grow_with_the_grid(self, capsys, monkeypatch, command, built):
-        # a grid enters the kernel as arrays checked once by its SweepSpec, never as one spec per row
+        # a grid enters the kernel as arrays checked once per slice, never as one spec per row
         counts = dict.fromkeys(built, 0)
         for cls in (engine.EngineParams, engine.DriveSpec):
             def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -489,6 +519,16 @@ class TestFig4Command:
             for t_c, row in zip(grid, rows):
                 rec = analytic.aux_cost_record(params, t_c)
                 assert row[:3] == [f"{t_c:.12g}", f"{rec.delta_w:.12g}", f"{rec.min_cost:.12g}"]
+
+    @pytest.mark.parametrize("start", ["0", "-1", "5e-324", "1e-320"])
+    def test_rejects_a_start_without_a_cold_beta(self, capsys, start):
+        # the coldest row's beta_c = 1/t_c is checked by EngineParams, 1/0 taken as inf; nothing divides by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fig4", f"--t-c-start={start}", "--deterministic")
+        assert (code, out) == (2, "")
+        reason = "beta_c must be positive, got -1.0" if start == "-1" else "beta_c must be finite, got inf"
+        assert err == f"error: t_c must be warmer than {float(start)} at omega_x = 5.0: {reason}\n"
 
     @pytest.mark.parametrize("flag", ["--t-c-stop", "--t-c-start"])
     def test_rejects_non_finite_range(self, capsys, flag):
@@ -584,6 +624,24 @@ class TestTable1Command:
                 assert cells == unit_cells
             else:
                 assert [float(c) for c in cells] == pytest.approx([1e-300 * float(c) for c in unit_cells], rel=1e-11)
+
+    @pytest.mark.parametrize("omega_z,omega_x,beta_c", [
+        (1e-300, 2e-300, 1e-8),  # the projective heat underflows to 0
+        (2.0, 3.0, 1e-300),  # rounding-sized work and heat
+    ])
+    def test_pvm_efficiency_follows_the_engine_threshold(self, capsys, omega_z, omega_x, beta_c):
+        # the projective optimum's efficiency is empty where its work or heat is at or below ENGINE_TOL * omega_x,
+        # as the simulated cycle at that optimum says
+        flags = ["--omega-z", repr(omega_z), "--omega-x", repr(omega_x), "--beta-c", repr(beta_c), "--beta-h", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "table1", *flags, "--deterministic", "--format", "csv")
+        assert code == 0
+        table = {row.split(",")[0]: row.split(",")[1:] for row in out.splitlines() if not row.startswith("#")}
+        assert table["efficiency_at_optimal_work"][1] == ""
+        params = EngineParams(omega_z, omega_x, beta_c)
+        p = analytic.pvm_best_p(params).p_star
+        assert engine.run_pvm_cycle(params, DriveSpec(p), analytic.pvm_optimal(params, p).basis).eta is None
 
     def test_large_ratio_povm_efficiency(self, capsys):
         code, out, _ = run_cli(

@@ -363,7 +363,7 @@ PROPERTY_POINTS = (
 def net_branch(params, drive, t_c):
     # which candidate the net optimum takes, by the closed form
     tz = params.tau_z
-    d = analytic.discriminant(params, drive.p)
+    d = analytic._discriminant(params, drive.p)
     q = 0.5 * (1.0 + tz)
     cost = t_c * math.log(2.0) * -sum(x * math.log2(x) for x in (q, 1.0 - q) if x > 0.0)  # t_c ln2 H2(q)
     return "gross" if 0.5 * d - cost >= 0.5 * tz * d else "zero"
