@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 # scipy.optimize (about 0.4 s and 300 modules) loads on the first basis polish
 # in a process, through minimize below; no qotto command calls it.  Plain
-# scipy is still imported here, for two reasons: a missing scipy, or one
-# built against another numpy, fails at ``import qotto`` rather than
-# halfway through a search; and the import breakdown in perfbench/ expects
-# a nonzero scipy share.
+# scipy is still imported here, for two reasons: a missing scipy fails at
+# ``import qotto`` rather than halfway through a search; and the import
+# breakdown in perfbench/ expects a nonzero scipy share.
 import scipy  # noqa: F401
 
 from . import engine, qmat
@@ -83,11 +82,11 @@ POLISH_TOLERANCE = 1e-10
 POLISH_MAX_EVALS = 4000
 
 
-def minimize(fun, x0, **kwargs):
+def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, importing scipy.optimize on the first call."""
     from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(fun, x0, **kwargs)
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,17 @@ class TestPvmBasisOptimizer:
         assert res.evaluations == -(-g // 2) * g + calls[0].nfev + 1
         assert pvm_summary(res) == pvm_summary(plain)
 
+    def test_module_minimize_takes_scipy_arguments(self):
+        # optimize.minimize stands in for scipy's function, positional arguments included
+        from scipy.optimize import minimize as scipy_minimize
+
+        def fun(x, shift):
+            return (x[0] - shift) ** 2
+
+        ours = optimize.minimize(fun, [0.0], (1.5,), "Nelder-Mead", options={"xatol": 1e-12})
+        theirs = scipy_minimize(fun, [0.0], (1.5,), "Nelder-Mead", options={"xatol": 1e-12})
+        assert ours.x[0].hex() == theirs.x[0].hex() and ours.nfev == theirs.nfev
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             optimize_pvm_basis(P32, DriveSpec(p=1.0), grid_size=1)
