@@ -201,10 +201,11 @@ def aux_cost_record(params: EngineParams, t_c: float | np.ndarray | None = None)
     which even the worst-case reset cost cannot erase that advantage.
     """
     t_c = np.asarray(params.reset_temperature(t_c) if t_c is None else t_c, dtype=float) + 0.0
-    for extreme in (t_c.min(), t_c.max()):  # a NaN is both
-        params.reset_temperature(float(extreme))
-    if not t_c.min() > 0.0:  # the cost divides by it
-        raise ValueError(f"t_c must be positive, got {t_c.min()}")
+    if t_c.size:  # an empty grid has no extremes, and gives empty columns
+        for extreme in (t_c.min(), t_c.max()):  # a NaN is both
+            params.reset_temperature(float(extreme))
+        if not t_c.min() > 0.0:  # the cost divides by it
+            raise ValueError(f"t_c must be positive, got {t_c.min()}")
     # x = omega_z / t_c, held at 1e300 where it would overflow: from x of about 745 on, q and so the cost are 0, as in
     # the limit t_c -> 0, where 0 * inf would make them NaN
     x = params.omega_z / np.maximum(t_c, 1e-300 * params.omega_z)

@@ -326,9 +326,13 @@ def _add_output_flags(sub, default_format: str) -> None:
     )
 
 
-def _add_param_flags(sub, omega_x=3.0, omega_z=2.0) -> None:
+def _add_gap_flags(sub, omega_x=3.0) -> None:
     sub.add_argument("--omega-x", type=float, default=omega_x, help="drive-stroke gap")
-    sub.add_argument("--omega-z", type=float, default=omega_z, help="cold-stroke gap")
+    sub.add_argument("--omega-z", type=float, default=2.0, help="cold-stroke gap")
+
+
+def _add_param_flags(sub) -> None:
+    _add_gap_flags(sub)
     sub.add_argument("--beta-c", type=float, default=1.0, help="cold inverse temperature")
 
 
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig3.set_defaults(func=cmd_fig3)
 
     fig4 = subs.add_parser("fig4", help="reset cost vs work advantage against the cold temperature")
-    _add_param_flags(fig4, omega_x=5.0, omega_z=2.0)
+    _add_gap_flags(fig4, omega_x=5.0)  # it sweeps the cold temperature, so it takes no --beta-c
     fig4.add_argument("--t-c-start", type=float, default=0.05)
     fig4.add_argument("--t-c-stop", type=float, default=4.0)
     fig4.add_argument("--grid-points", type=int, default=80)

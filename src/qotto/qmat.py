@@ -37,7 +37,6 @@ ID4 = np.eye(4, dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

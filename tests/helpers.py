@@ -1,6 +1,6 @@
-"""References that only the tests use: the stroke Hamiltonians and the drive unitary built from their formulas, a
-seeded Haar sampler, the basis kets and the Kraus family of a dilation, the rearrangement energy bound and the exact
-projective optimum."""
+"""References that only the tests use: the |-> ket, the stroke Hamiltonians and the drive unitary built from their
+formulas, a seeded Haar sampler, the basis kets and the Kraus family of a dilation, the rearrangement energy bound and
+the exact projective optimum."""
 
 import math
 
@@ -8,7 +8,9 @@ import numpy as np
 
 from qotto import engine, qmat
 from qotto.engine import TWO_PI, MeasurementBasis
-from qotto.qmat import KET_MINUS, KET_PLUS
+from qotto.qmat import KET_PLUS
+
+KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def h1_reference(params) -> np.ndarray:

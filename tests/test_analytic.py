@@ -585,15 +585,17 @@ class TestArrayForms:
         for grid, single in cases:
             self.assert_rows(grid, single, shape)
 
-    @pytest.mark.parametrize("shape", [(131,), (1, 131)])
+    @pytest.mark.parametrize("shape", [(131,), (1, 131), (0,)])
     @pytest.mark.parametrize("params", PARAMS)
     def test_t_c_forms(self, params, shape):
-        rows = aux_cost_record(params, np.reshape(self.T_GRID, shape))
-        singles = [aux_cost_record(params, t) for t in self.T_GRID]
+        grid = self.T_GRID[:math.prod(shape)]  # an empty grid gives empty columns
+        rows = aux_cost_record(params, np.reshape(grid, shape))
+        singles = [aux_cost_record(params, t) for t in grid]
         for name in ("min_cost", "max_cost", "net_work_v0"):
             self.assert_rows(getattr(rows, name), [getattr(x, name) for x in singles], shape)
         for name in ("delta_w", "t_c_bound"):
-            assert {getattr(x, name).hex() for x in singles} == {float(getattr(rows, name)).hex()}
+            scalars = {getattr(x, name).hex() for x in [*singles, aux_cost_record(params, 1.0)]}
+            assert scalars == {float(getattr(rows, name)).hex()}
 
     def test_a_grid_is_checked_whole(self):
         for bad in ([0.6, 0.4], [0.7, math.nan], [1.0, 1.5]):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -206,10 +207,16 @@ class TestCycleCommand:
             assert "must be finite" in err
             assert out == ""
 
-    def test_unknown_flag_exits_2(self):
+    @pytest.mark.parametrize("argv,unknown", [
+        ("cycle --engine pvm --theta 1.0 --bogus", "--bogus"),
+        ("fig4 --beta-c 1", "--beta-c 1"),  # fig4 sweeps t_c = 1/beta_c, so it takes no --beta-c
+    ], ids=["cycle-bogus", "fig4-beta-c"])
+    def test_unknown_flag_exits_2(self, capsys, argv, unknown):
         with pytest.raises(SystemExit) as info:
-            main(["cycle", "--engine", "pvm", "--theta", "1.0", "--bogus"])
+            main([*argv.split(), "--deterministic"])
         assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: unrecognized arguments: {unknown}\n")
 
 
 class TestFig2Command:
@@ -286,7 +293,9 @@ class TestColdTemperatureOverflow:
         "fig4 --omega-x 1e300 --t-c-start 1 --grid-points 3",
         "optimize-povm --omega-x 1e300 --beta-c 1e-300 --p 0.7 --net",
         "fig4 --t-c-stop 1.7976931348623157e308 --grid-points 3",  # the grid reads t_c, not 1/(1/t_c) = inf
-    ], ids=["table1", "cycle", "fig4", "optimize-povm", "fig4-hottest"])
+        "fig3 --beta-c 1e-300 --grid-points 3",  # t_c = 1e300: w_povm_lower_bound is about -7e299, still finite
+        "optimize-povm --net --beta-c 1e-300",
+    ], ids=["table1", "cycle", "fig4", "optimize-povm", "fig4-hottest", "fig3-hot-reset", "optimize-povm-hot-reset"])
     def test_runs_at_the_bounds(self, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1059,6 +1068,35 @@ class TestParser:
         code, out, _ = run_cli(capsys, "cycle", "--engine", "pvm", "--theta", "1.0", "--deterministic")
         assert code == 0 and "w_total" in out
         assert cli._parser() is parser
+
+    def test_every_option_is_read(self, capsys, monkeypatch):
+        # main, running a command, reads every dest its subparser defines, so no flag is parsed and then ignored
+        reads, parsed = set(), []
+
+        class Logged(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        parser = cli.build_parser()
+        parse_args = parser.parse_args
+
+        def parse_logged(argv):
+            parsed.append(parse_args(argv, Logged()))
+            reads.clear()  # argparse reads the namespace while it fills it in
+            return parsed[-1]
+
+        parser.parse_args = parse_logged
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        unread = {}
+        for argv in (["cycle", "--engine", "povm", "--v0"], ["fig2", "--grid-points", "3"],
+                     ["fig3", "--grid-points", "3"], ["fig4", "--grid-points", "3"], ["table1"],
+                     ["optimize-povm", "--net"]):
+            code, _, err = run_cli(capsys, *argv, "--deterministic")
+            assert (code, err) == (0, "")
+            unread[argv[0]] = set(vars(parsed[-1])) - reads - {"command", "func"}
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert unread == dict.fromkeys(commands, set())
 
     def test_import_builds_no_parser(self):
         probe = "import qotto.cli as c; print(c._parser.cache_info().currsize)"

@@ -18,8 +18,10 @@ from qotto.engine import (
     run_povm_cycle,
     run_pvm_cycle,
 )
-from qotto.qmat import HADAMARD, ID2, ID4, KET_MINUS, KET_PLUS
-from helpers import basis_kets, bloch_vector, drive_reference, h1_reference, h2_reference, haar_unitary, kraus_family
+from qotto.qmat import HADAMARD, ID2, ID4, KET_PLUS
+from helpers import (
+    KET_MINUS, basis_kets, bloch_vector, drive_reference, h1_reference, h2_reference, haar_unitary, kraus_family,
+)
 
 P32 = EngineParams(omega_z=2.0, omega_x=3.0, beta_c=1.0)
 P52 = EngineParams(omega_z=2.0, omega_x=5.0, beta_c=1.0)

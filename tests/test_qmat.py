@@ -9,7 +9,6 @@ from qotto.qmat import (
     HADAMARD,
     ID2,
     ID4,
-    KET_MINUS,
     KET_PLUS,
     SIGMA_X,
     SIGMA_Z,
@@ -17,6 +16,7 @@ from qotto.qmat import (
     _exp_i,
     hermitian_eig,
 )
+from helpers import KET_MINUS
 
 
 def random_hermitian(rng, dim, scale=5.0):
